@@ -60,7 +60,7 @@ from dwu.tqft import (
     partition_verlinde,
     turaev_from_cocycle,
 )
-from dwu.transgression import LoopCocycle, pair_surface, tau_ref
+from dwu.transgression import pair_surface, tau_ref
 
 __all__ = [
     "ActionGroupoid",
@@ -70,7 +70,6 @@ __all__ = [
     "FiniteGroup",
     "GradedGroup",
     "GroupAxiomError",
-    "LoopCocycle",
     "Phase",
     "ResourceBudgetError",
     "Surface",

@@ -76,8 +76,14 @@ class Emitter:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
             self._fh.flush()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
     def close(self):
-        if self.fmt == "csv":
+        if self.fmt == "csv" and self.records:
             rows = [self._flatten(r) for r in self.records]
             fields = sorted({k for row in rows for k in row})
             writer = csv.DictWriter(self._fh, fieldnames=fields)
@@ -91,6 +97,8 @@ class Emitter:
 def _resolve_gradings(group_name: str, which: str, cap: int):
     g = build_group(group_name, cap=cap)
     gradings = enumerate_gradings(g)
+    if not gradings:
+        raise ValueError(f"group {group_name} has no Z2-gradings (no index-2 subgroup)")
     if which == "all":
         return g, list(enumerate(gradings))
     idx = int(which)
@@ -112,13 +120,11 @@ def _resolve_classes(gg, source: str, cocycle_file: str | None):
     return [(idx, reps[idx])]
 
 
-def cmd_gradings(args) -> int:
-    emitter = Emitter(args.format, args.out)
+def cmd_gradings(args, emitter: Emitter) -> int:
     g = build_group(args.group, cap=args.cap)
     gradings = enumerate_gradings(g)
     if not gradings:
         emitter.emit({"group": args.group, "note": "no Z2-gradings (no index-2 subgroup)"})
-        emitter.close()
         return EXIT_OK
     for i, gg in enumerate(gradings):
         emitter.emit(
@@ -130,15 +136,10 @@ def cmd_gradings(args) -> int:
                 "split": gg.is_split(),
             }
         )
-    emitter.close()
     return EXIT_OK
 
 
-def cmd_cohomology(args) -> int:
-    if args.degree not in (1, 2):
-        print("error: --degree must be 1 or 2", file=sys.stderr)
-        return EXIT_USAGE
-    emitter = Emitter(args.format, args.out)
+def cmd_cohomology(args, emitter: Emitter) -> int:
     _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
     for gi, gg in gradings:
         reps, factors = cohomology_classes(gg, args.degree)
@@ -152,12 +153,10 @@ def cmd_cohomology(args) -> int:
                 "representatives": [_fingerprint(r) for r in reps],
             }
         )
-    emitter.close()
     return EXIT_OK
 
 
-def cmd_indicators(args) -> int:
-    emitter = Emitter(args.format, args.out)
+def cmd_indicators(args, emitter: Emitter) -> int:
     _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
     for gi, gg in gradings:
         for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file):
@@ -192,12 +191,10 @@ def cmd_indicators(args) -> int:
                     "identity_delta": _round(abs(n * z_rp2 - signed_sum)),
                 }
             )
-    emitter.close()
     return EXIT_OK
 
 
-def cmd_verify_axioms(args) -> int:
-    emitter = Emitter(args.format, args.out)
+def cmd_verify_axioms(args, emitter: Emitter) -> int:
     failures = 0
     _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
     for gi, gg in gradings:
@@ -217,11 +214,10 @@ def cmd_verify_axioms(args) -> int:
             if not record["ok"]:
                 failures += 1
             emitter.emit(record)
-    emitter.close()
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args, emitter: Emitter) -> int:
     surfaces = []
     if args.surfaces:
         for spec in args.surfaces.split(","):
@@ -231,7 +227,6 @@ def cmd_partition(args) -> int:
         names = load_manifest()["groups"]
     else:
         names = [args.group]
-    emitter = Emitter(args.format, args.out)
     failing = 0
     for name in names:
         _, gradings = _resolve_gradings(name, args.grading, args.cap)
@@ -276,7 +271,6 @@ def cmd_partition(args) -> int:
                 emitter.emit(cc_rec)
                 if not rep["ok"]:
                     failing += 1
-    emitter.close()
     return EXIT_OK if failing == 0 else EXIT_FAIL
 
 
@@ -335,10 +329,18 @@ def main(argv=None) -> int:
     if getattr(args, "tol", 1.0) <= 0:
         print("usage error: --tol must be positive", file=sys.stderr)
         return EXIT_USAGE
-    if args.budget is None and os.environ.get("DW_BUDGET"):
-        args.budget = int(os.environ["DW_BUDGET"])
+    if getattr(args, "degree", 2) not in (1, 2):
+        print("error: --degree must be 1 or 2", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        return args.func(args)
+        env = os.environ.get("DW_BUDGET")
+        if args.budget is None and env:
+            try:
+                args.budget = int(env)
+            except ValueError:
+                raise ValueError(f"DW_BUDGET must be an integer, got {env!r}") from None
+        with Emitter(args.format, args.out) as emitter:
+            return args.func(args, emitter)
     except ResourceBudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -3,7 +3,10 @@
 A groupoid is presented as a finite set with a group action; components carry
 their orbit size and automorphism (stabilizer) order, and integration weights
 a class function by 1/|Aut|.  Loop groupoids and the double reflective loop
-groupoid of a graded group are built as explicit action groupoids.
+groupoid of a graded group are built as explicit action groupoids.  The orbit
+loop (groupoid components and the direct holonomy sum) and the flat-section
+search over conjugation (the exact orbifold and the floating-point center) are
+module functions shared by their callers.
 """
 
 from __future__ import annotations
@@ -46,18 +49,7 @@ class ActionGroupoid:
 
     def components(self) -> list[tuple]:
         """(representative, orbit size, automorphism order) per orbit."""
-        H = self.acting_group
-        seen = set()
-        out = []
-        for x in self.carrier:
-            if x in seen:
-                continue
-            orbit = {self.action[(h, x)] for h in range(H.order)}
-            seen |= orbit
-            stab = sum(1 for h in range(H.order) if self.action[(h, x)] == x)
-            assert len(orbit) * stab == H.order
-            out.append((x, len(orbit), stab))
-        return out
+        return orbits(self.carrier, self.acting_group.order, lambda h, x: self.action[(h, x)])
 
     def integrate(self, f):
         """Sum of f(representative)/|Aut| over components; f must be invariant."""
@@ -86,6 +78,54 @@ def _scale(value, q: Fraction):
     return value * float(q)
 
 
+def orbits(points, group_order: int, act) -> list[tuple]:
+    """(representative, orbit size, stabilizer order) per orbit, in first-seen order.
+
+    act(h, x) is the action of group element h in range(group_order) on x.
+    """
+    unseen = set(points)
+    out = []
+    for x in points:
+        if x not in unseen:
+            continue
+        images = [act(h, x) for h in range(group_order)]
+        orbit = set(images)
+        unseen -= orbit
+        stab = images.count(x)
+        assert len(orbit) * stab == group_order
+        out.append((x, len(orbit), stab))
+    return out
+
+
+def flat_sections(G: FiniteGroup, start, step) -> list[tuple]:
+    """(representative, {g: value}) per conjugacy class of G carrying a flat section.
+
+    The section is start at the class representative and is transported along
+    conjugation: step(k, g, v) is its value at k g k^-1 given the value v at g.
+    A class on which transport is inconsistent carries no section.
+    """
+    out = []
+    for cls in G.conjugacy_classes():
+        values = _transport(G, cls[0], start, step)
+        if values is not None:
+            out.append((cls[0], values))
+    return out
+
+
+def _transport(G: FiniteGroup, rep: int, start, step):
+    values = {rep: start}
+    reached = [rep]
+    for g in reached:  # grows while it is walked
+        for k in range(G.order):
+            g2, v2 = G.conj(k, g), step(k, g, values[g])
+            if g2 not in values:
+                values[g2] = v2
+                reached.append(g2)
+            elif values[g2] != v2:
+                return None
+    return values
+
+
 def loop_groupoid(gpd: ActionGroupoid) -> ActionGroupoid:
     """Carrier {(x, h) : h.x = x} with the acting group unchanged, k.(x,h) = (k.x, khk^-1)."""
     H = gpd.acting_group
@@ -108,19 +148,23 @@ def conjugation_groupoid(G: FiniteGroup) -> ActionGroupoid:
     return ActionGroupoid.build(range(G.order), G, lambda h, g: G.conj(h, g), label=f"{G.name}//conj")
 
 
-def double_real_loop(GG: GradedGroup) -> ActionGroupoid:
-    """Pairs (g, w) with w g^{sign(w)} w^{-1} = g, the whole group acting by
-    Real conjugation on g and conjugation on w."""
-    G = GG.group
-    carrier = [
+def double_real_loop_carrier(GG: GradedGroup) -> list[tuple]:
+    """Pairs (g, w), g even, with w g^{sign(w)} w^{-1} = g."""
+    return [
         (g, w)
         for g in GG.even_part
-        for w in range(G.order)
+        for w in range(GG.group.order)
         if real_conjugate(GG, w, g) == g
     ]
+
+
+def double_real_loop(GG: GradedGroup) -> ActionGroupoid:
+    """The double loop carrier with the whole group acting by Real conjugation
+    on g and conjugation on w."""
+    G = GG.group
 
     def act(h, pt):
         g, w = pt
         return (real_conjugate(GG, h, g), G.conj(h, w))
 
-    return ActionGroupoid.build(carrier, G, act, label=f"LLref({G.name})")
+    return ActionGroupoid.build(double_real_loop_carrier(GG), G, act, label=f"LLref({G.name})")

@@ -128,20 +128,6 @@ def solve_mod(A: np.ndarray, b: np.ndarray, N: int):
     return x
 
 
-def in_span_mod(H: np.ndarray, v: np.ndarray, N: int) -> bool:
-    """Membership of v in the row span of an echelon H over Z/N."""
-    r = np.array(v, dtype=np.int64) % N
-    for row in H:
-        nz = np.nonzero(row)[0]
-        if len(nz) == 0:
-            continue
-        c = nz[0]
-        piv = int(row[c])
-        if r[c] % N and int(r[c]) % piv == 0:
-            r = (r - (int(r[c]) // piv) * row) % N
-    return not r.any()
-
-
 def quotient_invariants(kernel_gens: np.ndarray, relation_rows: np.ndarray, N: int):
     """Invariant factors and adapted basis of span(kernel)/span(relations) over Z/N.
 

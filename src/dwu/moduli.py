@@ -121,7 +121,8 @@ def holonomy_points(surface: Surface, GG: GradedGroup, budget: int | None = None
     """All generator tuples satisfying the relator and orientation characters."""
     G = GG.group
     chars = surface.generator_characters()
-    budget = budget or enumeration_budget()
+    if budget is None:
+        budget = enumeration_budget()
     pools = []
     for c in chars:
         pools.append([g for g in range(G.order) if GG.sign[g] == c])
@@ -197,23 +198,16 @@ def crosscap_groupoid(GG: GradedGroup):
 
 
 def one_loop_groupoid(GG: GradedGroup):
-    """Torus and Klein-bottle moduli glued: pairs (g, w) with w g^{sign w} w^{-1} = g,
-    under even conjugation."""
-    from dwu.groupoids import ActionGroupoid
-    from dwu.groups import real_conjugate
+    """Torus and Klein-bottle moduli glued: the double real loop carrier
+    (g, w) with w g^{sign w} w^{-1} = g, under even conjugation."""
+    from dwu.groupoids import ActionGroupoid, double_real_loop_carrier
 
     G = GG.group
-    carrier = [
-        (g, w)
-        for g in GG.even_part
-        for w in range(G.order)
-        if real_conjugate(GG, w, g) == g
-    ]
-    sub = GG.even_subgroup
 
     def act(k, pt):
         h = GG.even_part[k]
-        g, w = pt
-        return (G.conj(h, g), G.conj(h, w))
+        return tuple(G.conj(h, x) for x in pt)
 
-    return ActionGroupoid.build(carrier, sub, act, label="Bun^or(1-loop)")
+    return ActionGroupoid.build(
+        double_real_loop_carrier(GG), GG.even_subgroup, act, label="Bun^or(1-loop)"
+    )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dwu.cohomology import TwistedCochain, is_twisted_cocycle, restrict_to_even
+from dwu.groupoids import flat_sections
 from dwu.groups import GradedGroup, real_conjugate
 from dwu.phases import Phase
 from dwu.transgression import require_cocycle, tau_circle, tau_ref
@@ -94,32 +95,9 @@ class TwistedGroupAlgebra:
 
     def regular_class_phases(self) -> list[dict]:
         """Per lambda-regular class, the exact flat coefficients {g: Phase}."""
-        G = self.group
-        out = []
-        for cls in G.conjugacy_classes():
-            rep = cls[0]
-            phases = {rep: Phase(0, 1)}
-            frontier = [rep]
-            regular = True
-            while frontier and regular:
-                nxt = []
-                for g in frontier:
-                    for k in range(G.order):
-                        g2 = G.conj(k, g)
-                        p2 = phases[g] - self._tau[(k, g)]
-                        if g2 in phases:
-                            if phases[g2] != p2:
-                                regular = False
-                                break
-                        else:
-                            phases[g2] = p2
-                            nxt.append(g2)
-                    if not regular:
-                        break
-                frontier = nxt
-            if regular:
-                out.append(phases)
-        return out
+        tau = self._tau
+        sections = flat_sections(self.group, Phase(0, 1), lambda k, g, p: p - tau[(k, g)])
+        return [phases for _, phases in sections]
 
     def center_basis(self) -> list[np.ndarray]:
         vecs = []

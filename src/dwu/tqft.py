@@ -15,14 +15,14 @@ algebra is the span of flat sections inside the twisted group algebra.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from dwu.cohomology import TwistedCochain, restrict_to_even
+from dwu.groupoids import flat_sections, orbits
 from dwu.groups import GradedGroup, real_conjugate
 from dwu.moduli import Surface, holonomy_points
 from dwu.phases import CycField, CycNum, Phase, lcm_of
@@ -142,11 +142,12 @@ def turaev_from_cocycle(GG: GradedGroup, lambda_hat: TwistedCochain) -> TuraevAl
     return T
 
 
-def _dual_coeff(T: TuraevAlgebraData, g: int) -> CycNum:
-    """Coefficient c with <l_g, c*l_{g^-1}> = 1 for the trace pairing."""
+def _dual_coeff(T: TuraevAlgebraData, g: int) -> CycNum | None:
+    """Coefficient c with <l_g, c*l_{g^-1}> = 1 for the trace pairing, or
+    None where the pairing vanishes."""
     sub = T.GG.even_subgroup
     pairing = T.mult_coeff(g, sub.inverse[g]).scale(T.trace_unit)
-    return pairing.inverse()
+    return None if pairing.is_zero() else pairing.inverse()
 
 
 def check_turaev_axioms(T: TuraevAlgebraData, fail_fast: bool = False) -> CheckReport:
@@ -161,6 +162,8 @@ def check_turaev_axioms(T: TuraevAlgebraData, fail_fast: bool = False) -> CheckR
     sub = GG.even_subgroup
     n = sub.order
     one = T.field.one
+
+    dual = functools.cache(lambda g: _dual_coeff(T, g))
 
     def hat(g):
         return GG.even_part[g]
@@ -213,14 +216,17 @@ def check_turaev_axioms(T: TuraevAlgebraData, fail_fast: bool = False) -> CheckR
 
     def cond_v():
         for g, h in itertools.product(range(n), repeat=2):
+            for x in (g, h):
+                if dual(x) is None:
+                    return ("degenerate-pairing", x)
             ginv, hinv = sub.inverse[g], sub.inverse[h]
             lhs = (
                 T.action_coeff(hat(h), g)
-                * _dual_coeff(T, g)
+                * dual(g)
                 * T.mult_coeff(sub_of(G.conj(hat(h), hat(g))), ginv)
             )
             rhs = (
-                _dual_coeff(T, h)
+                dual(h)
                 * T.action_coeff(hat(g), hinv)
                 * T.mult_coeff(h, sub_of(G.conj(hat(g), hat(hinv))))
             )
@@ -272,8 +278,10 @@ def check_turaev_axioms(T: TuraevAlgebraData, fail_fast: bool = False) -> CheckR
         for s1, s2 in itertools.product(GG.odd_part(), repeat=2):
             u = sub_of(G.table[s1][s2])
             uinv = sub.inverse[u]
+            if dual(uinv) is None:
+                return ("degenerate-pairing", uinv)
             rc = sub_of(real_conjugate(GG, s1, hat(uinv)))
-            lhs = T.action_coeff(s1, uinv) * _dual_coeff(T, uinv) * T.mult_coeff(rc, u)
+            lhs = T.action_coeff(s1, uinv) * dual(uinv) * T.mult_coeff(rc, u)
             sq1, sq2 = sub_of(G.table[s1][s1]), sub_of(G.table[s2][s2])
             rhs = T.crosscap_coeff(s1) * T.crosscap_coeff(s2) * T.mult_coeff(sq1, sq2)
             if sub.table[rc][u] != sub.table[sq1][sq2]:
@@ -362,11 +370,9 @@ class UnorientedFrobeniusData:
         return v[0].scale(Fraction(1, self.GG.even_subgroup.order))
 
     def coords(self, v):
-        """Coordinates of a section vector in the flat basis (disjoint supports)."""
-        out = []
-        for vec, rep in zip(self.basis, self.basis_reps):
-            out.append(v[rep] * vec[rep].inverse())
-        return tuple(out)
+        """Coordinates of a section vector in the flat basis (disjoint supports,
+        each basis section 1 at its representative)."""
+        return tuple(v[rep] for rep in self.basis_reps)
 
     def from_coords(self, coords):
         sub = self.GG.even_subgroup
@@ -396,48 +402,17 @@ class UnorientedFrobeniusData:
                 out[i] = out[i] + self.involution[i][j] * c
         return self.from_coords(tuple(out))
 
-    def gram(self):
-        return [
-            [self.vec_counit(self.vec_product(a, b)) for b in self.basis]
-            for a in self.basis
-        ]
-
 
 def _flat_sections(T: TuraevAlgebraData):
-    """Flat section basis vectors (class supports) for the orbifold algebra."""
+    """Flat section basis vectors (class supports), each 1 at its representative."""
     GG = T.GG
-    sub = GG.even_subgroup
-    field = T.field
-    out = []
-    for cls in sub.conjugacy_classes():
-        rep = cls[0]
-        coeffs = {rep: field.one}
-        frontier = [rep]
-        consistent = True
-        while frontier and consistent:
-            nxt = []
-            for g in frontier:
-                ghat = GG.even_part[g]
-                for k in range(sub.order):
-                    khat = GG.even_part[k]
-                    g2 = GG.even_index[real_conjugate(GG, khat, ghat)]
-                    c2 = T.action_coeff(khat, g) * coeffs[g]
-                    if g2 in coeffs:
-                        if coeffs[g2] != c2:
-                            consistent = False
-                            break
-                    else:
-                        coeffs[g2] = c2
-                        nxt.append(g2)
-                if not consistent:
-                    break
-            frontier = nxt
-        if consistent:
-            vec = [field.zero] * sub.order
-            for g, c in coeffs.items():
-                vec[g] = c
-            out.append((rep, tuple(vec)))
-    return out
+    sections = flat_sections(
+        GG.even_subgroup, T.field.one, lambda k, g, c: T.action_coeff(GG.even_part[k], g) * c
+    )
+    return [
+        (rep, tuple(coeffs.get(g, T.field.zero) for g in range(GG.even_subgroup.order)))
+        for rep, coeffs in sections
+    ]
 
 
 def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
@@ -528,40 +503,39 @@ def _coords_or_error(F: UnorientedFrobeniusData, vec, what: str):
     return coords
 
 
-def _invert_gram(F: UnorientedFrobeniusData):
-    """Inverse of the counit Gram matrix over the cyclotomic field, or None."""
-    n = F.dim
-    field = F.field
-    A = [row[:] for row in F.gram()]
-    X = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not A[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        X[col], X[piv] = X[piv], X[col]
-        inv = A[col][col].inverse()
-        A[col] = [a * inv for a in A[col]]
-        X[col] = [x * inv for x in X[col]]
-        for r in range(n):
-            if r != col and not A[r][col].is_zero():
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-                X[r] = [x - f * y for x, y in zip(X[r], X[col])]
-    return X
+def _closed_form_duals(F: UnorientedFrobeniusData):
+    """(duals, None), or (None, i) when the trace pairing degenerates at basis i.
+
+    Sections have class supports, so <S_C, S_D> = counit(S_C S_D) vanishes
+    unless D = C^-1, and the dual of S_C is S_{C^-1} / <S_C, S_{C^-1}>.  The
+    pairing is the identity coefficient of the product, a sum over C.
+    """
+    sub = F.GG.even_subgroup
+    index = {rep: j for j, rep in enumerate(F.basis_reps)}
+    class_rep = {g: cls[0] for cls in sub.conjugacy_classes() for g in cls}
+    duals = []
+    for i, (vec, rep) in enumerate(zip(F.basis, F.basis_reps)):
+        j = index.get(class_rep[sub.inverse[rep]])
+        if j is None:
+            return None, i
+        partner = F.basis[j]
+        identity_coeff = F.field.zero
+        for g, c in enumerate(vec):
+            if not c.is_zero():
+                ginv = sub.inverse[g]
+                identity_coeff = identity_coeff + c * partner[ginv] * F._mult[(g, ginv)]
+        pairing = identity_coeff.scale(Fraction(1, sub.order))
+        if pairing.is_zero():
+            return None, i
+        scale = pairing.inverse()
+        duals.append(tuple(c * scale for c in partner))
+    return duals, None
 
 
 def _dual_sections(F: UnorientedFrobeniusData):
-    X = _invert_gram(F)
-    if X is None:
+    duals, _ = _closed_form_duals(F)
+    if duals is None:
         raise ConventionError("degenerate orbifold trace pairing")
-    duals = []
-    for j in range(F.dim):
-        duals.append(F.from_coords(tuple(X[k][j] for k in range(F.dim))))
     return duals
 
 
@@ -632,9 +606,9 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
             break
     entries.append(("unit", witness is None, witness))
 
-    gram_inv = _invert_gram(F)
-    entries.append(("trace-nondegenerate", gram_inv is not None, None))
-    if gram_inv is None:
+    duals, witness = _closed_form_duals(F)
+    entries.append(("trace-nondegenerate", witness is None, witness))
+    if duals is None:
         return CheckReport(entries=tuple(entries))
 
     # involution laws: p^2 = id, algebra morphism, counit preserved
@@ -675,7 +649,6 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
     entries.append(("crosscap-linear-constraint", witness is None, witness))
 
     # second crosscap diagram: sum_i p(S_i) S^i = Q Q
-    duals = _dual_sections(F)
     lhs = [field.zero] * F.GG.even_subgroup.order
     for vec, dual in zip(F.basis, duals):
         term = F.vec_product(F.apply_involution(vec), dual)
@@ -688,27 +661,6 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # partition functions
-
-
-def _orbits_with_stabilizers(GG: GradedGroup, points):
-    G = GG.group
-    index = {pt: i for i, pt in enumerate(points)}
-    seen = [False] * len(points)
-    out = []
-    for i, pt in enumerate(points):
-        if seen[i]:
-            continue
-        orbit = set()
-        stab = 0
-        for k in GG.even_part:
-            moved = tuple(G.conj(k, g) for g in pt)
-            orbit.add(index[moved])
-            if moved == pt:
-                stab += 1
-        for j in orbit:
-            seen[j] = True
-        out.append((pt, len(orbit), stab))
-    return out
 
 
 def partition_direct(
@@ -732,8 +684,13 @@ def partition_direct(
         total = total + field.root(phase).scale(count)
     value = total.scale(Fraction(1, GG.even_subgroup.order))
     # independent groupoid-cardinality form
+    G = GG.group
+
+    def act(k, pt):
+        return tuple(G.conj(GG.even_part[k], g) for g in pt)
+
     by_orbits = field.zero
-    for rep, _, stab in _orbits_with_stabilizers(GG, points):
+    for rep, _, stab in orbits(points, GG.even_subgroup.order, act):
         by_orbits = by_orbits + field.root(
             relator_pairing(lambda_hat, surface, rep)
         ).scale(Fraction(1, stab))
@@ -777,16 +734,28 @@ def partition_verlinde(block_list: list[BlockData], surface: Surface) -> complex
 
 def kr_rank(GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField | None = None) -> CycNum:
     """Groupoid integral of the transgressed function over the double loop."""
-    from dwu.groupoids import double_real_loop
-
     require_cocycle(lambda_hat)
     field = field or CycField(lcm_of((p.denominator for _, p in lambda_hat.values), 1))
+    return _kr_integral(GG, lambda_hat, field)
+
+
+def _kr_integral(
+    GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField, flip: bool = False
+) -> CycNum:
+    """Integral of tau_ref over the double real loop; flip adds 1/2 on odd w
+    (in Q(zeta_2L) when L is odd)."""
+    from dwu.groupoids import double_real_loop
+
     t = tau_ref(lambda_hat, GG)
     gpd = double_real_loop(GG)
+    if flip and field.L % 2:
+        field = CycField(2 * field.L)
+    half = Phase(1, 2)
 
     def f(pt):
         g, w = pt
-        return field.root(t.value(w, g))
+        phase = t.value(w, g)
+        return field.root(phase + half if flip and GG.sign[w] == -1 else phase)
 
     value = gpd.integrate(f)
     return value if value != 0 else field.zero
@@ -859,22 +828,10 @@ def consistency_report(
         max_delta = max(max_delta, row["max_delta"])
         rows.append(row)
 
-    kr = kr_rank(GG, lambda_hat, field=field)
     if flip_tau_debug:
-        t = tau_ref(lambda_hat, GG)
-        from dwu.groupoids import double_real_loop
-
-        flip_field = field if field.L % 2 == 0 else CycField(2 * field.L)
-        gpd = double_real_loop(GG)
-        half = Phase(1, 2)
-        zero = Phase(0, 1)
-        kr = gpd.integrate(
-            lambda pt: flip_field.root(
-                t.value(pt[1], pt[0]) + (half if GG.sign[pt[1]] == -1 else zero)
-            )
-        )
-        if kr == 0:
-            kr = flip_field.zero
+        kr = _kr_integral(GG, lambda_hat, field, flip=True)
+    else:
+        kr = kr_rank(GG, lambda_hat, field=field)
     loop = one_loop(GG, lambda_hat, field=field, budget=budget)
     kr_delta = abs(kr.to_complex() - loop.to_complex())
     max_delta = max(max_delta, kr_delta)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -168,3 +169,41 @@ def test_cocycle_file_roundtrip(tmp_path, capsys):
     assert code == 0
     rec = jsonl(out)[0]
     assert [(b["dim"], b["indicator"]) for b in rec["blocks"]] == [(1, -1)]
+
+
+def test_non_integer_env_budget_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DW_BUDGET", "abc")
+    code = main(["partition", "--group", "C2", "--surfaces", "T2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+
+
+def test_zero_budget_is_budget_error(capsys):
+    code, _ = run(capsys, "partition", "--group", "C2", "--surfaces", "T2", "--budget", "0")
+    assert code == 3
+
+
+@pytest.mark.parametrize("command", ["cohomology", "partition", "indicators", "verify-axioms"])
+def test_group_without_grading_is_usage_error(capsys, command):
+    code = main([command, "--group", "C5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
+
+
+def test_csv_keeps_rows_emitted_before_budget_error(tmp_path, capsys):
+    argv = ["partition", "--group", "all", "--grading", "0", "--class", "0",
+            "--surfaces", "T2,N_k=3", "--budget", "40"]
+    code, out = run(capsys, *argv)
+    assert code == 3
+    records = jsonl(out)
+    assert len(records) == 16
+    path = tmp_path / "report.csv"
+    code, out = run(capsys, *argv, "--format", "csv", "--out", str(path))
+    assert code == 3 and out == ""
+    rows = list(csv.DictReader(path.open()))
+    assert len(rows) == 16
+    assert [(r["group"], r["surface"]) for r in rows] == [
+        (r["group"], r["surface"]) for r in records
+    ]

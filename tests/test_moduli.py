@@ -170,6 +170,8 @@ def test_budget_enforced():
     gg = split_grading(build_group("S3"))
     with pytest.raises(ResourceBudgetError):
         holonomy_points(parse_surface("Sigma_g=2"), gg, budget=10)
+    with pytest.raises(ResourceBudgetError):
+        holonomy_points(TORUS, gg, budget=0)
 
 
 def test_all_enumerated_points_satisfy_constraints():

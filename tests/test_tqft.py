@@ -17,6 +17,7 @@ from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indi
 from dwu.tqft import (
     CheckReport,
     ConventionError,
+    _dual_sections,
     check_turaev_axioms,
     check_unoriented_frobenius,
     consistency_report,
@@ -104,6 +105,17 @@ def test_mutated_action_fails():
     assert not check_turaev_axioms(mutated).ok
 
 
+def test_full_check_reports_degenerate_pairing():
+    gg = parity_c4()
+    T = turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2))
+    g = 1
+    mutated = T.with_mutation("product", (g, gg.even_subgroup.inverse[g]), None)
+    report = check_turaev_axioms(mutated)
+    failures = dict(report.failures())
+    assert failures["ii-invariant-trace"] == ("degenerate-pairing", g)
+    assert {"v-torus-compatibility", "x-double-crosscap"} <= set(failures)
+
+
 def test_dropped_crosscap_fails_viii_or_x():
     gg = split_grading(build_group("S3"))
     T = turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2))
@@ -155,6 +167,23 @@ def test_frobenius_checks_pass():
     for gg, lam in small_cases():
         F = orbifold(turaev_from_cocycle(gg, lam))
         assert check_unoriented_frobenius(F).ok
+
+
+# the manifest groups of order <= 10, and C12
+LIGHT_GROUPS = ["C2", "C4", "C2xC2", "C6", "C8", "C4xC2", "D8", "Q8", "D10", "C12"]
+
+
+@pytest.mark.parametrize("name", LIGHT_GROUPS)
+def test_closed_form_duals_are_dual(name):
+    """counit(S_i S^j) = delta_ij, by the plain product and counit."""
+    for gg in enumerate_gradings(build_group(name)):
+        for lam in cohomology_classes(gg, 2)[0]:
+            F = orbifold(turaev_from_cocycle(gg, lam))
+            duals = _dual_sections(F)
+            for i, vec in enumerate(F.basis):
+                for j, dual in enumerate(duals):
+                    expected = F.field.one if i == j else F.field.zero
+                    assert F.vec_counit(F.vec_product(vec, dual)) == expected, (gg, i, j)
 
 
 def test_frobenius_mutations_fail():
