@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -20,7 +21,7 @@ from dwu.groups import ResourceBudgetError, build_group, enumerate_gradings
 from dwu.reptheory import BlockComputationError
 from dwu.moduli import parse_surface
 from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
-from dwu.tqft import check_turaev_axioms, check_unoriented_frobenius, consistency_report, orbifold, turaev_from_cocycle
+from dwu.tqft import _turaev_data, check_turaev_axioms, check_unoriented_frobenius, consistency_report, orbifold
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,8 +45,10 @@ def _pair(z: complex) -> list:
 
 
 def _fingerprint(cochain) -> str:
+    """Hash of the reduced fractions on the tuples without the identity."""
+    N = cochain.N
     payload = ",".join(
-        f"{p.numerator}/{p.denominator}" for _, p in cochain.values
+        f"{k // math.gcd(k, N)}/{N // math.gcd(k, N)}" for k in cochain.vector().tolist()
     ).encode()
     return hashlib.sha1(payload).hexdigest()[:12]
 
@@ -167,7 +170,7 @@ def cmd_indicators(args, emitter: Emitter) -> int:
             from dwu.moduli import RP2
             from dwu.tqft import partition_direct
 
-            z_rp2 = partition_direct(gg, lam, RP2).to_complex()
+            z_rp2 = partition_direct(gg, lam, RP2, budget=args.budget).to_complex()
             n = gg.even_subgroup.order
             signed_sum = sum(b.indicator * b.dimension for b in bl)
             emitter.emit(
@@ -199,7 +202,7 @@ def cmd_verify_axioms(args, emitter: Emitter) -> int:
     _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
     for gi, gg in gradings:
         for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file):
-            T = turaev_from_cocycle(gg, lam)
+            T = _turaev_data(gg, lam)
             t_report = check_turaev_axioms(T)
             F = orbifold(T)
             f_report = check_unoriented_frobenius(F)

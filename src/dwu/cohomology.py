@@ -1,21 +1,27 @@
 """Twisted group cochains on a Z2-graded group with U(1) coefficients.
 
-Cochains are normalized (zero on tuples containing the identity) and store
-exact phases.  The differential carries the grading twist on its first face:
+A cochain is an integer table over (|G^|,)*degree: the entry k at a tuple is
+the phase k/N in Q/Z, where N is the lcm of the reduced denominators of the
+values, and the table is zero on tuples containing the identity (normalized
+cochains).  The differential carries the grading twist on its first face:
 
     (dc)(w0,...,wn) = sign(w0)*c(w1..wn)
                       + sum_j (-1)^j c(.., w_{j-1} w_j, ..)
                       + (-1)^(n+1) c(w0..w_{n-1})
 
-Cohomology with U(1) coefficients is computed from Z/N-valued cochains
-(N = |G^| annihilates everything) and then reduced by the connecting images
-d(z/N), z in Z^{n-1}(Z/N), which identifies Z/N-classes that merge over Q/Z.
+and one set of face index arrays serves both the differential of a table (a
+gather) and its integer matrix (a scatter).  Cohomology with U(1)
+coefficients is computed from Z/N-valued cochains (N = |G^| annihilates
+everything) and then reduced by the connecting images d(z/N), z in
+Z^{n-1}(Z/N), which identifies Z/N-classes that merge over Q/Z.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +29,6 @@ import numpy as np
 from dwu.groups import FiniteGroup, GradedGroup, ResourceBudgetError
 from dwu.intlinalg import kernel_mod, quotient_invariants, solve_mod
 from dwu.phases import Phase, lcm_of
-
-ZERO = Phase(0, 1)
 
 
 def _group_signs(ref) -> tuple[FiniteGroup, tuple]:
@@ -37,150 +41,163 @@ def _group_signs(ref) -> tuple[FiniteGroup, tuple]:
     raise TypeError(f"expected FiniteGroup or GradedGroup, got {type(ref)}")
 
 
-@dataclass(frozen=True)
+def _nonidentity(degree: int) -> tuple:
+    """Index of the block of tuples without the identity in a (|G^|,)*degree table."""
+    return (slice(1, None),) * degree
+
+
+@dataclass(frozen=True, eq=False)
 class TwistedCochain:
-    """A normalized cochain G^^n -> Q/Z; signs record the coefficient twist."""
+    """A normalized cochain G^^n -> Q/Z as exponents mod N; signs record the
+    coefficient twist.  Construction reduces the table mod N and then N to
+    the lcm of the reduced denominators."""
 
     group: FiniteGroup
     signs: tuple
     degree: int
-    values: tuple  # sorted ((args, Phase), ...), total on nonidentity tuples
+    N: int
+    table: np.ndarray  # int64, shape (|G^|,)*degree, entries in [0, N)
 
     def __post_init__(self):
-        object.__setattr__(self, "_cache", dict(self.values))
+        table = np.array(self.table, dtype=np.int64)
+        table %= self.N
+        common = math.gcd(self.N, int(np.gcd.reduce(table.ravel())))
+        N = self.N // common
+        if N >= 2**31:  # keeps every sum of a few entries inside int64
+            raise ValueError(f"cochain denominator {N} is 2^31 or more")
+        table //= common
+        table.flags.writeable = False
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_dict(cls, ref, degree: int, mapping) -> "TwistedCochain":
+        """From {tuple: Phase}; tuples not in the mapping are zero."""
         group, signs = _group_signs(ref)
-        full = {}
+        N = lcm_of((p.denominator for p in mapping.values()), 1)
+        table = np.zeros((group.order,) * degree, dtype=np.int64)
         for tup, p in mapping.items():
-            if any(t == 0 for t in tup):
-                if not p.is_zero():
-                    raise ValueError(f"not normalized: nonzero value on {tup}")
-                continue
-            full[tup] = p
-        for tup in itertools.product(range(1, group.order), repeat=degree):
-            full.setdefault(tup, ZERO)
-        return cls(group, signs, degree, tuple(sorted(full.items())))
+            if len(tup) != degree or not all(0 <= t < group.order for t in tup):
+                raise ValueError(f"cochain key {tup} is not a {degree}-tuple of {group.name} elements")
+            if 0 in tup and not p.is_zero():
+                raise ValueError(f"not normalized: nonzero value on {tup}")
+            table[tup] = p.numerator * (N // p.denominator)
+        return cls(group, signs, degree, N, table)
+
+    @classmethod
+    def from_vector(cls, ref, degree: int, vec, N: int) -> "TwistedCochain":
+        """From the exponents on the tuples without the identity, in
+        lexicographic order (the columns of differential_matrix)."""
+        group, signs = _group_signs(ref)
+        table = np.zeros((group.order,) * degree, dtype=np.int64)
+        table[_nonidentity(degree)] = np.reshape(vec, (group.order - 1,) * degree)
+        return cls(group, signs, degree, N, table)
 
     @classmethod
     def zero(cls, ref, degree: int) -> "TwistedCochain":
         return cls.from_dict(ref, degree, {})
 
+    def vector(self) -> np.ndarray:
+        """Exponents on the tuples without the identity, in lexicographic order."""
+        return self.table[_nonidentity(self.degree)].ravel()
+
+    @functools.cached_property
+    def rows(self) -> list:
+        """The table as nested lists of Python ints, for scalar lookups."""
+        return self.table.tolist()
+
     def value(self, tup) -> Phase:
-        if any(t == 0 for t in tup):
-            return ZERO
-        return self._cache[tup]
+        return Phase(int(self.table[tuple(tup)]), self.N)
 
-    def denominator(self) -> int:
-        return lcm_of((p.denominator for _, p in self.values), 1)
-
-    def same_base(self, other: "TwistedCochain") -> bool:
-        return self.group.table == other.group.table and self.signs == other.signs
-
-    def _require_same(self, other: "TwistedCochain"):
-        if self.degree != other.degree or not self.same_base(other):
+    def _combine(self, other: "TwistedCochain", sign: int) -> "TwistedCochain":
+        base = (self.degree, self.group.table, self.signs)
+        if base != (other.degree, other.group.table, other.signs):
             raise ValueError("cochains live on different graded groups or degrees")
+        N = math.lcm(self.N, other.N)
+        table = self.table * (N // self.N) + sign * other.table * (N // other.N)
+        return TwistedCochain(self.group, self.signs, self.degree, N, table)
 
     def __add__(self, other: "TwistedCochain") -> "TwistedCochain":
-        self._require_same(other)
-        return TwistedCochain.from_dict(
-            (self.group, self.signs),
-            self.degree,
-            {t: p + other._cache[t] for t, p in self.values},
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TwistedCochain") -> "TwistedCochain":
-        self._require_same(other)
-        return TwistedCochain.from_dict(
-            (self.group, self.signs),
-            self.degree,
-            {t: p - other._cache[t] for t, p in self.values},
-        )
+        return self._combine(other, -1)
+
+    def _key(self) -> tuple:
+        return (self.group, self.signs, self.degree, self.N, self.table.tobytes())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TwistedCochain) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for _, p in self.values)
+        return not self.table.any()
 
     def __repr__(self):
-        nz = sum(1 for _, p in self.values if not p.is_zero())
+        nz = np.count_nonzero(self.table)
         return f"TwistedCochain(deg={self.degree}, {self.group.name}, nonzero={nz})"
 
 
-def _faces(group: FiniteGroup, signs, tup):
-    """(coefficient, face tuple) terms of the twisted differential at tup."""
-    n = len(tup) - 1
-    yield signs[tup[0]], tup[1:]
-    for j in range(1, n + 1):
-        merged = tup[: j - 1] + (group.table[tup[j - 1]][tup[j]],) + tup[j + 1 :]
-        yield (-1) ** j, merged
-    yield (-1) ** (n + 1), tup[:-1]
+def _bar_faces(group: FiniteGroup, signs, degree: int) -> list[tuple]:
+    """(coefficients, source columns) per face of d: C^degree -> C^(degree+1).
+
+    Entries run over the (degree+1)-tuples without the identity in
+    lexicographic order.  A source column indexes the degree-tuples without
+    the identity in the same order (the columns of differential_matrix), or
+    is -1 for a face tuple containing the identity, where normalized
+    cochains vanish.
+    """
+    n = group.order
+    w = np.indices((n - 1,) * (degree + 1)).reshape(degree + 1, -1) + 1
+    mul = np.array(group.table, dtype=np.int64)
+
+    def column(tuples):
+        tuples = np.reshape(tuples, (degree, w.shape[1]))
+        index = np.ravel_multi_index(tuple(np.maximum(tuples - 1, 0)), (n - 1,) * degree)
+        return np.where((tuples > 0).all(axis=0), index, -1)
+
+    faces = [(np.asarray(signs, dtype=np.int64)[w[0]], column(w[1:]))]
+    for j in range(1, degree + 1):
+        faces.append(((-1) ** j, column([*w[: j - 1], mul[w[j - 1], w[j]], *w[j + 1 :]])))
+    faces.append(((-1) ** (degree + 1), column(w[:-1])))
+    return faces
 
 
 def twisted_differential(c: TwistedCochain) -> TwistedCochain:
     """Degree n -> n+1 bar differential with the sign twist on the first face."""
-    group, signs = c.group, c.signs
-    out = {}
-    for tup in itertools.product(range(1, group.order), repeat=c.degree + 1):
-        acc = ZERO
-        for coeff, face in _faces(group, signs, tup):
-            if c.degree == 0:
-                acc = acc + c.value(()).scale(coeff)
-            elif not any(t == 0 for t in face):
-                acc = acc + c.value(face).scale(coeff)
-        out[tup] = acc
-    return TwistedCochain.from_dict((group, signs), c.degree + 1, out)
+    src = np.append(c.vector(), 0)  # column -1 reads the trailing zero
+    values = sum(coeff * src[col] for coeff, col in _bar_faces(c.group, c.signs, c.degree))
+    return TwistedCochain.from_vector((c.group, c.signs), c.degree + 1, values, c.N)
 
 
 def is_twisted_cocycle(c: TwistedCochain) -> bool:
     return twisted_differential(c).is_zero()
 
 
-def _tuples(group: FiniteGroup, degree: int):
-    return list(itertools.product(range(1, group.order), repeat=degree))
-
-
 def differential_matrix(group: FiniteGroup, signs, degree: int) -> np.ndarray:
     """Integer matrix of d: C^degree -> C^(degree+1) on the normalized complex."""
-    src = _tuples(group, degree)
-    dst = _tuples(group, degree + 1)
-    src_index = {t: i for i, t in enumerate(src)}
-    D = np.zeros((len(dst), len(src)), dtype=np.int64)
-    for r, tup in enumerate(dst):
-        for coeff, face in _faces(group, signs, tup):
-            if degree == 0:
-                D[r, 0] += coeff
-            elif not any(t == 0 for t in face):
-                D[r, src_index[face]] += coeff
+    faces = _bar_faces(group, signs, degree)
+    rows = np.arange(len(faces[0][1]))
+    D = np.zeros((len(rows), (group.order - 1) ** degree), dtype=np.int64)
+    for coeff, col in faces:
+        keep = col >= 0
+        np.add.at(D, (rows[keep], col[keep]), np.broadcast_to(coeff, rows.shape)[keep])
     return D
-
-
-def _numerator_vector(c: TwistedCochain, N: int):
-    vec = np.zeros(len(_tuples(c.group, c.degree)), dtype=np.int64)
-    for i, tup in enumerate(_tuples(c.group, c.degree)):
-        p = c.value(tup)
-        if N % p.denominator:
-            return None
-        vec[i] = p.numerator * (N // p.denominator) % N
-    return vec
 
 
 def is_twisted_coboundary(c: TwistedCochain, denominator: int | None = None):
     """A witness nu with d(nu) = c, searched over denominators dividing N, or None."""
     group, signs = c.group, c.signs
-    N = denominator or lcm_of([c.denominator()], group.order)
-    if c.degree == 0:
+    N = denominator or math.lcm(c.N, group.order)
+    if c.degree == 0 or N % c.N:
         return None
     D = differential_matrix(group, signs, c.degree - 1)
-    target = _numerator_vector(c, N)
-    if target is None:
-        return None
-    x = solve_mod(D, target, N)
+    x = solve_mod(D, c.vector() * (N // c.N), N)
     if x is None:
         return None
-    nu_map = {
-        tup: Phase(int(x[i]), N) for i, tup in enumerate(_tuples(group, c.degree - 1))
-    }
-    nu = TwistedCochain.from_dict((group, signs), c.degree - 1, nu_map)
+    nu = TwistedCochain.from_vector((group, signs), c.degree - 1, x, N)
     assert (twisted_differential(nu) - c).is_zero()
     return nu
 
@@ -212,111 +229,73 @@ def cohomology_classes(ref, degree: int, cap: int = 32):
         img = D_down @ z.astype(np.int64)
         assert not (img % N).any(), "kernel generator is not a cocycle"
         relations.append((img // N) % N)
-    R = (
-        np.array(relations, dtype=np.int64)
-        if relations
-        else np.zeros((0, Z.shape[1]), dtype=np.int64)
-    )
-    factors, basis = quotient_invariants(Z, R, N)
-    tuples = _tuples(group, degree)
-    reps = set()
-    for combo in itertools.product(*(range(f) for f in factors)):
-        vec = np.zeros(len(tuples), dtype=np.int64)
-        for a, row in zip(combo, basis):
-            vec = (vec + a * row) % N
-        reps.add(tuple(int(v) for v in vec))
-    out = []
-    for vec in sorted(reps):
-        mapping = {tup: Phase(int(v), N) for tup, v in zip(tuples, vec)}
-        out.append(TwistedCochain.from_dict((group, signs), degree, mapping))
+    factors, basis = quotient_invariants(Z, np.array(relations, dtype=np.int64), N)
+    reps = {
+        tuple((np.array(combo, dtype=np.int64) @ basis % N).tolist())
+        for combo in itertools.product(*(range(f) for f in factors))
+    }
+    out = [TwistedCochain.from_vector((group, signs), degree, vec, N) for vec in sorted(reps)]
     return out, _invariant_factor_chain(factors)
 
 
 def _invariant_factor_chain(factors) -> list[int]:
-    """Canonical invariant-factor chain (each dividing the next) of sum Z/f_i."""
-    primes: dict[int, list[int]] = {}
-    for f in factors:
-        ff, p = f, 2
-        while ff > 1:
-            e = 0
-            while ff % p == 0:
-                ff //= p
-                e += 1
-            if e:
-                primes.setdefault(p, []).append(p**e)
-            p += 1
-    if not primes:
-        return []
-    for p in primes:
-        primes[p].sort(reverse=True)
-    depth = max(len(v) for v in primes.values())
-    chain = []
-    for i in range(depth):
-        val = 1
-        for powers in primes.values():
-            if i < len(powers):
-                val *= powers[i]
-        chain.append(val)
-    return sorted(chain)
+    """Canonical invariant-factor chain (each dividing the next) of sum Z/f_i:
+    Z/a + Z/b = Z/gcd + Z/lcm, applied to every pair in order."""
+    chain = list(factors)
+    for i, j in itertools.combinations(range(len(chain)), 2):
+        g = math.gcd(chain[i], chain[j])
+        chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return [f for f in chain if f > 1]
 
 
 def restrict_to_even(c: TwistedCochain, GG: GradedGroup) -> TwistedCochain:
     """Restriction to the even subgroup; the twist disappears there."""
     sub = GG.even_subgroup
-    out = {}
-    for tup in itertools.product(range(1, sub.order), repeat=c.degree):
-        big = tuple(GG.even_part[t] for t in tup)
-        out[tup] = c.value(big)
-    return TwistedCochain.from_dict(sub, c.degree, out)
+    table = c.table[np.ix_(*[GG.even_part] * c.degree)]
+    return TwistedCochain(sub, (1,) * sub.order, c.degree, c.N, table)
 
 
 def pullback_split(lmbda: TwistedCochain, GG: GradedGroup) -> TwistedCochain:
     """Pull an order-2 cocycle on the even part back along a split projection."""
-    if not all(p.scale(2).is_zero() for _, p in lmbda.values):
+    if lmbda.N > 2:
         raise ValueError("pullback to a twisted cocycle needs 2*lambda = 0")
     G = GG.group
-    odd = GG.odd_part()[0]
-    proj = []
-    for ghat in range(G.order):
-        even = ghat if GG.sign[ghat] == 1 else G.table[ghat][G.inverse[odd]]
-        proj.append(GG.even_index[even])
-    out = {}
-    for tup in itertools.product(range(1, G.order), repeat=lmbda.degree):
-        out[tup] = lmbda.value(tuple(proj[t] for t in tup))
-    return TwistedCochain.from_dict(GG, lmbda.degree, out)
+    odd_inv = G.inverse[GG.odd_part()[0]]
+    proj = [GG.even_index[g if GG.sign[g] == 1 else G.table[g][odd_inv]] for g in range(G.order)]
+    table = lmbda.table[np.ix_(*[proj] * lmbda.degree)]
+    return TwistedCochain(G, GG.sign, lmbda.degree, lmbda.N, table)
 
 
 def random_cochain(ref, degree: int, denominator: int, rng) -> TwistedCochain:
-    group, signs = _group_signs(ref)
-    out = {}
-    for tup in itertools.product(range(1, group.order), repeat=degree):
-        out[tup] = Phase(rng.randrange(denominator), denominator)
-    return TwistedCochain.from_dict((group, signs), degree, out)
+    group, _ = _group_signs(ref)
+    vec = [rng.randrange(denominator) for _ in range((group.order - 1) ** degree)]
+    return TwistedCochain.from_vector(ref, degree, vec, denominator)
 
 
 def cochain_to_json(c: TwistedCochain, group_name: str | None = None) -> str:
-    N = c.denominator()
-    vals = {}
-    for tup, p in c.values:
-        if not p.is_zero():
-            vals[",".join(str(t) for t in tup)] = p.numerator * (N // p.denominator)
+    nonzero = zip(np.argwhere(c.table).tolist(), c.table[c.table != 0].tolist())
     return json.dumps(
         {
             "degree": c.degree,
             "group": group_name or c.group.name,
-            "denominator": N,
-            "values": vals,
+            "denominator": c.N,
+            "values": {",".join(map(str, tup)): k for tup, k in nonzero},
         },
         sort_keys=True,
     )
 
 
 def cochain_from_json(text: str, ref) -> TwistedCochain:
+    """Inverse of cochain_to_json; malformed input raises ValueError."""
     data = json.loads(text)
-    group, signs = _group_signs(ref)
-    N = int(data["denominator"])
-    out = {}
-    for key, num in data.get("values", {}).items():
-        tup = tuple(int(x) for x in key.split(",")) if key else ()
-        out[tup] = Phase(int(num), N)
-    return TwistedCochain.from_dict((group, signs), int(data["degree"]), out)
+    try:
+        degree, N = int(data["degree"]), int(data["denominator"])
+        if degree < 0 or N < 1:
+            raise ValueError(f"need degree >= 0 and denominator >= 1, got {degree} and {N}")
+        mapping = {
+            tuple(int(x) for x in key.split(",")) if key else (): Phase(int(k), N)
+            for key, k in data.get("values", {}).items()
+        }
+        return TwistedCochain.from_dict(ref, degree, mapping)
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed cochain file: {exc!r}") from None

@@ -1,8 +1,10 @@
 """Exact circle-valued arithmetic: phases in Q/Z and the cyclotomic field Q(zeta_L).
 
-A Phase stores the reduced fraction q in [0, 1) and stands for the unit complex
-number exp(2*pi*i*q).  Addition of phases is multiplication of the corresponding
-circle elements; everything is exact until to_complex() is called.
+Inside the package a phase is an integer exponent k mod N standing for
+exp(2*pi*i*k/N): cochain tables, transgressions and pairings all hold such
+exponents, and root_of_unity(k, N) is their one complex embedding.  A Phase
+stores the reduced fraction k/N in [0, 1); it is the value type at the API and
+JSON edges only, and its to_complex() is root_of_unity of its fraction.
 
 CycNum elements live in Q(zeta_L) = Q[x]/Phi_L(x) and are used wherever sums of
 phases must be compared exactly (partition functions, Frobenius structure
@@ -40,10 +42,6 @@ class Phase:
     def denominator(self) -> int:
         return self._q.denominator
 
-    @property
-    def fraction(self) -> Fraction:
-        return self._q
-
     def __add__(self, other: "Phase") -> "Phase":
         return Phase.from_fraction(self._q + other._q)
 
@@ -60,7 +58,7 @@ class Phase:
         return self._q == 0
 
     def to_complex(self) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self._q))
+        return root_of_unity(self.numerator, self.denominator)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Phase) and self._q == other._q
@@ -72,7 +70,10 @@ class Phase:
         return f"Phase({self.numerator}/{self.denominator})"
 
 
-ZERO_PHASE = Phase(0, 1)
+def root_of_unity(k: int, n: int) -> complex:
+    """exp(2*pi*i*k/n); k/n is divided as Python ints, so the float is the
+    correctly rounded fraction whatever the common factors of k and n."""
+    return cmath.exp(2j * cmath.pi * (k / n))
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> list[int]:
@@ -129,12 +130,11 @@ class CycField:
     def from_rational(self, q) -> "CycNum":
         return self.one.scale(Fraction(q))
 
-    def root(self, phase: Phase) -> "CycNum":
-        """zeta_L^(L*phase) as a field element; phase denominator must divide L."""
-        if self.L % phase.denominator != 0:
-            raise ValueError(f"phase denominator {phase.denominator} does not divide L={self.L}")
-        k = phase.numerator * (self.L // phase.denominator)
-        return CycNum(self, self._xpow[k % self.L])
+    def root(self, k: int, n: int) -> "CycNum":
+        """zeta_n^k as a field element; it must lie in Q(zeta_L)."""
+        if k * self.L % n:
+            raise ValueError(f"zeta_{n}^{k} does not lie in Q(zeta_{self.L})")
+        return CycNum(self, self._xpow[k * self.L // n % self.L])
 
     def embed(self, x: "CycNum") -> "CycNum":
         """Image of an element of a subfield Q(zeta_M), M | L, in this field."""
@@ -146,7 +146,7 @@ class CycField:
         out = self.zero
         for i, a in enumerate(x.coeffs):
             if a:
-                out = out + self.root(Phase(i, M)).scale(a)
+                out = out + self.root(i, M).scale(a)
         return out
 
     def __repr__(self) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 from dwu.cohomology import TwistedCochain, is_twisted_cocycle, restrict_to_even
 from dwu.groupoids import flat_sections
 from dwu.groups import GradedGroup, real_conjugate
-from dwu.phases import Phase
+from dwu.phases import Phase, root_of_unity
 from dwu.transgression import require_cocycle, tau_circle, tau_ref
 
 INTERNAL_TOL = 1e-9
@@ -53,10 +53,7 @@ class TwistedGroupAlgebra:
             raise ValueError("lambda must be an untwisted cochain on the even subgroup")
         require_cocycle(lam)
         self.lam = lam
-        n = self.group.order
-        self._phase = {
-            (g, h): lam.value((g, h)) for g in range(n) for h in range(n)
-        }
+        self._mult = [[root_of_unity(k, lam.N) for k in row] for row in lam.rows]
         self._tau = tau_circle(lam, self.group)
 
     @property
@@ -64,7 +61,7 @@ class TwistedGroupAlgebra:
         return self.group.order
 
     def mult_phase(self, g: int, h: int) -> Phase:
-        return self._phase[(g, h)]
+        return self.lam.value((g, h))
 
     def unit(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -72,7 +69,7 @@ class TwistedGroupAlgebra:
         return v
 
     def basis_product(self, g: int, h: int) -> tuple[int, complex]:
-        return self.group.table[g][h], self._phase[(g, h)].to_complex()
+        return self.group.table[g][h], self._mult[g][h]
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
@@ -93,18 +90,18 @@ class TwistedGroupAlgebra:
             M[k, h] = ph
         return M
 
-    def regular_class_phases(self) -> list[dict]:
-        """Per lambda-regular class, the exact flat coefficients {g: Phase}."""
-        tau = self._tau
-        sections = flat_sections(self.group, Phase(0, 1), lambda k, g, p: p - tau[(k, g)])
-        return [phases for _, phases in sections]
+    def regular_class_exponents(self) -> list[dict]:
+        """Per lambda-regular class, the flat coefficients {g: exponent mod lam.N}."""
+        tau, N = self._tau, self.lam.N
+        sections = flat_sections(self.group, 0, lambda k, g, e: (e - tau[k][g]) % N)
+        return [exponents for _, exponents in sections]
 
     def center_basis(self) -> list[np.ndarray]:
         vecs = []
-        for phases in self.regular_class_phases():
+        for exponents in self.regular_class_exponents():
             v = np.zeros(self.dim, dtype=complex)
-            for g, p in phases.items():
-                v[g] = p.to_complex()
+            for g, k in exponents.items():
+                v[g] = root_of_unity(k, self.lam.N)
             vecs.append(v)
         return vecs
 
@@ -172,13 +169,14 @@ def blocks(algebra: TwistedGroupAlgebra, seed: int = 12345, tol: float = INTERNA
 
 
 def crosscap_phase_table(GG: GradedGroup, lambda_hat: TwistedCochain) -> dict:
-    """Exact Q data: even-subgroup index of s^2 -> list of phases lambda^(s,s)."""
+    """Exact Q data: even-subgroup index of s^2 -> list of the exponents of
+    lambda^(s,s) mod lambda_hat.N."""
     require_cocycle(lambda_hat)
-    table: dict[int, list[Phase]] = {}
+    table: dict[int, list[int]] = {}
     G = GG.group
     for s in GG.odd_part():
         carrier = GG.even_index[G.table[s][s]]
-        table.setdefault(carrier, []).append(lambda_hat.value((s, s)))
+        table.setdefault(carrier, []).append(lambda_hat.rows[s][s])
     return table
 
 
@@ -186,8 +184,8 @@ def crosscap_element(GG: GradedGroup, lambda_hat: TwistedCochain) -> np.ndarray:
     """Q = sum over odd s of lambda^(s,s) l_{s^2} as a complex vector."""
     n = GG.even_subgroup.order
     Q = np.zeros(n, dtype=complex)
-    for g, phases in crosscap_phase_table(GG, lambda_hat).items():
-        Q[g] = sum(p.to_complex() for p in phases)
+    for g, exponents in crosscap_phase_table(GG, lambda_hat).items():
+        Q[g] = sum(root_of_unity(k, lambda_hat.N) for k in exponents)
     return Q
 
 
@@ -286,10 +284,9 @@ def real_1d_phases(GG: GradedGroup, lambda_hat_1: TwistedCochain) -> RealOneDimD
     sigma = GG.odd_part()[0]
     iota = lambda_hat_1.value((G.inverse[sigma],))
     # Real compatibility: the phase is invariant under Real conjugation
-    for s in GG.odd_part():
-        for g in GG.even_part:
-            if lambda_hat_1.value((real_conjugate(GG, s, g),)) != lambda_hat_1.value((g,)):
-                raise AssertionError("Real conjugation invariance fails for a 1-cocycle")
+    t = lambda_hat_1.rows
+    if any(t[real_conjugate(GG, s, g)] != t[g] for s in GG.odd_part() for g in GG.even_part):
+        raise AssertionError("Real conjugation invariance fails for a 1-cocycle")
     inv_dim = 1 if all(p.is_zero() for p in rep) else 0
     return RealOneDimData(rep_phases=rep, interval_phase=iota, invariants_dimension=inv_dim)
 

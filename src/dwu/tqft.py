@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from dwu.cohomology import TwistedCochain, restrict_to_even
+from dwu.cohomology import TwistedCochain
 from dwu.groupoids import flat_sections, orbits
 from dwu.groups import GradedGroup, real_conjugate
 from dwu.moduli import Surface, holonomy_points
@@ -80,7 +79,7 @@ class TuraevAlgebraData:
         """Copy with one structure constant scaled by a phase (or zeroed)."""
         L = lcm_of([phase.denominator], self.field.L) if phase is not None else self.field.L
         field = self.field if L == self.field.L else CycField(L)
-        factor = field.root(phase) if phase is not None else field.zero
+        factor = field.root(phase.numerator, phase.denominator) if phase is not None else field.zero
 
         def patch(entries, target):
             out = []
@@ -108,27 +107,33 @@ class TuraevAlgebraData:
 
 
 def turaev_from_cocycle(GG: GradedGroup, lambda_hat: TwistedCochain) -> TuraevAlgebraData:
-    """The equivariant algebra of a twisted 2-cocycle; passes all axioms."""
+    """The equivariant algebra of a twisted 2-cocycle; raises ConventionError
+    unless it passes all axioms."""
+    T = _turaev_data(GG, lambda_hat)
+    report = check_turaev_axioms(T)
+    if not report.ok:
+        raise ConventionError(f"constructed algebra fails axioms: {report.failures()}")
+    return T
+
+
+def _turaev_data(GG: GradedGroup, lambda_hat: TwistedCochain) -> TuraevAlgebraData:
+    """The equivariant algebra of a twisted 2-cocycle, before the axiom check."""
     require_cocycle(lambda_hat)
-    field = CycField(lcm_of((p.denominator for _, p in lambda_hat.values), 1))
-    lam = restrict_to_even(lambda_hat, GG)
-    sub = GG.even_subgroup
-    t = tau_ref(lambda_hat, GG)
-    mult = {}
-    for g in range(sub.order):
-        for h in range(sub.order):
-            mult[(g, h)] = field.root(lam.value((g, h)))
-    action = {}
-    for w in range(GG.group.order):
-        for g in range(sub.order):
-            action[(w, g)] = field.root(-t.value(w, GG.even_part[g]))
-    crosscap = {}
-    for s in GG.odd_part():
-        crosscap[s] = field.root(lambda_hat.value((s, s)))
+    N = lambda_hat.N
+    field = CycField(N)
+    lam, even = lambda_hat.rows, GG.even_part
+    t = tau_ref(lambda_hat, GG).table.tolist()
+    mult = {
+        (g, h): field.root(lam[a][b], N) for g, a in enumerate(even) for h, b in enumerate(even)
+    }
+    action = {
+        (w, g): field.root(-t[w][a], N) for w in range(GG.group.order) for g, a in enumerate(even)
+    }
+    crosscap = {s: field.root(lam[s][s], N) for s in GG.odd_part()}
     # trace normalization on A_e is 1: condition (x) has a dual basis on one
     # side only, so it fixes the scale (the 1/|G| weight lives in the orbifold
     # counit instead)
-    T = TuraevAlgebraData(
+    return TuraevAlgebraData(
         GG=GG,
         field=field,
         mult=tuple(sorted(mult.items())),
@@ -136,10 +141,6 @@ def turaev_from_cocycle(GG: GradedGroup, lambda_hat: TwistedCochain) -> TuraevAl
         crosscap=tuple(sorted(crosscap.items())),
         trace_unit=Fraction(1),
     )
-    report = check_turaev_axioms(T)
-    if not report.ok:
-        raise ConventionError(f"constructed algebra fails axioms: {report.failures()}")
-    return T
 
 
 def _dual_coeff(T: TuraevAlgebraData, g: int) -> CycNum | None:
@@ -676,12 +677,16 @@ def partition_direct(
     compared; a mismatch raises ConventionError.
     """
     require_cocycle(lambda_hat)
-    field = field or CycField(lcm_of((p.denominator for _, p in lambda_hat.values), 1))
+    N = lambda_hat.N
+    field = field or CycField(N)
     points = holonomy_points(surface, GG, budget)
-    counts = Counter(relator_pairing(lambda_hat, surface, pt) for pt in points)
+    counts = [0] * N
+    for pt in points:
+        counts[relator_pairing(lambda_hat, surface, pt)] += 1
     total = field.zero
-    for phase, count in sorted(counts.items(), key=lambda kv: (kv[0].fraction)):
-        total = total + field.root(phase).scale(count)
+    for k, count in enumerate(counts):
+        if count:
+            total = total + field.root(k, N).scale(count)
     value = total.scale(Fraction(1, GG.even_subgroup.order))
     # independent groupoid-cardinality form
     G = GG.group
@@ -692,7 +697,7 @@ def partition_direct(
     by_orbits = field.zero
     for rep, _, stab in orbits(points, GG.even_subgroup.order, act):
         by_orbits = by_orbits + field.root(
-            relator_pairing(lambda_hat, surface, rep)
+            relator_pairing(lambda_hat, surface, rep), N
         ).scale(Fraction(1, stab))
     if value != by_orbits:
         raise ConventionError("holonomy sum and groupoid integral disagree")
@@ -735,8 +740,7 @@ def partition_verlinde(block_list: list[BlockData], surface: Surface) -> complex
 def kr_rank(GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField | None = None) -> CycNum:
     """Groupoid integral of the transgressed function over the double loop."""
     require_cocycle(lambda_hat)
-    field = field or CycField(lcm_of((p.denominator for _, p in lambda_hat.values), 1))
-    return _kr_integral(GG, lambda_hat, field)
+    return _kr_integral(GG, lambda_hat, field or CycField(lambda_hat.N))
 
 
 def _kr_integral(
@@ -746,16 +750,17 @@ def _kr_integral(
     (in Q(zeta_2L) when L is odd)."""
     from dwu.groupoids import double_real_loop
 
-    t = tau_ref(lambda_hat, GG)
+    t = tau_ref(lambda_hat, GG).table.tolist()
+    N = lambda_hat.N
     gpd = double_real_loop(GG)
     if flip and field.L % 2:
         field = CycField(2 * field.L)
-    half = Phase(1, 2)
 
     def f(pt):
         g, w = pt
-        phase = t.value(w, g)
-        return field.root(phase + half if flip and GG.sign[w] == -1 else phase)
+        if flip and GG.sign[w] == -1:
+            return field.root(2 * t[w][g] + N, 2 * N)
+        return field.root(t[w][g], N)
 
     value = gpd.integrate(f)
     return value if value != 0 else field.zero
@@ -770,7 +775,7 @@ def one_loop(
     """(Z(T^2) + Z(K))/2."""
     from dwu.moduli import KLEIN, TORUS
 
-    field = field or CycField(lcm_of((p.denominator for _, p in lambda_hat.values), 1))
+    field = field or CycField(lambda_hat.N)
     zt = partition_direct(GG, lambda_hat, TORUS, field=field, budget=budget)
     zk = partition_direct(GG, lambda_hat, KLEIN, field=field, budget=budget)
     return (zt + zk).scale(Fraction(1, 2))
@@ -790,11 +795,15 @@ def consistency_report(
     flip_tau_debug flips the sign of the odd-sector KR integrand, a deliberate
     convention fault for exercising failure reporting.
     """
-    from dwu.moduli import RP2
+    from dwu.moduli import KLEIN, RP2, TORUS
     from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 
     require_cocycle(lambda_hat)
-    field = CycField(lcm_of((p.denominator for _, p in lambda_hat.values), 1))
+    field = CycField(lambda_hat.N)
+    # each surface is enumerated once per report
+    direct_value = functools.cache(
+        lambda surface: partition_direct(GG, lambda_hat, surface, field=field, budget=budget)
+    )
     T = turaev_from_cocycle(GG, lambda_hat)
     F = orbifold(T)
     frob_report = check_unoriented_frobenius(F)
@@ -804,7 +813,7 @@ def consistency_report(
     rows = []
     max_delta = 0.0
     for surface in surfaces:
-        direct = partition_direct(GG, lambda_hat, surface, field=field, budget=budget)
+        direct = direct_value(surface)
         via_tqft = partition_tqft(F, surface)
         d_c = direct.to_complex()
         t_c = via_tqft.to_complex()
@@ -832,11 +841,11 @@ def consistency_report(
         kr = _kr_integral(GG, lambda_hat, field, flip=True)
     else:
         kr = kr_rank(GG, lambda_hat, field=field)
-    loop = one_loop(GG, lambda_hat, field=field, budget=budget)
+    loop = (direct_value(TORUS) + direct_value(KLEIN)).scale(Fraction(1, 2))  # one_loop
     kr_delta = abs(kr.to_complex() - loop.to_complex())
     max_delta = max(max_delta, kr_delta)
 
-    rp2_direct = partition_direct(GG, lambda_hat, RP2, field=field, budget=budget)
+    rp2_direct = direct_value(RP2)
     qtrace = F.vec_counit(F.crosscap_vector())
     q_delta = abs(rp2_direct.to_complex() - qtrace.to_complex())
     max_delta = max(max_delta, q_delta)

@@ -14,18 +14,23 @@ sum_j [p_j | s_{j+1}] over prefixes p_j of the relator word, corrected by
 and the odd Klein generator); the x^2 letters of crosscap generators already
 cancel in the twisted boundary.  These conventions reproduce the literal
 closed forms for the torus, the projective plane and the Klein bottle.
+
+Everything here is an integer exponent mod the cocycle's N: tau_ref and
+tau_circle are exponent tables, and a pairing is a sum of Python ints mod N.
+pair_surface and the closed forms return a Phase, the value type at the API
+edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from dwu.cohomology import TwistedCochain, is_twisted_cocycle
 from dwu.groups import FiniteGroup, GradedGroup, real_conjugate
 from dwu.moduli import Surface, is_valid_holonomy
 from dwu.phases import Phase
-
-ZERO = Phase(0, 1)
 
 
 def require_cocycle(c: TwistedCochain, degree: int = 2):
@@ -39,78 +44,81 @@ def require_cocycle(c: TwistedCochain, degree: int = 2):
         raise ValueError("input cochain is not a twisted cocycle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopCocycle:
-    """A 1-cocycle on the reflective loop groupoid: (morphism w at object g) -> phase."""
+    """A 1-cocycle on the reflective loop groupoid as exponents mod N: the
+    phase of the morphism w at the object g (an even element of G^) is
+    table[w, g] / N.  Columns of odd elements are zero."""
 
     graded_group: GradedGroup
-    values: tuple  # sorted ((w, g), Phase)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_cache", dict(self.values))
+    N: int
+    table: np.ndarray
 
     def value(self, w: int, g: int) -> Phase:
-        return self._cache[(w, g)]
+        return Phase(int(self.table[w, g]), self.N)
 
     def check_cocycle_law(self) -> bool:
         """value(w2 w1, g) = value(w2, w1.g) + value(w1, g) for all w1, w2, g."""
         GG = self.graded_group
-        G = GG.group
-        for w1 in range(G.order):
-            for w2 in range(G.order):
-                for g in GG.even_part:
-                    lhs = self.value(G.table[w2][w1], g)
-                    rhs = self.value(w2, real_conjugate(GG, w1, g)) + self.value(w1, g)
-                    if lhs != rhs:
-                        return False
-        return True
+        even = list(GG.even_part)
+        t = self.table
+        lhs = t[np.asarray(GG.group.table)][:, :, even]  # [w2, w1, g]
+        rhs = t[:, _real_conjugation(GG)] + t[:, even]
+        return not ((lhs - rhs) % self.N).any()
+
+
+def _real_conjugation(GG: GradedGroup) -> np.ndarray:
+    """rc[w, i] = w g^{sign w} w^-1 for the i-th even element g."""
+    n = GG.group.order
+    return np.array([[real_conjugate(GG, w, g) for g in GG.even_part] for w in range(n)])
 
 
 def tau_ref(lambda_hat: TwistedCochain, GG: GradedGroup) -> LoopCocycle:
     """The reflective loop transgression of a twisted 2-cocycle."""
     require_cocycle(lambda_hat)
     G = GG.group
-    vals = {}
-    for w in range(G.order):
-        s = GG.sign[w]
-        for g in GG.even_part:
-            gs = g if s == 1 else G.inverse[g]
-            acc = lambda_hat.value((real_conjugate(GG, w, g), w)) - lambda_hat.value((w, gs))
-            if s == -1:
-                acc = acc - lambda_hat.value((G.inverse[g], g))
-            vals[(w, g)] = acc
-    out = LoopCocycle(graded_group=GG, values=tuple(sorted(vals.items())))
+    lam = lambda_hat.table
+    inv = np.asarray(G.inverse)
+    w = np.arange(G.order)[:, None]
+    g = np.asarray(GG.even_part)[None, :]
+    odd = np.asarray(GG.sign)[w] == -1
+    table = np.zeros((G.order, G.order), dtype=np.int64)
+    table[:, GG.even_part] = (
+        lam[_real_conjugation(GG), w] - lam[w, np.where(odd, inv[g], g)] - odd * lam[inv[g], g]
+    ) % lambda_hat.N
+    out = LoopCocycle(graded_group=GG, N=lambda_hat.N, table=table)
     if not out.check_cocycle_law():
         raise AssertionError("transgressed cochain fails the loop 1-cocycle law")
     return out
 
 
-def tau_circle(lmbda: TwistedCochain, group: FiniteGroup) -> dict:
-    """Oriented loop transgression of an untwisted 2-cocycle: (h, g) -> phase."""
+def tau_circle(lmbda: TwistedCochain, group: FiniteGroup) -> list:
+    """Oriented loop transgression of an untwisted 2-cocycle: exponents
+    t[h][g] = lambda(h g h^-1, h) - lambda(h, g) mod lmbda.N."""
     require_cocycle(lmbda)
-    out = {}
-    for h in range(group.order):
-        for g in range(group.order):
-            out[(h, g)] = lmbda.value((group.conj(h, g), h)) - lmbda.value((h, g))
-    return out
+    lam, N = lmbda.rows, lmbda.N
+    return [
+        [(lam[group.conj(h, g)][h] - lam[h][g]) % N for g in range(group.order)]
+        for h in range(group.order)
+    ]
 
 
-def relator_pairing(cochain: TwistedCochain, surface: Surface, holonomy) -> Phase:
-    """<cochain, fundamental 2-chain> for the surface's relator at this holonomy."""
+def relator_pairing(cochain: TwistedCochain, surface: Surface, holonomy) -> int:
+    """<cochain, fundamental 2-chain> for the surface's relator at this
+    holonomy, as an exponent mod cochain.N."""
     group = cochain.group
-    letters = []
-    for gen, exp in surface.relator():
-        v = holonomy[gen] if exp == 1 else group.inverse[holonomy[gen]]
-        letters.append(v)
-    acc = ZERO
-    prefix = 0
+    lam = cochain.rows
+    letters = [
+        holonomy[gen] if exp == 1 else group.inverse[holonomy[gen]] for gen, exp in surface.relator()
+    ]
+    acc = prefix = 0
     for j in range(len(letters) - 1):
         prefix = group.table[prefix][letters[j]]
-        acc = acc + cochain.value((prefix, letters[j + 1]))
+        acc += lam[prefix][letters[j + 1]]
     for gen in _correction_generators(surface):
         x = holonomy[gen]
-        acc = acc - cochain.value((x, group.inverse[x]))
-    return acc
+        acc -= lam[x][group.inverse[x]]
+    return acc % cochain.N
 
 
 def _correction_generators(surface: Surface):
@@ -126,7 +134,7 @@ def pair_surface(lambda_hat: TwistedCochain, GG: GradedGroup, surface: Surface, 
     require_cocycle(lambda_hat)
     if not is_valid_holonomy(surface, GG, holonomy):
         raise ValueError(f"invalid holonomy {holonomy} for {surface.name}")
-    return relator_pairing(lambda_hat, surface, holonomy)
+    return Phase(relator_pairing(lambda_hat, surface, holonomy), lambda_hat.N)
 
 
 def torus_closed_form(lambda_hat: TwistedCochain, holonomy) -> Phase:

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 
@@ -207,3 +208,77 @@ def test_csv_keeps_rows_emitted_before_budget_error(tmp_path, capsys):
     assert [(r["group"], r["surface"]) for r in rows] == [
         (r["group"], r["surface"]) for r in records
     ]
+
+
+def _count_calls(monkeypatch, name, modules, key=lambda *args, **kwargs: None):
+    """Calls of the function `name`, patched where each of `modules` looks it up."""
+    calls = []
+    original = getattr(importlib.import_module(modules[0]), name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(f"{module}.{name}", wrapper)
+    return calls
+
+
+def test_partition_enumerates_each_surface_once_per_class(capsys, monkeypatch):
+    calls = _count_calls(
+        monkeypatch, "partition_direct", ["dwu.tqft"], lambda gg, lam, surface, **kw: surface.name
+    )
+    code, out = run(capsys, "partition", "--group", "C4", "--surfaces", "T2,RP2,K,N_k=3")
+    assert code == 0
+    classes = len({(r["grading"], r["class"]) for r in jsonl(out)})
+    assert classes >= 2
+    assert sorted(calls) == sorted(["T2", "RP2", "K", "N_k=3"] * classes)
+
+
+def test_verify_axioms_checks_turaev_conditions_once_per_class(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "check_turaev_axioms", ["dwu.tqft", "dwu.cli"])
+    code, out = run(capsys, "verify-axioms", "--group", "C4")
+    assert code == 0
+    records = jsonl(out)
+    assert len(records) >= 2 and all(r["ok"] for r in records)
+    assert len(calls) == len(records)
+
+
+def test_indicators_honours_budget(capsys):
+    code, _ = run(capsys, "indicators", "--group", "C2", "--budget", "0")
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"degree": 2, "values": {"1,1": 1}}',
+        '{"degree": 2, "denominator": 0, "values": {"1,1": 1}}',
+        '[2, 2, {"1,1": 1}]',
+        '{"degree": 2, "denominator": 2, "values": {"1,9": 1}}',
+        '{"degree": 2, "denominator": 2, "values": {"1": 1}}',
+    ],
+    ids=["no-denominator", "zero-denominator", "list", "out-of-range-key", "wrong-arity-key"],
+)
+def test_malformed_cocycle_file_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "cocycle.json"
+    path.write_text(text)
+    code = main(["partition", "--group", "C4", "--grading", "0", "--cocycle-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
+
+
+def test_partition_builds_no_phase(capsys, monkeypatch):
+    from dwu.phases import Phase
+
+    argv = ["partition", "--group", "D8", "--grading", "0", "--class", "all"]
+    code, expected = run(capsys, *argv)
+    assert code == 0
+
+    def no_phase(*args, **kwargs):
+        raise AssertionError("a Phase was built")
+
+    monkeypatch.setattr(Phase, "__init__", no_phase)
+    monkeypatch.setattr(Phase, "from_fraction", classmethod(no_phase))
+    assert run(capsys, *argv) == (0, expected)

@@ -231,8 +231,65 @@ def test_cochain_json_roundtrip():
         assert (back - r).is_zero()
 
 
+def test_denominators_past_int64_sums_rejected():
+    TwistedCochain.from_dict(cyclic(4), 1, {(1,): Phase(1, 2**31 - 1)})
+    for N in (2**31, 2**64):
+        with pytest.raises((ValueError, OverflowError)):
+            TwistedCochain.from_dict(cyclic(4), 1, {(1,): Phase(1, N)})
+
+
 def test_mismatched_bases_rejected():
     a = TwistedCochain.zero(parity_c4(), 2)
     b = TwistedCochain.zero(identity_c2(), 2)
     with pytest.raises(ValueError):
         _ = a + b
+
+
+def scalar_bar_differential(c):
+    """Oracle: (dc)(w0..wn) exponents mod c.N, one tuple and one face at a time."""
+    G, n, N = c.group, c.degree, c.N
+    out = np.zeros((G.order,) * (n + 1), dtype=np.int64)
+    for w in itertools.product(range(G.order), repeat=n + 1):
+        acc = c.signs[w[0]] * int(c.table[w[1:]])
+        for j in range(1, n + 1):
+            merged = w[: j - 1] + (G.table[w[j - 1]][w[j]],) + w[j + 1 :]
+            acc += (-1) ** j * int(c.table[merged])
+        acc += (-1) ** (n + 1) * int(c.table[w[:-1]])
+        out[w] = acc % N
+    return out
+
+
+ORACLE_BASES = [
+    build_group("C2xC2"),
+    build_group("S3"),
+    identity_c2(),
+    parity_c4(),
+    split_grading(build_group("S3")),
+    *enumerate_gradings(build_group("D8")),
+    build_group("Q8xC2"),
+    enumerate_gradings(build_group("Q8xC2"))[0],
+]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize(
+    "ref",
+    ORACLE_BASES,
+    ids=lambda r: (
+        f"{r.group.name}{''.join('+' if s == 1 else '-' for s in r.sign)}"
+        if isinstance(r, GradedGroup)
+        else r.name
+    ),
+)
+def test_differential_matches_scalar_bar_formula(ref, degree):
+    rng = random.Random(degree)
+    group, signs = (ref.group, ref.sign) if isinstance(ref, GradedGroup) else (ref, (1,) * ref.order)
+    for denominator in (group.order, 2 * group.order):
+        c = random_cochain(ref, degree, denominator, rng)
+        expected = scalar_bar_differential(c)
+        dc = twisted_differential(c)
+        assert c.N % dc.N == 0
+        assert np.array_equal(dc.table * (c.N // dc.N), expected)
+        D = differential_matrix(group, signs, degree)
+        nonidentity = expected[(slice(1, None),) * (degree + 1)].ravel()
+        assert np.array_equal(D @ c.vector() % c.N, nonidentity)

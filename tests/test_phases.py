@@ -48,8 +48,16 @@ def test_cyclotomic_polynomials():
 def test_cyc_roots_match_complex(L):
     F = CycField(L)
     for k in range(L):
-        z = F.root(Phase(k, L))
+        z = F.root(k, L)
         assert abs(z.to_complex() - cmath.exp(2j * cmath.pi * k / L)) < 1e-12
+
+
+def test_cyc_root_of_a_divisor_order():
+    F = CycField(12)
+    assert F.root(1, 4) == F.root(3, 12) and F.root(-2, 6) == F.root(8, 12)
+    assert F.root(3, 9) == F.root(4, 12)  # zeta_9^3 = zeta_3
+    with pytest.raises(ValueError):
+        F.root(1, 8)
 
 
 def test_cyc_sum_of_all_roots_is_zero():
@@ -57,13 +65,13 @@ def test_cyc_sum_of_all_roots_is_zero():
         F = CycField(L)
         acc = F.zero
         for k in range(L):
-            acc = acc + F.root(Phase(k, L))
+            acc = acc + F.root(k, L)
         assert acc.is_zero()
 
 
 def test_cyc_field_inverse():
     F = CycField(8)
-    x = F.root(Phase(1, 8)) + F.from_rational(Fraction(3, 2))
+    x = F.root(1, 8) + F.from_rational(Fraction(3, 2))
     inv = x.inverse()
     assert (x * inv) == F.one
     with pytest.raises(ZeroDivisionError):
@@ -72,7 +80,7 @@ def test_cyc_field_inverse():
 
 def test_cyc_arithmetic_exact():
     F = CycField(4)
-    i = F.root(Phase(1, 4))
+    i = F.root(1, 4)
     assert i * i == F.from_rational(-1)
     assert (i * i * i * i) == F.one
     # (1+i)(1-i) = 2

@@ -82,7 +82,7 @@ def test_turaev_split_untwisted_action_and_crosscap():
 def test_turaev_identity_c2_nontrivial_crosscap():
     gg = identity_c2()
     T = turaev_from_cocycle(gg, nontrivial_class(gg))
-    assert T.crosscap_coeff(1) == T.field.root(Phase(1, 2))  # Q = -l_e
+    assert T.crosscap_coeff(1) == T.field.root(1, 2)  # Q = -l_e
 
 
 def test_mutated_product_fails():

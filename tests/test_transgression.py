@@ -44,7 +44,7 @@ def class_reps(gg):
 def test_tau_ref_zero_cocycle():
     gg = parity_c4()
     t = tau_ref(TwistedCochain.zero(gg, 2), gg)
-    assert all(p.is_zero() for _, p in t.values)
+    assert not t.table.any()
 
 
 def test_tau_ref_normalized_at_identity_morphism():
@@ -81,7 +81,7 @@ def test_restriction_to_even_matches_oriented_transgression():
             oriented = tau_circle(small, gg.even_subgroup)
             for hi, h in enumerate(gg.even_part):
                 for gi, g in enumerate(gg.even_part):
-                    assert t.value(h, g) == oriented[(hi, gi)]
+                    assert t.value(h, g) == Phase(oriented[hi][gi], small.N)
 
 
 def test_abelian_even_transgression_antisymmetrizes():
@@ -119,7 +119,7 @@ def test_order_three_torus_convention():
     for g1, g2 in itertools.product(range(9), repeat=2):
         if G.table[g1][g2] != G.table[g2][g1]:
             continue
-        got = relator_pairing(lam, TORUS, (g1, g2))
+        got = Phase(relator_pairing(lam, TORUS, (g1, g2)), lam.N)
         assert got == lam.value((g2, g1)) - lam.value((g1, g2))
 
 
@@ -146,7 +146,7 @@ def test_torus_pairing_example_c2c2():
         for g, h in itertools.product(range(1, 4), repeat=2)
     }
     lam = TwistedCochain.from_dict(G, 2, vals)
-    assert relator_pairing(lam, TORUS, (2, 1)) == Phase(1, 2)
+    assert Phase(relator_pairing(lam, TORUS, (2, 1)), lam.N) == Phase(1, 2)
 
 
 def test_invalid_holonomy_rejected():
