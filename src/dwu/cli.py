@@ -110,11 +110,11 @@ def _resolve_gradings(group_name: str, which: str, cap: int):
     return g, [(idx, gradings[idx])]
 
 
-def _resolve_classes(gg, source: str, cocycle_file: str | None):
+def _resolve_classes(gg, source: str, cocycle_file: str | None, cap: int):
     if cocycle_file:
         with open(cocycle_file) as f:
             return [("file", cochain_from_json(f.read(), gg))]
-    reps, _ = cohomology_classes(gg, 2)
+    reps, _ = cohomology_classes(gg, 2, cap=cap)
     if source == "all":
         return list(enumerate(reps))
     idx = int(source)
@@ -145,7 +145,7 @@ def cmd_gradings(args, emitter: Emitter) -> int:
 def cmd_cohomology(args, emitter: Emitter) -> int:
     _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
     for gi, gg in gradings:
-        reps, factors = cohomology_classes(gg, args.degree)
+        reps, factors = cohomology_classes(gg, args.degree, cap=args.cap)
         emitter.emit(
             {
                 "group": args.group,
@@ -162,7 +162,7 @@ def cmd_cohomology(args, emitter: Emitter) -> int:
 def cmd_indicators(args, emitter: Emitter) -> int:
     _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
     for gi, gg in gradings:
-        for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file):
+        for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file, args.cap):
             alg = algebra_from_graded(gg, lam)
             bl = fs_indicators(
                 blocks(alg, seed=args.seed), crosscap_element(gg, lam), alg
@@ -201,7 +201,7 @@ def cmd_verify_axioms(args, emitter: Emitter) -> int:
     failures = 0
     _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
     for gi, gg in gradings:
-        for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file):
+        for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file, args.cap):
             T = _turaev_data(gg, lam)
             t_report = check_turaev_axioms(T)
             F = orbifold(T)
@@ -234,7 +234,7 @@ def cmd_partition(args, emitter: Emitter) -> int:
     for name in names:
         _, gradings = _resolve_gradings(name, args.grading, args.cap)
         for gi, gg in gradings:
-            for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file):
+            for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file, args.cap):
                 rep = consistency_report(
                     gg,
                     lam,
@@ -329,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
         print("usage error: --tol must be positive", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "degree", 2) not in (1, 2):

@@ -289,13 +289,20 @@ def cochain_from_json(text: str, ref) -> TwistedCochain:
     """Inverse of cochain_to_json; malformed input raises ValueError."""
     data = json.loads(text)
     try:
-        degree, N = int(data["degree"]), int(data["denominator"])
+        degree, N = _json_int(data["degree"]), _json_int(data["denominator"])
         if degree < 0 or N < 1:
             raise ValueError(f"need degree >= 0 and denominator >= 1, got {degree} and {N}")
         mapping = {
-            tuple(int(x) for x in key.split(",")) if key else (): Phase(int(k), N)
+            tuple(int(x) for x in key.split(",")) if key else (): Phase(_json_int(k), N)
             for key, k in data.get("values", {}).items()
         }
         return TwistedCochain.from_dict(ref, degree, mapping)
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed cochain file: {exc!r}") from None
+
+
+def _json_int(x) -> int:
+    """x itself if it is a JSON integer; floats, strings and booleans are rejected."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x

@@ -1,15 +1,17 @@
 """Exact circle-valued arithmetic: phases in Q/Z and the cyclotomic field Q(zeta_L).
 
 Inside the package a phase is an integer exponent k mod N standing for
-exp(2*pi*i*k/N): cochain tables, transgressions and pairings all hold such
-exponents, and root_of_unity(k, N) is their one complex embedding.  A Phase
-stores the reduced fraction k/N in [0, 1); it is the value type at the API and
-JSON edges only, and its to_complex() is root_of_unity of its fraction.
+exp(2*pi*i*k/N): cochain tables, transgressions, pairings and the Turaev
+structure constants all hold such exponents, a product of phases is a sum of
+exponents and an inverse is a negation, and root_of_unity(k, N) is their one
+complex embedding.  A Phase stores the reduced fraction k/N in [0, 1); it is
+the value type at the API and JSON edges only, and its to_complex() is
+root_of_unity of its fraction.
 
-CycNum elements live in Q(zeta_L) = Q[x]/Phi_L(x) and are used wherever sums of
-phases must be compared exactly (partition functions, Frobenius structure
-constants).  Field inversion is by extended Euclid over Q[x], which is all the
-small Gram matrices here ever need.
+CycNum elements live in Q(zeta_L) = Q[x]/Phi_L(x) and hold the sums of phases
+that must be compared exactly: partition functions and the vectors of the
+orbifold Frobenius algebra.  They are added, scaled by rationals and
+multiplied; no caller divides in the field.
 """
 
 from __future__ import annotations
@@ -136,19 +138,6 @@ class CycField:
             raise ValueError(f"zeta_{n}^{k} does not lie in Q(zeta_{self.L})")
         return CycNum(self, self._xpow[k * self.L // n % self.L])
 
-    def embed(self, x: "CycNum") -> "CycNum":
-        """Image of an element of a subfield Q(zeta_M), M | L, in this field."""
-        M = x.field.L
-        if M == self.L:
-            return CycNum(self, x.coeffs)
-        if self.L % M != 0:
-            raise ValueError(f"Q(zeta_{M}) is not a subfield of Q(zeta_{self.L})")
-        out = self.zero
-        for i, a in enumerate(x.coeffs):
-            if a:
-                out = out + self.root(i, M).scale(a)
-        return out
-
     def __repr__(self) -> str:
         return f"CycField(zeta_{self.L})"
 
@@ -202,29 +191,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def inverse(self) -> "CycNum":
-        """Field inverse via extended Euclid over Q[x] against Phi_L."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        phi = list(self.field._phi)  # monic, degree d
-        a = list(self.coeffs)
-        # ext gcd of a and phi: s*a + t*phi = gcd (a constant, since Phi irreducible)
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        g = _frac_poly_trim(r0)
-        assert len(g) == 1, "Phi_L not coprime to element"
-        inv_g = 1 / g[0]
-        coeffs = [c * inv_g for c in s0]
-        # reduce mod Phi (degree may still be < d already)
-        coeffs = coeffs[: self.field.degree] + [Fraction(0)] * max(
-            0, self.field.degree - len(coeffs)
-        )
-        return CycNum(self.field, coeffs)
-
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.field.L) if self.field.L > 1 else 1.0
         acc = 0j
@@ -244,45 +210,6 @@ class CycNum:
 
     def __repr__(self) -> str:
         return f"CycNum(L={self.field.L}, {self.coeffs})"
-
-
-def _frac_poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _frac_poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _frac_poly_trim(out)
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    b = _frac_poly_trim(list(b))
-    if len(a) < len(b):
-        return [Fraction(0)], _frac_poly_trim(a)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        if len(a) < len(b) + i:
-            continue
-        c = a[i + len(b) - 1] / b[-1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(b):
-                a[i + j] -= c * d
-    return _frac_poly_trim(q), _frac_poly_trim(a)
 
 
 def lcm_of(values, base: int = 1) -> int:

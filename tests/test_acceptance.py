@@ -204,7 +204,7 @@ def test_criterion_6_axiom_suites_and_mutations(sweep):
                     key = rng.choice(odd)
                 phase = None
             mutated = T.with_mutation(kind, key, phase)
-            assert not check_turaev_axioms(mutated, fail_fast=True).ok, (
+            assert not check_turaev_axioms(mutated).ok, (
                 name, gi, ci, kind, key, phase,
             )
             mutations += 1

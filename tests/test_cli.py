@@ -257,8 +257,15 @@ def test_indicators_honours_budget(capsys):
         '[2, 2, {"1,1": 1}]',
         '{"degree": 2, "denominator": 2, "values": {"1,9": 1}}',
         '{"degree": 2, "denominator": 2, "values": {"1": 1}}',
+        # a valid cocycle's shape, so only the value type can fail
+        '{"degree": 2, "denominator": 2, "values": {"1,1": 1.5, "1,3": 1.5, "3,1": 1.5, "3,3": 1.5}}',
+        '{"degree": 2, "denominator": 2, "values": {"1,1": "1", "1,3": "1", "3,1": "1", "3,3": "1"}}',
+        '{"degree": 2, "denominator": true, "values": {}}',
     ],
-    ids=["no-denominator", "zero-denominator", "list", "out-of-range-key", "wrong-arity-key"],
+    ids=[
+        "no-denominator", "zero-denominator", "list", "out-of-range-key", "wrong-arity-key",
+        "non-integer-value", "string-value", "bool-denominator",
+    ],
 )
 def test_malformed_cocycle_file_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "cocycle.json"
@@ -282,3 +289,17 @@ def test_partition_builds_no_phase(capsys, monkeypatch):
     monkeypatch.setattr(Phase, "__init__", no_phase)
     monkeypatch.setattr(Phase, "from_fraction", classmethod(no_phase))
     assert run(capsys, *argv) == (0, expected)
+
+
+def test_cohomology_honours_cap(capsys):
+    code, out = run(capsys, "cohomology", "--group", "C34", "--cap", "64", "--degree", "1")
+    assert code == 0
+    assert jsonl(out)[0]["invariant_factors"] == [2]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_is_usage_error(capsys, tol):
+    code = main(["partition", "--group", "C2", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "usage error: --tol must be positive\n"

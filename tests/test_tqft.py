@@ -12,11 +12,12 @@ from dwu.cohomology import (
 )
 from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
 from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
-from dwu.phases import Phase
+from dwu.phases import CycField, Phase
 from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
     CheckReport,
     ConventionError,
+    _closed_form_duals,
     _dual_sections,
     check_turaev_axioms,
     check_unoriented_frobenius,
@@ -70,19 +71,17 @@ def test_turaev_axioms_pass_on_constructed_algebras():
 def test_turaev_split_untwisted_action_and_crosscap():
     gg = split_grading(build_group("S3"))
     T = turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2))
-    one = T.field.one
-    G = gg.group
-    for w in range(G.order):
-        for g in range(gg.even_subgroup.order):
-            assert T.action_coeff(w, g) == one
-    for s in gg.odd_part():
-        assert T.crosscap_coeff(s) == one
+    assert T.zero is None  # every constant is a root of unity
+    assert T.action.shape == (gg.group.order, gg.even_subgroup.order)
+    assert T.crosscap.shape == (len(gg.odd_part()),)
+    assert not T.action.any() and not T.crosscap.any()  # exponent 0: the constant 1
 
 
 def test_turaev_identity_c2_nontrivial_crosscap():
     gg = identity_c2()
     T = turaev_from_cocycle(gg, nontrivial_class(gg))
-    assert T.crosscap_coeff(1) == T.field.root(1, 2)  # Q = -l_e
+    assert gg.odd_part() == (1,) and T.zero is None
+    assert Phase(int(T.crosscap[0]), T.L) == Phase(1, 2)  # Q = -l_e
 
 
 def test_mutated_product_fails():
@@ -102,6 +101,20 @@ def test_mutated_action_fails():
     gg = parity_c4()
     T = turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2))
     mutated = T.with_mutation("action", (1, 1), Phase(1, 2))
+    assert not check_turaev_axioms(mutated).ok
+
+
+def test_mutation_rescales_exponents_to_the_lcm():
+    gg = parity_c4()
+    T = turaev_from_cocycle(gg, nontrivial_class(gg))
+    assert T.L == 4
+    mutated = T.with_mutation("action", (1, 1), Phase(1, 3))
+    assert mutated.L == 12
+    expected = T.action * 3
+    expected[1, 1] = (expected[1, 1] + 4) % 12
+    assert (mutated.action == expected).all()
+    assert (mutated.mult == T.mult * 3).all() and (mutated.crosscap == T.crosscap * 3).all()
+    assert not any(z.any() for z in mutated.zero)
     assert not check_turaev_axioms(mutated).ok
 
 
@@ -184,6 +197,19 @@ def test_closed_form_duals_are_dual(name):
                 for j, dual in enumerate(duals):
                     expected = F.field.one if i == j else F.field.zero
                     assert F.vec_counit(F.vec_product(vec, dual)) == expected, (gg, i, j)
+
+
+def test_closed_form_duals_report_unequal_class_terms():
+    from dataclasses import replace
+
+    gg = split_grading(build_group("Q8"))
+    F = orbifold(turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2)))
+    assert _closed_form_duals(F)[1] is None
+    i, section = next((i, s) for i, s in enumerate(F.sections) if len(s) > 1)
+    g = max(section)  # not the class representative
+    bad = F.mult * 2  # the same algebra over Q(zeta_2)
+    bad[g, gg.even_subgroup.inverse[g]] += 1  # one term of <S_i, S_i^-1> becomes -1
+    assert _closed_form_duals(replace(F, field=CycField(2), mult=bad)) == (None, i)
 
 
 def test_frobenius_mutations_fail():
