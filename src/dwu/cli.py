@@ -334,7 +334,7 @@ def main(argv=None) -> int:
         print("usage error: --tol must be positive", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "degree", 2) not in (1, 2):
-        print("error: --degree must be 1 or 2", file=sys.stderr)
+        print("usage error: --degree must be 1 or 2", file=sys.stderr)
         return EXIT_USAGE
     try:
         env = os.environ.get("DW_BUDGET")

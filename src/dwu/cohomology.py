@@ -22,6 +22,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,12 +294,19 @@ def cochain_from_json(text: str, ref) -> TwistedCochain:
         if degree < 0 or N < 1:
             raise ValueError(f"need degree >= 0 and denominator >= 1, got {degree} and {N}")
         mapping = {
-            tuple(int(x) for x in key.split(",")) if key else (): Phase(_json_int(k), N)
-            for key, k in data.get("values", {}).items()
+            _json_key(key): Phase(_json_int(k), N) for key, k in data.get("values", {}).items()
         }
         return TwistedCochain.from_dict(ref, degree, mapping)
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed cochain file: {exc!r}") from None
+
+
+def _json_key(key: str) -> tuple:
+    """The tuple a key spells as comma-separated canonical decimals ("" for
+    degree 0), so that no two keys spell one tuple."""
+    if key and not re.fullmatch(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*))*", key):
+        raise ValueError(f"malformed key {key!r}")
+    return tuple(int(x) for x in key.split(",")) if key else ()
 
 
 def _json_int(x) -> int:

@@ -52,7 +52,10 @@ class ActionGroupoid:
         return orbits(self.carrier, self.acting_group.order, lambda h, x: self.action[(h, x)])
 
     def integrate(self, f):
-        """Sum of f(representative)/|Aut| over components; f must be invariant."""
+        """Sum of f(representative)/|Aut| over components; f must be invariant.
+
+        The terms are weighted by the integer orbit sizes |H|/|Aut| and the
+        total is divided by |H| once."""
         H = self.acting_group
         for x in self.carrier:
             fx = f(x)
@@ -61,21 +64,15 @@ class ActionGroupoid:
                 if f(y) != fx:
                     raise ValueError(f"integrand not invariant: f({x}) != f({y}) under h={h}")
         total = None
-        for rep, _, stab in self.components():
-            term = _scale(f(rep), Fraction(1, stab))
+        for rep, size, _ in self.components():
+            term = f(rep) * size
             total = term if total is None else total + term
         if total is None:
             return 0
-        return total
+        return total / H.order
 
     def cardinality(self) -> Fraction:
         return sum((Fraction(1, stab) for _, _, stab in self.components()), Fraction(0))
-
-
-def _scale(value, q: Fraction):
-    if hasattr(value, "scale"):
-        return value.scale(q)
-    return value * float(q)
 
 
 def orbits(points, group_order: int, act) -> list[tuple]:

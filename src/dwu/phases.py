@@ -8,10 +8,14 @@ complex embedding.  A Phase stores the reduced fraction k/N in [0, 1); it is
 the value type at the API and JSON edges only, and its to_complex() is
 root_of_unity of its fraction.
 
-CycNum elements live in Q(zeta_L) = Q[x]/Phi_L(x) and hold the sums of phases
-that must be compared exactly: partition functions and the vectors of the
-orbifold Frobenius algebra.  They are added, scaled by rationals and
-multiplied; no caller divides in the field.
+A sum of phases that must be compared exactly (a partition function, the
+KR integral, a coefficient of an orbifold vector) is a count of roots zeta_L^k
+over one positive denominator: an element of the group ring Z[Z/L] divided by
+an integer.  A root is a unit vector, multiplying by a root is a rotation and
+a product is a cyclic convolution, all in Python ints.  A CycNum is such a
+value in Q(zeta_L) = Q[x]/Phi_L(x): it is reduced mod Phi_L, by the integer
+table of x^k mod Phi_L, only to compare, hash or convert it to a complex
+number.  No caller divides in the field.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 class Phase:
@@ -103,113 +109,134 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
 
 
 class CycField:
-    """The cyclotomic field Q(zeta_L), elements as vectors over the power basis."""
+    """The cyclotomic field Q(zeta_L), elements as root counts over Z/L.
+
+    Row k of reduction is x^k mod Phi_L over the power basis 1, x, ...,
+    x^(degree-1).
+    """
 
     def __init__(self, L: int):
         self.L = L
         phi = cyclotomic_polynomial(L)
-        self.degree = len(phi) - 1
-        self._phi = [Fraction(c) for c in phi]
-        # reduction of x^k mod Phi_L for k in [0, L)
-        table = []
-        cur = [Fraction(0)] * self.degree
-        cur[0] = Fraction(1)
-        for _ in range(L):
-            table.append(tuple(cur))
-            cur = self._mul_by_x(cur)
-        self._xpow = table
-        self.zero = CycNum(self, (Fraction(0),) * self.degree)
-        self.one = CycNum(self, self._xpow[0])
+        self.degree = d = len(phi) - 1
+        rows = [[int(i == k) for i in range(d)] for k in range(d)]
+        for _ in range(d, L):  # x^k = x * x^(k-1), with x^d = -sum phi_i x^i
+            prev = rows[-1]
+            rows.append([(prev[i - 1] if i else 0) - prev[-1] * phi[i] for i in range(d)])
+        self.reduction = np.array(rows, dtype=np.int64)
+        self.zero = CycNum(self, (0,) * L)
+        self.one = self.root(0, 1)
 
-    def _mul_by_x(self, coeffs: list[Fraction]) -> list[Fraction]:
-        top = coeffs[-1]
-        out = [Fraction(0)] + list(coeffs[:-1])
-        if top:
-            for i in range(self.degree):
-                out[i] -= top * self._phi[i]
-        return out
+    def from_counts(self, counts, den: int = 1) -> "CycNum":
+        """(sum of counts[k] zeta_n^k) / den, n = len(counts) dividing L."""
+        counts = [int(c) for c in counts]
+        if self.L % len(counts):
+            raise ValueError(f"zeta_{len(counts)} does not lie in Q(zeta_{self.L})")
+        out = [0] * self.L
+        out[:: self.L // len(counts)] = counts
+        return CycNum(self, out, den)
 
     def from_rational(self, q) -> "CycNum":
-        return self.one.scale(Fraction(q))
+        """A rational (an int or a Fraction) as a field element."""
+        return self.from_counts([q.numerator], q.denominator)
 
     def root(self, k: int, n: int) -> "CycNum":
         """zeta_n^k as a field element; it must lie in Q(zeta_L)."""
         if k * self.L % n:
             raise ValueError(f"zeta_{n}^{k} does not lie in Q(zeta_{self.L})")
-        return CycNum(self, self._xpow[k * self.L // n % self.L])
+        counts = [0] * self.L
+        counts[k * self.L // n % self.L] = 1
+        return CycNum(self, counts)
 
     def __repr__(self) -> str:
         return f"CycField(zeta_{self.L})"
 
 
 class CycNum:
-    """An element of a CycField; exact, hashable, comparable."""
+    """An element of a CycField: root counts over a positive denominator;
+    exact, hashable, comparable."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "counts", "den")
 
-    def __init__(self, field: CycField, coeffs):
+    def __init__(self, field: CycField, counts, den: int = 1):
+        if den < 1:
+            raise ValueError("a CycNum denominator must be positive")
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.counts = tuple(counts)
+        self.den = den
 
     def _check(self, other: "CycNum"):
         if other.field is not self.field and other.field.L != self.field.L:
             raise ValueError("CycNum operands from different fields")
 
-    def __add__(self, other: "CycNum") -> "CycNum":
+    def _combine(self, other: "CycNum", sign: int) -> "CycNum":
         self._check(other)
-        return CycNum(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm_of([other.den], self.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return CycNum(self.field, (a * x + b * y for x, y in zip(self.counts, other.counts)), den)
+
+    def __add__(self, other: "CycNum") -> "CycNum":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "CycNum") -> "CycNum":
-        self._check(other)
-        return CycNum(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycNum":
-        return CycNum(self.field, tuple(-a for a in self.coeffs))
+        return self._combine(other, -1)
 
     def scale(self, q) -> "CycNum":
-        q = Fraction(q)
-        return CycNum(self.field, tuple(q * a for a in self.coeffs))
+        """Multiplication by a rational (an int or a Fraction)."""
+        num, den = q.numerator, q.denominator
+        return CycNum(self.field, (num * c for c in self.counts), self.den * den)
 
-    def __mul__(self, other: "CycNum") -> "CycNum":
+    def __mul__(self, other) -> "CycNum":
+        """Product with a CycNum (a cyclic convolution of the counts) or an int."""
+        if isinstance(other, int):
+            return self.scale(other)
         self._check(other)
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1) if d else []
-        for i, a in enumerate(self.coeffs):
+        L = self.field.L
+        out = [0] * L
+        for i, a in enumerate(self.counts):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.counts):
                     if b:
-                        prod[i + j] += a * b
-        # reduce degrees >= d via the precomputed x^k table
-        out = list(prod[:d])
-        for k in range(d, len(prod)):
-            if prod[k]:
-                red = self.field._xpow[k % self.field.L]
-                for i in range(d):
-                    out[i] += prod[k] * red[i]
-        return CycNum(self.field, out)
+                        out[(i + j) % L] += a * b
+        return CycNum(self.field, out, self.den * other.den)
+
+    def __truediv__(self, k: int) -> "CycNum":
+        """Division by a positive int."""
+        return CycNum(self.field, self.counts, self.den * k)
+
+    def reduced(self) -> tuple[tuple[int, ...], int]:
+        """(power-basis numerators, denominator) in lowest terms: the one form
+        of the value mod Phi_L."""
+        coeffs = (np.array(self.counts, dtype=object) @ self.field.reduction).tolist()
+        g = math.gcd(self.den, *coeffs)
+        return tuple(c // g for c in coeffs), self.den // g
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.reduced()[0])
 
     def to_complex(self) -> complex:
+        """Horner's rule over the power basis, coefficient i the correctly
+        rounded float of its numerator over the denominator."""
+        coeffs, den = self.reduced()
         z = cmath.exp(2j * cmath.pi / self.field.L) if self.field.L > 1 else 1.0
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for c in reversed(coeffs):
+            acc = acc * z + complex(c / den)
         return acc
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycNum)
-            and self.field.L == other.field.L
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, CycNum) or self.field.L != other.field.L:
+            return False
+        if self.den == other.den and self.counts == other.counts:
+            return True
+        return self.reduced() == other.reduced()
 
     def __hash__(self) -> int:
-        return hash((self.field.L, self.coeffs))
+        return hash((self.field.L, self.reduced()))
 
     def __repr__(self) -> str:
-        return f"CycNum(L={self.field.L}, {self.coeffs})"
+        coeffs, den = self.reduced()
+        return f"CycNum(L={self.field.L}, {coeffs}/{den})"
 
 
 def lcm_of(values, base: int = 1) -> int:

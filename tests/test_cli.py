@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -47,8 +48,10 @@ def test_cohomology_c2_identity_grading(capsys):
 
 
 def test_cohomology_bad_degree_is_usage_error(capsys):
-    code, _ = run(capsys, "cohomology", "--group", "C2", "--degree", "3")
-    assert code == 2
+    code = main(["cohomology", "--group", "C2", "--degree", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
 
 
 def test_unknown_group_is_usage_error(capsys):
@@ -261,10 +264,16 @@ def test_indicators_honours_budget(capsys):
         '{"degree": 2, "denominator": 2, "values": {"1,1": 1.5, "1,3": 1.5, "3,1": 1.5, "3,3": 1.5}}',
         '{"degree": 2, "denominator": 2, "values": {"1,1": "1", "1,3": "1", "3,1": "1", "3,3": "1"}}',
         '{"degree": 2, "denominator": true, "values": {}}',
+        # a valid cocycle with one key spelled other than in canonical decimals
+        '{"degree": 2, "denominator": 2, "values": {"0_1,1": 1, "1,3": 1, "3,1": 1, "3,3": 1}}',
+        '{"degree": 2, "denominator": 2, "values": {"1,1": 1, "1, 3": 1, "3,1": 1, "3,3": 1}}',
+        '{"degree": 2, "denominator": 2, "values": {"1,1": 1, "1,3": 1, "+3,1": 1, "3,3": 1}}',
+        '{"degree": 2, "denominator": 2, "values": {"01,1": 0, "1,1": 1, "1,3": 1, "3,1": 1, "3,3": 1}}',
     ],
     ids=[
         "no-denominator", "zero-denominator", "list", "out-of-range-key", "wrong-arity-key",
         "non-integer-value", "string-value", "bool-denominator",
+        "underscore-key", "space-key", "plus-key", "leading-zero-key",
     ],
 )
 def test_malformed_cocycle_file_is_usage_error(tmp_path, capsys, text):
@@ -274,6 +283,21 @@ def test_malformed_cocycle_file_is_usage_error(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "extra, expected_code, golden",
+    [
+        ([], 0, "partition_D8_g0_all.jsonl"),
+        (["--format", "csv"], 0, "partition_D8_g0_all.csv"),
+        (["--debug-flip-tau"], 1, "partition_D8_g0_all_flip_tau.jsonl"),
+    ],
+)
+def test_partition_output_is_golden(capsys, extra, expected_code, golden):
+    """stdout is byte-identical to a capture of an earlier release (tests/data)."""
+    code, out = run(capsys, "partition", "--group", "D8", "--grading", "0", "--class", "all", *extra)
+    assert code == expected_code
+    assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
 def test_partition_builds_no_phase(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,37 @@ def test_cyc_arithmetic_exact():
     # (1+i)(1-i) = 2
     one = F.one
     assert (one + i) * (one - i) == F.from_rational(2)
+
+
+@pytest.mark.parametrize("L", range(1, 31))
+def test_reduction_matches_sympy_rem(L):
+    """Reduced coefficients are rem(sum c_k x^k, Phi_L) over the denominator,
+    and equality coincides with equal hashes plus equal reduced forms."""
+    from sympy import Poly, cyclotomic_poly, rem, symbols
+
+    x = symbols("x")
+    F = CycField(L)
+    rng = random.Random(L)
+    for _ in range(5):
+        counts = [rng.randint(-50, 50) for _ in range(L)]
+        den = rng.randint(1, 12)
+        a = F.from_counts(counts, den)
+        r = Poly(rem(sum(c * x**k for k, c in enumerate(counts)), cyclotomic_poly(L, x), x), x)
+        num, d = a.reduced()
+        assert [Fraction(c, d) for c in num] == [
+            Fraction(int(r.coeff_monomial(x**i)), den) for i in range(F.degree)
+        ]
+        k = rng.randint(2, 9)
+        others = [
+            F.from_counts([k * c for c in counts], k * den),  # a.d' = b.d, other denominator
+            a + F.root(rng.randrange(L), L),  # another value
+        ]
+        if L > 1:  # the L-th roots of unity sum to zero: other counts, the same value
+            others.append(F.from_counts([c + 1 for c in counts], den))
+        for b in others:
+            assert (a == b) == (hash(a) == hash(b) and a.reduced() == b.reduced())
+        assert others[0] == a and others[1] != a
+        assert all(b == a for b in others[2:])
 
 
 def test_lcm_of():

@@ -148,16 +148,17 @@ def test_orbifold_split_c2_untwisted():
     for i in range(2):
         for j in range(2):
             expected = F.field.one if i == j else F.field.zero
-            assert F.involution[i][j] == expected
+            assert F.field.from_counts(F.involution[i, j]) == expected
     Q = F.crosscap_vector()
-    assert Q[0] == F.field.from_rational(2) and Q[1].is_zero()
+    assert F.field.from_counts(Q[0]) == F.field.from_rational(2)
+    assert F.field.from_counts(Q[1]).is_zero()
 
 
 def test_orbifold_trivial_even_part():
     gg = split_grading(cyclic(1))
     F = orbifold(turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2)))
     assert F.dim == 1
-    assert F.crosscap_vector()[0] == F.field.one
+    assert F.field.from_counts(F.crosscap_vector()[0]) == F.field.one
 
 
 def test_orbifold_q8_crosscap_block_expansion():
@@ -171,7 +172,7 @@ def test_orbifold_q8_crosscap_block_expansion():
     # the crosscap section equals sum nu |G|/dim p_V numerically
     import numpy as np
 
-    Qv = np.array([c.to_complex() for c in F.crosscap_vector()])
+    Qv = np.array([F.field.from_counts(c).to_complex() for c in F.crosscap_vector()])
     recon = sum((b.indicator * 8 / b.dimension) * b.idempotent for b in bl)
     assert np.max(np.abs(Qv - recon)) < 1e-8
 
@@ -199,6 +200,27 @@ def test_closed_form_duals_are_dual(name):
                     assert F.vec_counit(F.vec_product(vec, dual)) == expected, (gg, i, j)
 
 
+@pytest.mark.parametrize("name", ["C4", "D8", "Q8", "C12"])
+def test_vec_product_matches_the_double_loop(name):
+    """The batched convolution equals sum over g, h of u_g v_h zeta^mult[g, h] on l_gh."""
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    for gg in enumerate_gradings(build_group(name)):
+        for lam in cohomology_classes(gg, 2)[0]:
+            F = orbifold(turaev_from_cocycle(gg, lam))
+            field, sub = F.field, gg.even_subgroup
+            u, v = rng.integers(-3, 4, size=(2, 2, sub.order, field.L))
+            got = F.vec_product(u, v)  # every pair (u[a], v[b])
+            for a, b in itertools.product(range(2), repeat=2):
+                expected = [field.zero] * sub.order
+                for g, h in itertools.product(range(sub.order), repeat=2):
+                    term = field.from_counts(u[a, g]) * field.from_counts(v[b, h])
+                    k = sub.table[g][h]
+                    expected[k] = expected[k] + term * field.root(int(F.mult[g, h]), field.L)
+                assert [field.from_counts(c) for c in got[a, b]] == expected
+
+
 def test_closed_form_duals_report_unequal_class_terms():
     from dataclasses import replace
 
@@ -218,19 +240,12 @@ def test_frobenius_mutations_fail():
     gg = split_grading(build_group("S3"))
     F = orbifold(turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2)))
     # p replaced by a non-involution (scale one matrix entry by -1)
-    bad_inv = tuple(
-        tuple(
-            v.scale(Fraction(-1)) if (i == 1 and j == 1) else v
-            for j, v in enumerate(row)
-        )
-        for i, row in enumerate(F.involution)
-    )
+    bad_inv = F.involution.copy()
+    bad_inv[1, 1] *= -1
     broken = replace(F, involution=bad_inv)
     assert not check_unoriented_frobenius(broken).ok
     # Q scaled by 2 breaks the comultiplication diagram
-    scaled = replace(
-        F, crosscap_coords=tuple(c.scale(Fraction(2)) for c in F.crosscap_coords)
-    )
+    scaled = replace(F, crosscap_coords=2 * F.crosscap_coords)
     report = check_unoriented_frobenius(scaled)
     assert not report.ok
     assert "crosscap-comultiplication" in {name for name, _ in report.failures()}
@@ -245,6 +260,28 @@ def test_mednykh_split_untwisted_counts():
         assert zt == zt.field.from_rational(classes)
         zr = partition_direct(gg, lam, RP2)
         assert zr == zr.field.from_rational(Fraction(sqrt_count, n))
+
+
+def test_cut_and_paste_past_int64():
+    """Untwisted split S4 at Sigma_10 and N_30, where |Z| passes 2^63, equals
+    |G|^(-chi) sum (nu d)^chi from the integer block dimensions and indicators."""
+    gg = split_grading(build_group("S4"), cap=48)
+    lam = TwistedCochain.zero(gg, 2)
+    F = orbifold(turaev_from_cocycle(gg, lam))
+    alg = algebra_from_graded(gg, lam)
+    bl = fs_indicators(blocks(alg), crosscap_element(gg, lam), alg)
+    n = gg.even_subgroup.order
+    for name in ["Sigma_g=10", "N_k=30"]:
+        surface = parse_surface(name)
+        chi = surface.euler_characteristic
+        signs = [1 if surface.orientable else b.indicator for b in bl]
+        exact = Fraction(n) ** -chi * sum(
+            Fraction(s * b.dimension) ** chi for s, b in zip(signs, bl) if s
+        )
+        if surface.orientable:
+            assert exact == 2 * 24**18 + 12**18 + 2 * 8**18
+        assert exact > 2**63
+        assert partition_tqft(F, surface) == F.field.from_rational(exact), name
 
 
 def test_torus_nontrivial_cocycle_on_c2c2_split():
@@ -304,7 +341,7 @@ def test_handle_element_is_central_and_diagonal_on_blocks():
     gg = split_grading(build_group("S3"))
     lam = TwistedCochain.zero(gg, 2)
     F = orbifold(turaev_from_cocycle(gg, lam))
-    H = np.array([c.to_complex() for c in handle_element(F)])
+    H = np.array([F.field.from_counts(c).to_complex() for c in handle_element(F)])
     alg = algebra_from_graded(gg, lam)
     for b in blocks(alg):
         prod = alg.product(H, b.idempotent)
