@@ -12,14 +12,13 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from importlib import resources
 
 from dwu.cohomology import cochain_from_json, cohomology_classes
 from dwu.groups import ResourceBudgetError, build_group, enumerate_gradings
 from dwu.reptheory import BlockComputationError
-from dwu.moduli import parse_surface
+from dwu.moduli import enumeration_budget, parse_surface
 from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import _turaev_data, check_turaev_axioms, check_unoriented_frobenius, consistency_report, orbifold
 
@@ -337,12 +336,8 @@ def main(argv=None) -> int:
         print("usage error: --degree must be 1 or 2", file=sys.stderr)
         return EXIT_USAGE
     try:
-        env = os.environ.get("DW_BUDGET")
-        if args.budget is None and env:
-            try:
-                args.budget = int(env)
-            except ValueError:
-                raise ValueError(f"DW_BUDGET must be an integer, got {env!r}") from None
+        if args.budget is None:
+            args.budget = enumeration_budget()
         with Emitter(args.format, args.out) as emitter:
             return args.func(args, emitter)
     except ResourceBudgetError as exc:

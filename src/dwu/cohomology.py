@@ -288,7 +288,7 @@ def cochain_to_json(c: TwistedCochain, group_name: str | None = None) -> str:
 
 def cochain_from_json(text: str, ref) -> TwistedCochain:
     """Inverse of cochain_to_json; malformed input raises ValueError."""
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     try:
         degree, N = _json_int(data["degree"]), _json_int(data["denominator"])
         if degree < 0 or N < 1:
@@ -299,6 +299,16 @@ def cochain_from_json(text: str, ref) -> TwistedCochain:
         return TwistedCochain.from_dict(ref, degree, mapping)
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed cochain file: {exc!r}") from None
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a repeated key raises ValueError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
 
 
 def _json_key(key: str) -> tuple:

@@ -3,10 +3,10 @@
 A groupoid is presented as a finite set with a group action; components carry
 their orbit size and automorphism (stabilizer) order, and integration weights
 a class function by 1/|Aut|.  Loop groupoids and the double reflective loop
-groupoid of a graded group are built as explicit action groupoids.  The orbit
-loop (groupoid components and the direct holonomy sum) and the flat-section
-search over conjugation (the exact orbifold and the floating-point center) are
-module functions shared by their callers.
+groupoid of a graded group are built as explicit action groupoids (the tests'
+references for the direct route and the KR integral).  The orbit loop and the
+flat-section search over conjugation (the exact orbifold and the
+floating-point center) are module functions shared by their callers.
 """
 
 from __future__ import annotations

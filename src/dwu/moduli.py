@@ -4,7 +4,8 @@ A surface is a fundamental-group presentation: one generator list with
 orientation characters (+1 for orientable handles, -1 for crosscap loops) and
 one relator word.  Holonomy points are generator tuples satisfying the relator
 whose signs match the orientation characters; the even subgroup acts by
-simultaneous conjugation.
+simultaneous conjugation.  Their enumeration and groupoids are the tests'
+references for the direct route, which walks the relator (dwu.tqft).
 
 Presentations used:
   sphere         no generators, empty relator
@@ -20,18 +21,34 @@ pairing reproduces the standard torus phase lambda(g2,g1) - lambda(g1,g2).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
+from dwu.groupoids import ActionGroupoid, double_real_loop_carrier
 from dwu.groups import FiniteGroup, GradedGroup, ResourceBudgetError
 
 DEFAULT_BUDGET = 5_000_000
 
 
 def enumeration_budget() -> int:
+    """DW_BUDGET when it is set, else DEFAULT_BUDGET; the one reader of DW_BUDGET."""
     env = os.environ.get("DW_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    try:
+        return int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise ValueError(f"DW_BUDGET must be an integer, got {env!r}") from None
+
+
+def require_budget(what: str, size: int, budget: int | None = None) -> None:
+    """Raise ResourceBudgetError when size exceeds budget (default: enumeration_budget())."""
+    if budget is None:
+        budget = enumeration_budget()
+    if size > budget:
+        raise ResourceBudgetError(f"{what} size {size} exceeds budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -109,37 +126,27 @@ def parse_surface(spec: str) -> Surface:
     raise ValueError(f"cannot parse surface spec {spec!r}")
 
 
-def word_value(group: FiniteGroup, word, holonomy) -> int:
-    acc = 0
+def word_value(group: FiniteGroup, word, holonomy, prefix=0):
+    """The product prefix * word at this holonomy; the holonomy entries and
+    prefix may be integer arrays, which broadcast."""
+    table, inv = np.asarray(group.table), np.asarray(group.inverse)
     for gen, exp in word:
-        g = holonomy[gen] if exp == 1 else group.inverse[holonomy[gen]]
-        acc = group.table[acc][g]
-    return acc
+        prefix = table[prefix, holonomy[gen] if exp == 1 else inv[holonomy[gen]]]
+    return prefix
 
 
 def holonomy_points(surface: Surface, GG: GradedGroup, budget: int | None = None) -> list[tuple]:
     """All generator tuples satisfying the relator and orientation characters."""
-    G = GG.group
-    chars = surface.generator_characters()
-    if budget is None:
-        budget = enumeration_budget()
-    pools = []
-    for c in chars:
-        pools.append([g for g in range(G.order) if GG.sign[g] == c])
-    total = 1
-    for p in pools:
-        total *= len(p)
-    if total > budget:
-        raise ResourceBudgetError(
-            f"holonomy enumeration size {total} exceeds budget {budget}"
-        )
-    word = surface.relator()
-    out = []
-    for tup in itertools.product(*pools):
-        if word_value(G, word, tup) == 0:
-            out.append(tup)
-    if not chars:
-        out = [()]
+    pools = [
+        [g for g in range(GG.group.order) if GG.sign[g] == c]
+        for c in surface.generator_characters()
+    ]
+    require_budget("holonomy enumeration", math.prod(map(len, pools)), budget)
+    tuples, out = itertools.product(*pools), []
+    while chunk := list(itertools.islice(tuples, 1 << 16)):  # bounded memory
+        columns = np.array(chunk, dtype=np.int64).reshape(len(chunk), len(pools)).T
+        ends = word_value(GG.group, surface.relator(), columns, np.zeros(len(chunk), np.int64))
+        out += [tup for tup, end in zip(chunk, ends) if end == 0]
     return out
 
 
@@ -149,28 +156,29 @@ def is_valid_holonomy(surface: Surface, GG: GradedGroup, tup) -> bool:
         return False
     if any(GG.sign[g] != c for g, c in zip(tup, chars)):
         return False
-    return word_value(GG.group, surface.relator(), tup) == 0
+    return bool(word_value(GG.group, surface.relator(), tup) == 0)
+
+
+def even_conjugation(GG: GradedGroup):
+    """act(k, tup): simultaneous conjugation of a tuple by the k-th even element."""
+    G = GG.group
+
+    def act(k, tup):
+        return tuple(G.conj(GG.even_part[k], g) for g in tup)
+
+    return act
 
 
 def bundle_groupoid(surface: Surface, GG: GradedGroup, budget: int | None = None):
     """Holonomy tuples modulo simultaneous conjugation by the even subgroup."""
-    from dwu.groupoids import ActionGroupoid
-
-    G = GG.group
-    sub = GG.even_subgroup
     points = holonomy_points(surface, GG, budget)
-
-    def act(k, tup):
-        h = GG.even_part[k]
-        return tuple(G.conj(h, g) for g in tup)
-
-    return ActionGroupoid.build(points, sub, act, label=f"Bun^or({surface.name})")
+    return ActionGroupoid.build(
+        points, GG.even_subgroup, even_conjugation(GG), label=f"Bun^or({surface.name})"
+    )
 
 
 def circle_groupoid(GG: GradedGroup):
     """Bundles on the circle: the even part under its own conjugation."""
-    from dwu.groupoids import ActionGroupoid
-
     sub = GG.even_subgroup
     return ActionGroupoid.build(
         range(sub.order), sub, lambda k, g: sub.conj(k, g), label="Bun(S1)"
@@ -183,8 +191,6 @@ def crosscap_groupoid(GG: GradedGroup):
     Boundary values are element indices of the ambient group (always even);
     GG.even_index converts them to circle_groupoid coordinates.
     """
-    from dwu.groupoids import ActionGroupoid
-
     G = GG.group
     sub = GG.even_subgroup
     odd = GG.odd_part()
@@ -200,14 +206,7 @@ def crosscap_groupoid(GG: GradedGroup):
 def one_loop_groupoid(GG: GradedGroup):
     """Torus and Klein-bottle moduli glued: the double real loop carrier
     (g, w) with w g^{sign w} w^{-1} = g, under even conjugation."""
-    from dwu.groupoids import ActionGroupoid, double_real_loop_carrier
-
-    G = GG.group
-
-    def act(k, pt):
-        h = GG.even_part[k]
-        return tuple(G.conj(h, x) for x in pt)
-
     return ActionGroupoid.build(
-        double_real_loop_carrier(GG), GG.even_subgroup, act, label="Bun^or(1-loop)"
+        double_real_loop_carrier(GG), GG.even_subgroup, even_conjugation(GG),
+        label="Bun^or(1-loop)",
     )

@@ -2,7 +2,8 @@
 closed-surface partition functions by three independent routes.
 
 Routes:
-  direct    (1/|G|) sum over holonomies of the transgressed pairing (exact)
+  direct    (1/|G|) sum over holonomies of the transgressed pairing, walked
+            one handle or crosscap at a time on counts per prefix (exact)
   tqft      cut-and-paste on the orbifold Frobenius algebra: counit of
             Handle^g(unit) or of Q^k (exact, same cyclotomic field)
   verlinde  |G|^(-chi) sum over blocks of (nu dim)^chi (floating, via the
@@ -13,8 +14,9 @@ of its structure constants are single roots of unity, held as exponent tables.
 Every exact value is a count of roots zeta_L^k over one denominator (an
 element of Z[Z/L], see dwu.phases): the orbifold algebra is the span of flat
 sections inside the twisted group algebra, its vectors are integer count
-arrays, and the partition sums count holonomies or orbits in Python ints and
-divide by the group order once.
+arrays, and the direct route and the KR integral count roots in Python ints
+and divide by the group order once; the tests hold both to the brute-force
+holonomy and groupoid sums of dwu.moduli and dwu.groupoids.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from dwu.cohomology import TwistedCochain
-from dwu.groupoids import flat_sections, orbits
+from dwu.groupoids import double_real_loop_carrier, flat_sections
 from dwu.groups import GradedGroup
-from dwu.moduli import Surface, holonomy_points
+from dwu.moduli import KLEIN, RP2, TORUS, Surface, require_budget, word_value
+from dwu.moduli import holonomy_points  # noqa: F401  (looked up here by perfbench's tracer)
 from dwu.phases import CycField, CycNum, Phase, lcm_of
 from dwu.reptheory import BlockData
 from dwu.transgression import _real_conjugation, relator_pairing, require_cocycle, tau_ref
@@ -562,41 +565,46 @@ def partition_direct(
 ) -> CycNum:
     """(1/|G|) sum over holonomies of the transgressed pairing, exactly.
 
-    The same value is recomputed as a groupoid integral over components and
-    compared; a mismatch raises ConventionError.
+    A walk over the relator's pieces, a handle [b, a] per genus or x^2 per
+    crosscap (the Klein bottle is two crosscaps): state[p, k] counts the
+    holonomies of the pieces so far with product p and pairing k mod N, and
+    a step convolves it with table[p, p', k], the count of piece holonomies
+    ((a, b) in G^2, or odd x) taking p to p' with fan pairing k read from p.
+    Z is state[e] over |G|.  The table's size is checked against the budget
+    before it is built; the state holds Python ints.
     """
     require_cocycle(lambda_hat)
-    N = lambda_hat.N
-    field = field or CycField(N)
-    points = holonomy_points(surface, GG, budget)
-    order = GG.even_subgroup.order
-    counts = [0] * N
-    for pt in points:
-        counts[relator_pairing(lambda_hat, surface, pt)] += 1
-    value = field.from_counts(counts, order)
-    # independent groupoid-cardinality form: each component weighs
-    # 1/|Aut| = (orbit size)/|G|
-    G = GG.group
-
-    def act(k, pt):
-        return tuple(G.conj(GG.even_part[k], g) for g in pt)
-
-    counts = [0] * N
-    for rep, size, _ in orbits(points, order, act):
-        counts[relator_pairing(lambda_hat, surface, rep)] += size
-    if value != field.from_counts(counts, order):
-        raise ConventionError("holonomy sum and groupoid integral disagree")
-    return value
+    N, n = lambda_hat.N, GG.even_subgroup.order
+    even, sub_of = np.asarray(GG.even_part), np.asarray(GG.even_index)
+    if surface.orientable:
+        piece, holonomy = TORUS, (even[:, None], even)
+    else:
+        piece, holonomy = RP2, (np.asarray(GG.odd_part()),)
+    require_budget("transfer table", n * np.broadcast(*holonomy).size, budget)
+    prefix = even[:, None, None]
+    ends = word_value(GG.group, piece.relator(), holonomy, prefix)
+    pairing = relator_pairing(lambda_hat, piece, holonomy, prefix)
+    table = np.zeros((n, n, N), np.int64)
+    np.add.at(table, tuple(np.broadcast_arrays(sub_of[prefix], sub_of[ends], pairing)), 1)
+    state = np.zeros((n, N), object)
+    state[0, 0] = 1
+    for _ in range(surface.param):
+        state = _convolve(state, table)
+    return (field or CycField(N)).from_counts(state[0], n)
 
 
 def partition_tqft(F: UnorientedFrobeniusData, surface: Surface) -> CycNum:
     """Cut-and-paste value: counit(H^g) or counit(Q^k).
 
-    The powers are taken over Python ints: their counts grow without bound."""
-    acc = F.unit_vector().astype(object)
-    if surface.param:
-        step = handle_element(F) if surface.kind == "orientable" else F.crosscap_vector()
-        for _ in range(surface.param):
+    The powers are taken by repeated squaring over Python ints: their counts
+    grow without bound."""
+    if not surface.param:
+        return F.vec_counit(F.unit_vector())
+    step = handle_element(F) if surface.kind == "orientable" else F.crosscap_vector()
+    acc = step = step.astype(object)
+    for bit in bin(surface.param)[3:]:  # the binary digits after the leading 1
+        acc = F.vec_product(acc, acc)
+        if bit == "1":
             acc = F.vec_product(acc, step)
     return F.vec_counit(acc)
 
@@ -627,24 +635,17 @@ def kr_rank(GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField | None 
 def _kr_integral(
     GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField, flip: bool = False
 ) -> CycNum:
-    """Integral of tau_ref over the double real loop; flip adds 1/2 on odd w
-    (in Q(zeta_2L) when L is odd)."""
-    from dwu.groupoids import double_real_loop
-
-    t = tau_ref(lambda_hat, GG).table.tolist()
-    N = lambda_hat.N
-    gpd = double_real_loop(GG)
-    if flip and field.L % 2:
-        field = CycField(2 * field.L)
-
-    def f(pt):
-        g, w = pt
-        if flip and GG.sign[w] == -1:
-            return field.root(2 * t[w][g] + N, 2 * N)
-        return field.root(t[w][g], N)
-
-    value = gpd.integrate(f)
-    return value if value != 0 else field.zero
+    """Integral of tau_ref over the double real loop: its roots counted over
+    the carrier and divided by |G^| once (a component weighs orbit size/|G^|).
+    flip adds 1/2 on odd w (in Q(zeta_2L) when L is odd)."""
+    g, w = np.array(double_real_loop_carrier(GG)).T
+    k, M = tau_ref(lambda_hat, GG).table[w, g], lambda_hat.N  # the root zeta_M^k per point
+    if flip:
+        k, M = 2 * k + M * (np.asarray(GG.sign)[w] == -1), 2 * M
+        if field.L % 2:
+            field = CycField(2 * field.L)
+    counts = np.bincount(k * field.L // M % field.L, minlength=field.L)
+    return field.from_counts(counts, GG.group.order)
 
 
 def one_loop(
@@ -654,8 +655,6 @@ def one_loop(
     budget: int | None = None,
 ) -> CycNum:
     """(Z(T^2) + Z(K))/2."""
-    from dwu.moduli import KLEIN, TORUS
-
     field = field or CycField(lambda_hat.N)
     zt = partition_direct(GG, lambda_hat, TORUS, field=field, budget=budget)
     zk = partition_direct(GG, lambda_hat, KLEIN, field=field, budget=budget)
@@ -676,7 +675,6 @@ def consistency_report(
     flip_tau_debug flips the sign of the odd-sector KR integrand, a deliberate
     convention fault for exercising failure reporting.
     """
-    from dwu.moduli import KLEIN, RP2, TORUS
     from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 
     require_cocycle(lambda_hat)

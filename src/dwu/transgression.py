@@ -9,16 +9,19 @@ which restricts on even w to the ordinary loop transgression
 tau(h, g) = L(h g h^-1, h) - L(h, g).
 
 Surface pairings <L, [Sigma]> are evaluated on an explicit 2-chain: the fan
-sum_j [p_j | s_{j+1}] over prefixes p_j of the relator word, corrected by
--[x | x^-1] for every generator whose relator letters are x and x^-1 (handles
-and the odd Klein generator); the x^2 letters of crosscap generators already
-cancel in the twisted boundary.  These conventions reproduce the literal
-closed forms for the torus, the projective plane and the Klein bottle.
+sum_j [p_j | s_j] over the letters s_j of the relator word, p_j the product
+of the letters before s_j (the term of p_0 = e is 0 on normalized cochains),
+corrected by -[x | x^-1] for every generator whose relator letters are x and
+x^-1 (handles and the odd Klein generator); the x^2 letters of crosscap
+generators already cancel in the twisted boundary.  These conventions
+reproduce the literal closed forms for the torus, the projective plane and
+the Klein bottle.  A relator's pairing is the sum of the fans of its pieces,
+each read after the pieces before it: the direct route walks them.
 
 Everything here is an integer exponent mod the cocycle's N: tau_ref and
-tau_circle are exponent tables, and a pairing is a sum of Python ints mod N.
-pair_surface and the closed forms return a Phase, the value type at the API
-edge.
+tau_circle are exponent tables, and a pairing is a sum of integers mod N, for
+integer arrays of holonomies at once.  pair_surface and the closed forms
+return a Phase, the value type at the API edge.
 """
 
 from __future__ import annotations
@@ -103,30 +106,23 @@ def tau_circle(lmbda: TwistedCochain, group: FiniteGroup) -> list:
     ]
 
 
-def relator_pairing(cochain: TwistedCochain, surface: Surface, holonomy) -> int:
+def relator_pairing(cochain: TwistedCochain, surface: Surface, holonomy, prefix=0):
     """<cochain, fundamental 2-chain> for the surface's relator at this
-    holonomy, as an exponent mod cochain.N."""
-    group = cochain.group
-    lam = cochain.rows
-    letters = [
-        holonomy[gen] if exp == 1 else group.inverse[holonomy[gen]] for gen, exp in surface.relator()
-    ]
-    acc = prefix = 0
-    for j in range(len(letters) - 1):
-        prefix = group.table[prefix][letters[j]]
-        acc += lam[prefix][letters[j + 1]]
-    for gen in _correction_generators(surface):
-        x = holonomy[gen]
-        acc -= lam[x][group.inverse[x]]
+    holonomy, as an exponent mod cochain.N.
+
+    The fan starts at prefix: with prefix p the value is that of the relator
+    word read after a word of product p, one piece of a longer relator.  The
+    holonomy entries and prefix may be integer arrays, which broadcast."""
+    table, inv = np.asarray(cochain.group.table), np.asarray(cochain.group.inverse)
+    lam = cochain.table
+    acc = 0
+    for gen, exp in surface.relator():
+        x = holonomy[gen] if exp == 1 else inv[holonomy[gen]]
+        acc = acc + lam[prefix, x]
+        if exp == -1:  # the correction -[y | y^-1] of a generator y = x^-1
+            acc = acc - lam[holonomy[gen], x]
+        prefix = table[prefix, x]
     return acc % cochain.N
-
-
-def _correction_generators(surface: Surface):
-    if surface.kind == "orientable":
-        return range(2 * surface.param)
-    if surface.param == 2:
-        return (1,)  # the odd Klein generator appears as b and b^-1
-    return ()
 
 
 def pair_surface(lambda_hat: TwistedCochain, GG: GradedGroup, surface: Surface, holonomy) -> Phase:
@@ -134,7 +130,7 @@ def pair_surface(lambda_hat: TwistedCochain, GG: GradedGroup, surface: Surface, 
     require_cocycle(lambda_hat)
     if not is_valid_holonomy(surface, GG, holonomy):
         raise ValueError(f"invalid holonomy {holonomy} for {surface.name}")
-    return Phase(relator_pairing(lambda_hat, surface, holonomy), lambda_hat.N)
+    return Phase(int(relator_pairing(lambda_hat, surface, holonomy)), lambda_hat.N)
 
 
 def torus_closed_form(lambda_hat: TwistedCochain, holonomy) -> Phase:

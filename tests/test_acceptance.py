@@ -20,7 +20,7 @@ from dwu.cohomology import (
     twisted_differential,
 )
 from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
-from dwu.moduli import KLEIN, RP2, TORUS, parse_surface
+from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
 from dwu.phases import CycField, Phase
 from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
@@ -251,3 +251,39 @@ def test_criterion_9_crosscap_trace_identity(sweep):
         worst = max(worst, delta)
         assert delta < 1e-12, (name, gi, ci, delta)
     print(f"\nACCEPT-9 counit(Q) = Z(RP2) to 1e-12 (worst {worst:.2e}): PASS")
+
+
+REFERENCE_SURFACES = [SPHERE, *SWEEP_SURFACES]
+LARGE_SURFACES = [
+    parse_surface(s)
+    for s in ["Sigma_g=3", "Sigma_g=5", "Sigma_g=8", "N_k=5", "N_k=8", "N_k=16"]
+]
+
+
+def test_direct_walk_equals_the_reference_sums(sweep):
+    """The relator walk equals the brute-force holonomy sum and its orbit form,
+    and the KR root count equals the action-groupoid integral, with and
+    without the flip, exactly on every manifest class."""
+    from dwu.tqft import _kr_integral, kr_rank, partition_direct
+    from oracles import enumeration_sum, kr_groupoid_integrals, orbit_sum
+
+    for name, gi, ci, gg, lam, _ in sweep["rows"]:
+        field = CycField(lam.N)
+        for surface in REFERENCE_SURFACES:
+            walk = partition_direct(gg, lam, surface, field=field)
+            case = (name, gi, ci, surface.name)
+            assert walk == enumeration_sum(gg, lam, surface, field), case
+            assert walk == orbit_sum(gg, lam, surface, field), case
+        plain, flipped = kr_groupoid_integrals(gg, lam, field)
+        assert kr_rank(gg, lam, field) == plain, (name, gi, ci)
+        assert _kr_integral(gg, lam, field, flip=True) == flipped, (name, gi, ci)
+
+
+def test_direct_walk_equals_cut_and_paste_past_the_sweep_surfaces(sweep):
+    from dwu.tqft import orbifold, partition_direct, partition_tqft
+
+    for name, gi, ci, gg, lam, _ in sweep["rows"]:
+        F = orbifold(turaev_from_cocycle(gg, lam))
+        for surface in LARGE_SURFACES:
+            direct = partition_direct(gg, lam, surface, field=F.field)
+            assert direct == partition_tqft(F, surface), (name, gi, ci, surface.name)

@@ -269,11 +269,13 @@ def test_indicators_honours_budget(capsys):
         '{"degree": 2, "denominator": 2, "values": {"1,1": 1, "1, 3": 1, "3,1": 1, "3,3": 1}}',
         '{"degree": 2, "denominator": 2, "values": {"1,1": 1, "1,3": 1, "+3,1": 1, "3,3": 1}}',
         '{"degree": 2, "denominator": 2, "values": {"01,1": 0, "1,1": 1, "1,3": 1, "3,1": 1, "3,3": 1}}',
+        # a valid cocycle once the repeated key's last value wins
+        '{"degree": 2, "denominator": 2, "values": {"1,1": 0, "1,1": 1, "1,3": 1, "3,1": 1, "3,3": 1}}',
     ],
     ids=[
         "no-denominator", "zero-denominator", "list", "out-of-range-key", "wrong-arity-key",
         "non-integer-value", "string-value", "bool-denominator",
-        "underscore-key", "space-key", "plus-key", "leading-zero-key",
+        "underscore-key", "space-key", "plus-key", "leading-zero-key", "repeated-key",
     ],
 )
 def test_malformed_cocycle_file_is_usage_error(tmp_path, capsys, text):
@@ -285,19 +287,50 @@ def test_malformed_cocycle_file_is_usage_error(tmp_path, capsys, text):
     assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "extra, expected_code, golden",
-    [
-        ([], 0, "partition_D8_g0_all.jsonl"),
-        (["--format", "csv"], 0, "partition_D8_g0_all.csv"),
-        (["--debug-flip-tau"], 1, "partition_D8_g0_all_flip_tau.jsonl"),
-    ],
-)
+GOLDEN = [
+    ([], 0, "partition_D8_g0_all.jsonl"),
+    (["--format", "csv"], 0, "partition_D8_g0_all.csv"),
+    (["--debug-flip-tau"], 1, "partition_D8_g0_all_flip_tau.jsonl"),
+]
+
+
+@pytest.mark.parametrize("extra, expected_code, golden", GOLDEN)
 def test_partition_output_is_golden(capsys, extra, expected_code, golden):
     """stdout is byte-identical to a capture of an earlier release (tests/data)."""
     code, out = run(capsys, "partition", "--group", "D8", "--grading", "0", "--class", "all", *extra)
     assert code == expected_code
     assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
+@pytest.mark.parametrize("extra, expected_code, golden", GOLDEN)
+def test_partition_enumerates_no_points_and_builds_no_groupoid(
+    capsys, monkeypatch, extra, expected_code, golden
+):
+    """The golden output without holonomy enumeration, orbits or action groupoids."""
+    from dwu.groupoids import ActionGroupoid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI path enumerated points or built a groupoid")
+
+    for target in ["dwu.moduli.holonomy_points", "dwu.tqft.holonomy_points", "dwu.groupoids.orbits"]:
+        monkeypatch.setattr(target, refuse)
+    monkeypatch.setattr(ActionGroupoid, "__post_init__", refuse)
+    code, out = run(capsys, "partition", "--group", "D8", "--grading", "0", "--class", "all", *extra)
+    assert code == expected_code
+    assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
+def test_partition_past_the_old_enumeration_budget(capsys, monkeypatch):
+    """Q8xC2 at Sigma_4 and N_8 (8^8 holonomy candidates) under the default budget."""
+    monkeypatch.delenv("DW_BUDGET", raising=False)
+    code, out = run(
+        capsys, "partition", "--group", "Q8xC2", "--grading", "0",
+        "--surfaces", "Sigma_g=4,N_k=8",
+    )
+    assert code == 0
+    records = jsonl(out)
+    assert {r["surface"] for r in records} >= {"Sigma_g=4", "N_k=8"}
+    assert all(r["max_delta"] < 1e-6 for r in records)
 
 
 def test_partition_builds_no_phase(capsys, monkeypatch):

@@ -10,7 +10,14 @@ from dwu.cohomology import (
     random_cochain,
     twisted_differential,
 )
-from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
+from dwu.groups import (
+    GradedGroup,
+    ResourceBudgetError,
+    build_group,
+    cyclic,
+    enumerate_gradings,
+    split_grading,
+)
 from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
 from dwu.phases import CycField, Phase
 from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
@@ -264,7 +271,8 @@ def test_mednykh_split_untwisted_counts():
 
 def test_cut_and_paste_past_int64():
     """Untwisted split S4 at Sigma_10 and N_30, where |Z| passes 2^63, equals
-    |G|^(-chi) sum (nu d)^chi from the integer block dimensions and indicators."""
+    |G|^(-chi) sum (nu d)^chi from the integer block dimensions and indicators,
+    by cut-and-paste and by the direct route."""
     gg = split_grading(build_group("S4"), cap=48)
     lam = TwistedCochain.zero(gg, 2)
     F = orbifold(turaev_from_cocycle(gg, lam))
@@ -282,6 +290,26 @@ def test_cut_and_paste_past_int64():
             assert exact == 2 * 24**18 + 12**18 + 2 * 8**18
         assert exact > 2**63
         assert partition_tqft(F, surface) == F.field.from_rational(exact), name
+        assert partition_direct(gg, lam, surface) == F.field.from_rational(exact), name
+
+
+def test_direct_budget_bounds_the_transfer_table():
+    """The budget bounds the walk's transfer table, states times choices per
+    step, whatever the number of steps (the sphere takes none)."""
+    gg = enumerate_gradings(build_group("D8"))[0]
+    assert gg.even_subgroup.order == len(gg.odd_part()) == 4
+    lam = TwistedCochain.zero(gg, 2)
+    handle, crosscap = 4 * 4**2, 4 * 4  # even prefixes times choices of (a, b), of odd x
+    cases = [
+        (SPHERE, handle),
+        (parse_surface("Sigma_g=9"), handle),
+        (RP2, crosscap),
+        (parse_surface("N_k=40"), crosscap),
+    ]
+    for surface, size in cases:
+        with pytest.raises(ResourceBudgetError):
+            partition_direct(gg, lam, surface, budget=size - 1)
+        assert partition_direct(gg, lam, surface, budget=size) == partition_direct(gg, lam, surface)
 
 
 def test_torus_nontrivial_cocycle_on_c2c2_split():
