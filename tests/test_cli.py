@@ -302,6 +302,15 @@ def test_partition_output_is_golden(capsys, extra, expected_code, golden):
     assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
+@pytest.mark.parametrize("group", ["Q8xC2", "D16", "C2xC2xC2"])
+def test_indicators_output_is_golden(capsys, group):
+    """Block order and idempotent fingerprints match a capture of an earlier release."""
+    code, out = run(capsys, "indicators", "--group", group)
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"indicators_{group}_all.jsonl"
+    assert out.encode() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("extra, expected_code, golden", GOLDEN)
 def test_partition_enumerates_no_points_and_builds_no_groupoid(
     capsys, monkeypatch, extra, expected_code, golden
