@@ -44,7 +44,6 @@ from dwu.reptheory import (
     duality_phases,
     fs_indicators,
     real_1d_phases,
-    twisted_algebra,
 )
 from dwu.tqft import (
     TuraevAlgebraData,
@@ -110,6 +109,5 @@ __all__ = [
     "split_grading",
     "tau_ref",
     "turaev_from_cocycle",
-    "twisted_algebra",
     "twisted_differential",
 ]

@@ -17,9 +17,8 @@ from importlib import resources
 
 from dwu.cohomology import cochain_from_json, cohomology_classes
 from dwu.groups import ResourceBudgetError, build_group, enumerate_gradings
-from dwu.reptheory import BlockComputationError
 from dwu.moduli import enumeration_budget, parse_surface
-from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
+from dwu.reptheory import BlockComputationError, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import _turaev_data, check_turaev_axioms, check_unoriented_frobenius, consistency_report, orbifold
 
 EXIT_OK = 0
@@ -59,7 +58,10 @@ class Emitter:
         self.fmt = fmt
         self.records = []
         self.out_path = out_path
-        self._fh = open(out_path, "w") if out_path else sys.stdout
+        try:
+            self._fh = open(out_path, "w") if out_path else sys.stdout
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ValueError(str(exc)) from exc
 
     @staticmethod
     def _flatten(record: dict) -> dict:
@@ -163,9 +165,7 @@ def cmd_indicators(args, emitter: Emitter) -> int:
     for gi, gg in gradings:
         for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file, args.cap):
             alg = algebra_from_graded(gg, lam)
-            bl = fs_indicators(
-                blocks(alg, seed=args.seed), crosscap_element(gg, lam), alg
-            )
+            bl = fs_indicators(blocks(alg), crosscap_element(gg, lam), alg)
             from dwu.moduli import RP2
             from dwu.tqft import partition_direct
 
@@ -240,7 +240,6 @@ def cmd_partition(args, emitter: Emitter) -> int:
                     surfaces,
                     tol=args.tol,
                     budget=args.budget,
-                    seed=args.seed,
                     flip_tau_debug=args.debug_flip_tau,
                 )
                 base = {"group": name, "grading": gi, "class": ci}
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--cocycle-file", default=None, help="JSON cocycle file overriding --class")
         p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--seed", type=int, default=12345)
+        p.add_argument("--seed", type=int, default=12345, help="accepted; has no effect")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--budget", type=int, default=None, help="enumeration budget override")

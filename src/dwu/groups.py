@@ -27,6 +27,12 @@ class ResourceBudgetError(RuntimeError):
     pass
 
 
+def require_order(order: int, cap: int) -> None:
+    """Refuse a group of this order before any table is allocated for it."""
+    if order > cap:
+        raise ResourceBudgetError(f"group order {order} exceeds cap {cap}")
+
+
 def verify_group_axioms(table) -> None:
     """Raise GroupAxiomError unless table is a group with identity at index 0."""
     n = len(table)
@@ -76,8 +82,7 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, table, name: str = "G", cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
-        if len(table) > cap:
-            raise ResourceBudgetError(f"group order {len(table)} exceeds cap {cap}")
+        require_order(len(table), cap)
         table = tuple(tuple(int(v) for v in row) for row in table)
         verify_group_axioms(table)
         return cls(order=len(table), table=table, name=name)
@@ -276,6 +281,9 @@ def enumerate_gradings(G_hat: FiniteGroup) -> list[GradedGroup]:
 
 
 def cyclic(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    if n < 1:
+        raise ValueError(f"cyclic group order must be at least 1, got {n}")
+    require_order(n, cap)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup.from_table(table, name=f"C{n}", cap=cap)
 
@@ -284,6 +292,7 @@ def dihedral(order: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Dihedral group of the given (even) order; r^i s^j with j in {0,1}."""
     if order % 2 or order < 2:
         raise ValueError("dihedral order must be even and >= 2")
+    require_order(order, cap)
     n = order // 2
 
     def idx(i, j):
@@ -344,6 +353,7 @@ def symmetric(n: int) -> FiniteGroup:
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     n, m = A.order, B.order
+    require_order(n * m, cap)
 
     def idx(a, b):
         return a * m + b
@@ -375,8 +385,7 @@ def build_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         g = symmetric(int(spec[1:]))
     else:
         raise ValueError(f"unknown group spec {spec!r}")
-    if g.order > cap:
-        raise ResourceBudgetError(f"group order {g.order} exceeds cap {cap}")
+    require_order(g.order, cap)
     return g
 
 

@@ -84,48 +84,50 @@ def row_reduce_mod(A: np.ndarray, N: int):
     return H, pivots
 
 
-def kernel_mod(A: np.ndarray, N: int) -> np.ndarray:
-    """Generators (rows) of {x in (Z/N)^n : A @ x = 0 mod N}."""
+def _reduce_transposed(A: np.ndarray, N: int):
+    """Howell form of [A^T | I] and the width m of its left half; each row's right
+    half is the combination of columns of A giving its left half."""
     A = np.asarray(A, dtype=np.int64) % N
-    m, n = A.shape
-    # reduce [A^T | I]; rows with zero left half give kernel generators
-    aug = np.hstack([A.T % N, np.eye(n, dtype=np.int64)])
-    H, _ = row_reduce_mod(aug, N)
+    H, _ = row_reduce_mod(np.hstack([A.T, np.eye(A.shape[1], dtype=np.int64)]), N)
+    return H, A.shape[0]
+
+
+def _kernel_rows(H: np.ndarray, m: int, N: int) -> np.ndarray:
+    # rows with zero left half give kernel generators
     gens = [r[m:] for r in H if not r[:m].any()]
-    # always include N*e_i implicitly: 0 mod N, so nothing to add
     if not gens:
-        return np.zeros((0, n), dtype=np.int64)
+        return np.zeros((0, H.shape[1] - m), dtype=np.int64)
     K, _ = row_reduce_mod(np.array(gens, dtype=np.int64), N)
     return K
 
 
-def solve_mod(A: np.ndarray, b: np.ndarray, N: int):
-    """One solution x of A @ x = b mod N, or None."""
-    A = np.asarray(A, dtype=np.int64) % N
-    b = np.asarray(b, dtype=np.int64) % N
-    m, n = A.shape
-    aug = np.hstack([A.T % N, np.eye(n, dtype=np.int64)])
-    H, _ = row_reduce_mod(aug, N)
-    # reduce b against rows of H's left half
-    r = b.copy()
-    x = np.zeros(n, dtype=np.int64)
+def _back_substitute(H: np.ndarray, m: int, b: np.ndarray, N: int):
+    # reduce b against the rows of H's left half
+    r = np.asarray(b, dtype=np.int64) % N
+    x = np.zeros(H.shape[1] - m, dtype=np.int64)
     for row in H:
-        left = row[:m]
-        nz = np.nonzero(left)[0]
-        if len(nz) == 0:
+        nz = np.flatnonzero(row[:m])
+        if len(nz) == 0 or r[nz[0]] == 0:
             continue
-        c = nz[0]
-        piv = int(left[c])
-        if r[c] % N == 0:
-            continue
-        if int(r[c]) % piv != 0:
+        q, rem = divmod(int(r[nz[0]]), int(row[nz[0]]))
+        if rem:
             return None
-        q = int(r[c]) // piv
-        r = (r - q * left) % N
+        r = (r - q * row[:m]) % N
         x = (x + q * row[m:]) % N
     if r.any():
         return None
     return x
+
+
+def kernel_mod(A: np.ndarray, N: int) -> np.ndarray:
+    """Generators (rows) of {x in (Z/N)^n : A @ x = 0 mod N}."""
+    return _kernel_rows(*_reduce_transposed(A, N), N)
+
+
+def solve_mod(A: np.ndarray, b: np.ndarray, N: int):
+    """One solution x of A @ x = b mod N, or None."""
+    H, m = _reduce_transposed(A, N)
+    return _back_substitute(H, m, b, N)
 
 
 def quotient_invariants(kernel_gens: np.ndarray, relation_rows: np.ndarray, N: int):
@@ -139,21 +141,20 @@ def quotient_invariants(kernel_gens: np.ndarray, relation_rows: np.ndarray, N: i
     k = kernel_gens.shape[0]
     if k == 0:
         return [], np.zeros((0, kernel_gens.shape[1] if kernel_gens.ndim == 2 else 0), dtype=np.int64)
-    # express each relation in kernel coordinates
+    # one reduction of [Z | I] expresses each relation in kernel coordinates
+    # and gives the syzygies of the generators, which need not be independent
+    H, m = _reduce_transposed(kernel_gens.T, N)
     coords = []
     for rel in relation_rows:
-        c = solve_mod(kernel_gens.T, rel, N)
+        c = _back_substitute(H, m, rel, N)
         if c is None:
             raise ValueError("relation not inside kernel span")
         coords.append(c)
     M = np.array(coords, dtype=np.int64).reshape(-1, k) if coords else np.zeros((0, k), dtype=np.int64)
-    # generators need not be independent over Z/N: include their syzygies
-    syzygies = kernel_mod(kernel_gens.T, N)
+    syzygies = _kernel_rows(H, m, N)
     M = np.vstack([M, syzygies.reshape(-1, k), N * np.eye(k, dtype=np.int64)])
     factors, V = _smith_mod(M, N)
-    # generators of the quotient: rows of V^{-1}... we track the column ops so
-    # that new coordinates y = x @ V; generator i of the quotient is the kernel
-    # combination given by row i of inv(V).  Track inverse directly instead.
+    # row i of V is quotient generator i as a combination of the kernel generators
     basis = (V @ kernel_gens) % N
     out_factors, out_basis = [], []
     for f, row in zip(factors, basis):

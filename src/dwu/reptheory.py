@@ -1,18 +1,24 @@
 """The twisted group algebra over the even part and its block data.
 
+The algebra is two (n, n) tables over the even subgroup: the product table
+and the phases exp(2 pi i lambda(g, h)).  A product of coefficient vectors is
+one scatter-add of u_g v_h phase(g, h) onto table[g, h], batched over any
+leading axes, so the centre's structure constants, the idempotent checks and
+centrality are each one call.
+
 Blocks (primitive central idempotents) are found without character tables:
 the center is spanned by regular-class sums, a random real combination of the
 multiplication operators on the center separates the simultaneous eigenvectors,
-and each eigenvector normalizes to an idempotent.  Block dimensions come from
-the identity coefficient, and twisted Frobenius-Schur indicators come from
-expanding the crosscap element Q = sum_s lambda^(s,s) l_{s^2} over the blocks
-as Q = sum_V nu(V) (|G|/dim V) p_V.
+and each eigenvector normalizes to an idempotent.  The draw is fixed
+(default_rng(12345)); the blocks do not depend on it.  Block dimensions come
+from the identity coefficient, and twisted Frobenius-Schur indicators come
+from expanding the crosscap element Q = sum_s lambda^(s,s) l_{s^2} over the
+blocks as Q = sum_V nu(V) (|G|/dim V) p_V.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +28,8 @@ from dwu.groups import GradedGroup, real_conjugate
 from dwu.phases import Phase, root_of_unity
 from dwu.transgression import require_cocycle, tau_circle, tau_ref
 
-INTERNAL_TOL = 1e-9
-REPORT_TOL = 1e-6
+INTERNAL_TOL = 1e-9  # block extraction
+REPORT_TOL = 1e-6  # indicator integrality
 
 
 class BlockComputationError(RuntimeError):
@@ -44,89 +50,48 @@ class BlockData:
 
 
 class TwistedGroupAlgebra:
-    """C^lambda[G] for G the even part; l_g l_h = exp(2 pi i lambda(g,h)) l_{gh}."""
+    """C^lambda[G] for G the even part; l_g l_h = phase[g, h] l_{table[g, h]}."""
 
     def __init__(self, GG: GradedGroup, lam: TwistedCochain):
-        self.GG = GG
         self.group = GG.even_subgroup
         if lam.group.table != self.group.table or any(s != 1 for s in lam.signs):
             raise ValueError("lambda must be an untwisted cochain on the even subgroup")
         require_cocycle(lam)
         self.lam = lam
-        self._mult = [[root_of_unity(k, lam.N) for k in row] for row in lam.rows]
-        self._tau = tau_circle(lam, self.group)
-
-    @property
-    def dim(self) -> int:
-        return self.group.order
-
-    def mult_phase(self, g: int, h: int) -> Phase:
-        return self.lam.value((g, h))
-
-    def unit(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-    def basis_product(self, g: int, h: int) -> tuple[int, complex]:
-        return self.group.table[g][h], self._mult[g][h]
+        self.dim = self.group.order
+        self.table = np.array(self.group.table, dtype=np.intp)
+        self.phase = np.array([[root_of_unity(k, lam.N) for k in row] for row in lam.rows])
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        for g in range(self.dim):
-            if u[g] == 0:
-                continue
-            for h in range(self.dim):
-                if v[h] == 0:
-                    continue
-                k, ph = self.basis_product(g, h)
-                out[k] += u[g] * v[h] * ph
+        """u v over the last axis; leading axes broadcast."""
+        terms = u[..., :, None] * v[..., None, :] * self.phase
+        out = np.zeros(terms.shape[:-1], dtype=complex)
+        np.add.at(out, (..., self.table), terms)
         return out
 
-    def left_mult_matrix(self, g: int) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        for h in range(self.dim):
-            k, ph = self.basis_product(g, h)
-            M[k, h] = ph
-        return M
-
-    def regular_class_exponents(self) -> list[dict]:
-        """Per lambda-regular class, the flat coefficients {g: exponent mod lam.N}."""
-        tau, N = self._tau, self.lam.N
+    def center_basis(self) -> np.ndarray:
+        """One row per lambda-regular class: its flat class sum."""
+        tau, N = tau_circle(self.lam, self.group), self.lam.N
         sections = flat_sections(self.group, 0, lambda k, g, e: (e - tau[k][g]) % N)
-        return [exponents for _, exponents in sections]
-
-    def center_basis(self) -> list[np.ndarray]:
-        vecs = []
-        for exponents in self.regular_class_exponents():
-            v = np.zeros(self.dim, dtype=complex)
-            for g, k in exponents.items():
-                v[g] = root_of_unity(k, self.lam.N)
-            vecs.append(v)
-        return vecs
-
-def twisted_algebra(GG: GradedGroup, lam: TwistedCochain) -> TwistedGroupAlgebra:
-    return TwistedGroupAlgebra(GG, lam)
+        Z = np.zeros((len(sections), self.dim), dtype=complex)
+        for row, (_, exponents) in zip(Z, sections):
+            row[list(exponents)] = [root_of_unity(k, N) for k in exponents.values()]
+        return Z
 
 
-def blocks(algebra: TwistedGroupAlgebra, seed: int = 12345, tol: float = INTERNAL_TOL) -> list[BlockData]:
+def blocks(algebra: TwistedGroupAlgebra) -> list[BlockData]:
     """Primitive central idempotents with dimensions, deterministically ordered."""
     centre = algebra.center_basis()
     r = len(centre)
     n = algebra.dim
     if r == 0:
         raise BlockComputationError("empty center")
-    reps = [int(np.argmax(np.abs(v))) for v in centre]
-    # structure constants of the center: z_i z_j = sum_k c_ijk z_k (disjoint supports)
-    mats = []
-    for i in range(r):
-        M = np.zeros((r, r), dtype=complex)
-        for j in range(r):
-            prod = algebra.product(centre[i], centre[j])
-            for k in range(r):
-                M[k, j] = prod[reps[k]] / centre[k][reps[k]]
-        mats.append(M)
-    rng = np.random.default_rng(seed)
+    reps = np.argmax(np.abs(centre), axis=1)
+    # structure constants of the center: z_i z_j = sum_k c_ijk z_k (disjoint
+    # supports), mats[i][k, j] = c_ijk
+    prods = algebra.product(centre[:, None], centre[None, :])
+    mats = (prods[:, :, reps] / centre[np.arange(r), reps]).transpose(0, 2, 1)
+    rng = np.random.default_rng(12345)
     for _ in range(8):
         w = rng.standard_normal(r)
         T = sum(wi * M for wi, M in zip(w, mats))
@@ -135,35 +100,33 @@ def blocks(algebra: TwistedGroupAlgebra, seed: int = 12345, tol: float = INTERNA
             break
     else:
         raise BlockComputationError("could not separate center eigenvalues")
-    out = []
-    for idx in range(r):
-        coeffs = evecs[:, idx]
-        a = sum(c * v for c, v in zip(coeffs, centre))
-        a2 = algebra.product(a, a)
-        j = int(np.argmax(np.abs(a)))
-        kappa = a2[j] / a[j]
-        if abs(kappa) < tol:
-            raise BlockComputationError("nilpotent direction in a semisimple center")
-        p = a / kappa
-        residual = np.max(np.abs(algebra.product(p, p) - p))
-        if residual > tol:
-            raise BlockComputationError(f"idempotent residual {residual:.2e}")
-        d_sq = n * p[0]
-        if abs(d_sq.imag) > 1e-6 or d_sq.real < 0:
-            raise BlockComputationError(f"invalid dimension^2 = {d_sq}")
-        d = int(round(float(np.sqrt(d_sq.real))))
-        if abs(d * d - d_sq.real) > 1e-6:
-            raise BlockComputationError(f"dimension^2 = {d_sq.real} not a square")
-        out.append(BlockData(idempotent=p, dimension=d))
+    A = evecs.T @ centre  # one candidate idempotent per row
+    rows = np.arange(r)
+    j = np.argmax(np.abs(A), axis=1)
+    kappa = algebra.product(A, A)[rows, j] / A[rows, j]
+    if np.any(np.abs(kappa) < INTERNAL_TOL):
+        raise BlockComputationError("nilpotent direction in a semisimple center")
+    P = A / kappa[:, None]
+    residual = np.max(np.abs(algebra.product(P, P) - P), axis=1)
+    if np.any(residual > INTERNAL_TOL):
+        raise BlockComputationError(f"idempotent residual {residual.max():.2e}")
+    d_sq = n * P[:, 0]
+    bad = (np.abs(d_sq.imag) > 1e-6) | (d_sq.real < 0)
+    if bad.any():
+        raise BlockComputationError(f"invalid dimension^2 = {d_sq[bad][0]}")
+    dims = np.rint(np.sqrt(d_sq.real)).astype(int)
+    bad = np.abs(dims * dims - d_sq.real) > 1e-6
+    if bad.any():
+        raise BlockComputationError(f"dimension^2 = {d_sq.real[bad][0]} not a square")
     # validate the partition of unity and orthogonality
-    total = sum(b.idempotent for b in out)
-    if np.max(np.abs(total - algebra.unit())) > 1e-7:
+    if np.max(np.abs(P.sum(axis=0) - np.eye(n)[0])) > 1e-7:
         raise BlockComputationError("idempotents do not sum to the unit")
-    for a, b in itertools.combinations(out, 2):
-        if np.max(np.abs(algebra.product(a.idempotent, b.idempotent))) > 1e-7:
-            raise BlockComputationError("idempotents not orthogonal")
-    if sum(b.dimension**2 for b in out) != n:
+    a, b = np.triu_indices(r, 1)
+    if np.max(np.abs(algebra.product(P[a], P[b])), initial=0.0) > 1e-7:
+        raise BlockComputationError("idempotents not orthogonal")
+    if np.sum(dims * dims) != n:
         raise BlockComputationError("sum of squared dimensions != |G|")
+    out = [BlockData(idempotent=p, dimension=int(d)) for p, d in zip(P, dims)]
     out.sort(key=lambda b: (b.dimension, b.fingerprint()))
     return out
 
@@ -173,54 +136,43 @@ def crosscap_phase_table(GG: GradedGroup, lambda_hat: TwistedCochain) -> dict:
     lambda^(s,s) mod lambda_hat.N."""
     require_cocycle(lambda_hat)
     table: dict[int, list[int]] = {}
-    G = GG.group
     for s in GG.odd_part():
-        carrier = GG.even_index[G.table[s][s]]
-        table.setdefault(carrier, []).append(lambda_hat.rows[s][s])
+        table.setdefault(GG.even_index[GG.group.table[s][s]], []).append(lambda_hat.rows[s][s])
     return table
 
 
 def crosscap_element(GG: GradedGroup, lambda_hat: TwistedCochain) -> np.ndarray:
     """Q = sum over odd s of lambda^(s,s) l_{s^2} as a complex vector."""
-    n = GG.even_subgroup.order
-    Q = np.zeros(n, dtype=complex)
+    Q = np.zeros(GG.even_subgroup.order, dtype=complex)
     for g, exponents in crosscap_phase_table(GG, lambda_hat).items():
         Q[g] = sum(root_of_unity(k, lambda_hat.N) for k in exponents)
     return Q
 
 
-def assert_central(algebra: TwistedGroupAlgebra, v: np.ndarray, tol: float = 1e-8):
-    for g in range(algebra.dim):
-        lg = np.zeros(algebra.dim, dtype=complex)
-        lg[g] = 1.0
-        left = algebra.product(lg, v)
-        right = algebra.product(v, lg)
-        if np.max(np.abs(left - right)) > tol:
-            raise ValueError(f"element is not central (witness g={g})")
+def assert_central(algebra: TwistedGroupAlgebra, v: np.ndarray):
+    basis = np.eye(algebra.dim, dtype=complex)
+    gap = np.max(np.abs(algebra.product(basis, v) - algebra.product(v, basis)), axis=1)
+    if np.any(gap > 1e-8):
+        raise ValueError(f"element is not central (witness g={int(np.argmax(gap > 1e-8))})")
 
 
 def fs_indicators(
-    block_list: list[BlockData],
-    Q: np.ndarray,
-    algebra: TwistedGroupAlgebra,
-    tol: float = REPORT_TOL,
+    block_list: list[BlockData], Q: np.ndarray, algebra: TwistedGroupAlgebra
 ) -> list[BlockData]:
     """Fill indicators from Q = sum_V nu(V) (|G|/dim V) p_V."""
     assert_central(algebra, Q)
-    n = algebra.dim
-    out = []
-    for b in block_list:
-        p = b.idempotent
-        c = algebra.product(Q, p)[0] / p[0]
-        nu_complex = c * b.dimension / n
-        nu = int(round(float(nu_complex.real)))
-        residual = abs(nu_complex - nu)
-        if nu not in (-1, 0, 1) or residual > tol:
-            raise BlockComputationError(
-                f"indicator {nu_complex} does not round to -1/0/+1 (residual {residual:.2e})"
-            )
-        out.append(BlockData(idempotent=p, dimension=b.dimension, indicator=nu))
-    return out
+    P = np.array([b.idempotent for b in block_list])
+    dims = np.array([b.dimension for b in block_list])
+    nu_complex = algebra.product(Q, P)[:, 0] / P[:, 0] * dims / algebra.dim
+    nu = np.rint(nu_complex.real).astype(int)
+    residual = np.abs(nu_complex - nu)
+    bad = (np.abs(nu) > 1) | (residual > REPORT_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BlockComputationError(
+            f"indicator {nu_complex[i]} does not round to -1/0/+1 (residual {residual[i]:.2e})"
+        )
+    return [replace(b, indicator=int(x)) for b, x in zip(block_list, nu)]
 
 
 @dataclass
@@ -247,23 +199,14 @@ def duality_phases(GG: GradedGroup, lambda_hat: TwistedCochain, sigma: int) -> D
         raise ValueError(f"element {sigma} is even; the duality needs an odd element")
     require_cocycle(lambda_hat)
     t = tau_ref(lambda_hat, GG)
-    G = GG.group
-    perm = []
-    p_phases = []
-    F_phases = []
-    for g_hat in GG.even_part:
-        target = G.conj(sigma, G.inverse[g_hat])
-        perm.append(GG.even_index[target])
-        p_phases.append(-t.value(sigma, g_hat))
-        F_phases.append(lambda_hat.value((g_hat, sigma)))
-    s2 = G.table[sigma][sigma]
+    G, even = GG.group, GG.even_part
     return DualityPhases(
         sigma=sigma,
-        p_permutation=tuple(perm),
-        p_phases=tuple(p_phases),
+        p_permutation=tuple(GG.even_index[G.conj(sigma, G.inverse[g])] for g in even),
+        p_phases=tuple(-t.value(sigma, g) for g in even),
         theta_phase=lambda_hat.value((sigma, sigma)),
-        theta_carrier=GG.even_index[s2],
-        F_phases=tuple(F_phases),
+        theta_carrier=GG.even_index[G.table[sigma][sigma]],
+        F_phases=tuple(lambda_hat.value((g, sigma)) for g in even),
     )
 
 

@@ -667,7 +667,6 @@ def consistency_report(
     surfaces: list[Surface],
     tol: float = 1e-6,
     budget: int | None = None,
-    seed: int = 12345,
     flip_tau_debug: bool = False,
 ) -> dict:
     """All applicable routes per surface plus the cross-identities.
@@ -687,7 +686,7 @@ def consistency_report(
     F = orbifold(T)
     frob_report = check_unoriented_frobenius(F)
     alg = algebra_from_graded(GG, lambda_hat)
-    bl = fs_indicators(blocks(alg, seed=seed), crosscap_element(GG, lambda_hat), alg)
+    bl = fs_indicators(blocks(alg), crosscap_element(GG, lambda_hat), alg)
 
     rows = []
     max_delta = 0.0

@@ -369,3 +369,25 @@ def test_non_finite_tol_is_usage_error(capsys, tol):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "usage error: --tol must be positive\n"
+
+
+@pytest.mark.parametrize("group, order", [("C100000", 100000), ("D100000", 100000), ("C32xC32", 1024)])
+def test_group_order_cap_is_checked_before_the_table_is_built(capsys, group, order):
+    code = main(["gradings", "--group", group])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"resource error: group order {order} exceeds cap 32\n"
+
+
+def test_cyclic_order_zero_is_named(capsys):
+    code = main(["gradings", "--group", "C0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "usage error: cyclic group order must be at least 1, got 0\n"
+
+
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    code = main(["gradings", "--group", "C2", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
