@@ -311,6 +311,20 @@ def test_indicators_output_is_golden(capsys, group):
     assert out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "group, grading",
+    [("D16", "all"), ("Q8xC2", "all"), ("C4xC4", "all"), ("S4", "0"), ("C10xC2", "1")],
+)
+def test_cohomology_output_is_golden(capsys, group, grading):
+    """Invariant factors and representative fingerprints of H^2 match a capture
+    of an earlier release."""
+    code, out = run(capsys, "cohomology", "--group", group, "--grading", grading, "--degree", "2")
+    assert code == 0
+    tag = "all" if grading == "all" else f"g{grading}"
+    golden = Path(__file__).parent / "data" / f"cohomology_{group}_{tag}.jsonl"
+    assert out.encode() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("extra, expected_code, golden", GOLDEN)
 def test_partition_enumerates_no_points_and_builds_no_groupoid(
     capsys, monkeypatch, extra, expected_code, golden
