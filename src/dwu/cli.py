@@ -113,8 +113,12 @@ def _resolve_gradings(group_name: str, which: str, cap: int):
 
 def _resolve_classes(gg, source: str, cocycle_file: str | None, cap: int):
     if cocycle_file:
-        with open(cocycle_file) as f:
-            return [("file", cochain_from_json(f.read(), gg))]
+        try:
+            with open(cocycle_file) as f:
+                text = f.read()
+        except OSError as exc:  # a missing file, a directory, no permission
+            raise ValueError(str(exc)) from exc
+        return [("file", cochain_from_json(text, gg))]
     reps, _ = cohomology_classes(gg, 2, cap=cap)
     if source == "all":
         return list(enumerate(reps))
@@ -282,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_class=True):
-        p.add_argument("--group", required=True, help="catalog name, e.g. C4, D8, Q8xC2, or 'all'")
+    def common(p, with_class=True, group_help="catalog name, e.g. C4, D8, Q8xC2"):
+        p.add_argument("--group", required=True, help=group_help)
         p.add_argument("--grading", default="all", help="grading index or 'all'")
         if with_class:
             p.add_argument(
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("partition", help="partition functions by all routes")
-    common(p)
+    common(p, group_help="catalog name, e.g. C4, D8, Q8xC2, or 'all' for the sweep manifest")
     p.add_argument("--surfaces", default=DEFAULT_SURFACES)
     p.add_argument("--debug-flip-tau", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_partition)
@@ -345,7 +349,7 @@ def main(argv=None) -> int:
     except BlockComputationError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ValueError, IndexError, FileNotFoundError) as exc:
+    except (ValueError, IndexError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

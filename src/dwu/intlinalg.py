@@ -3,8 +3,10 @@
 Z/N is not a field, so plain Gaussian elimination is not enough: the row
 reduction below is a Howell-style echelon form (pivots divide N, annihilator
 rows N/gcd * row are folded back in) which makes span membership and kernel
-computations exact for composite N.  Quotient groups ker/im are delivered as
-invariant factors through an integer Smith reduction in which mod-N row
+computations exact for composite N.  Kernels and solutions reduce [A^T | I]
+as coefficient rows t alone (a row is (A @ t | t)), reading a left column
+from the nonzeros of A[c] when the sweep reaches it.  Quotient groups ker/im
+are invariant factors of an integer Smith reduction in which mod-N row
 reductions are legal (the lattice always contains N*Z^k).
 """
 
@@ -16,107 +18,114 @@ import numpy as np
 
 
 def _egcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
 
 
-def row_reduce_mod(A: np.ndarray, N: int):
-    """Howell-style echelon form of the row span of A over Z/N.
+def _dot_mod(X: np.ndarray, Y: np.ndarray, N: int) -> np.ndarray:
+    """X @ Y mod N for entries in [0, N); exact Python ints where int64 could overflow."""
+    if X.shape[-1] * (N - 1) ** 2 < 2**63:
+        return X @ Y % N
+    return (X.astype(object) @ Y.astype(object) % N).astype(np.int64)
 
-    Returns (H, pivots) where H's rows generate the same row module, each
-    pivot entry divides N, and entries above a pivot are reduced mod it.
+
+def _howell(T: np.ndarray, A: np.ndarray, N: int):
+    """Howell-style echelon form (R, pivots) of the rows (A @ t | t), t in T.
+
+    Row i of the form is (A @ R[i] | R[i]) mod N; its pivot column counts A's
+    rows first, divides N and reduces the entries above it.  Every step is
+    Z/N-linear, so only the coefficient rows are kept.
     """
-    A = np.array(A, dtype=np.int64) % N
-    rows = [r for r in A if r.any()]
-    m_cols = A.shape[1]
-    result = []
-    pivots = []
-    col = 0
-    while col < m_cols and rows:
-        cand = [r for r in rows if r[col] % N]
-        rest = [r for r in rows if not (r[col] % N)]
-        if not cand:
-            col += 1
+    m = A.shape[0]
+    rows = T % N
+    rows = rows[rows.any(axis=1)]
+    done, pivots, values = [], [], []
+    nz_row, nz_col = np.nonzero(A)
+    nz_val = A[nz_row, nz_col] % N
+    bounds = np.searchsorted(nz_row, np.arange(m + 1)).tolist()
+
+    def column(R, c):
+        if c >= m:
+            return R[:, c - m]
+        nz = slice(bounds[c], bounds[c + 1])
+        return _dot_mod(R[:, nz_col[nz]], nz_val[nz], N)
+
+    for col in range(m + T.shape[1]):
+        if not len(rows):
+            break
+        vals = column(rows, col)
+        cand = np.flatnonzero(vals)
+        if not len(cand):
             continue
         # combine candidates so the pivot becomes gcd of the column entries;
         # both combined rows leave a residual with a zero in this column
-        piv = cand[0]
-        for r in cand[1:]:
-            g, u, v = _egcd(int(piv[col]), int(r[col]))
+        rest = [rows[vals == 0]]
+        piv, g = rows[cand[0]], int(vals[cand[0]])
+        for r, rc in zip(rows[cand[1:]], vals[cand[1:]].tolist()):
+            g_new, u, v = _egcd(g, rc)
             new_piv = (u * piv + v * r) % N
-            for old in (piv, r):
-                resid = (old - (int(old[col]) // g) * new_piv) % N
+            for old, oc in ((piv, g), (r, rc)):
+                resid = (old - (oc // g_new) * new_piv) % N
                 if resid.any():
-                    rest.append(resid)
-            piv = new_piv
-        g = math.gcd(int(piv[col]), N)
-        # normalize pivot to the canonical divisor g of N
-        unit = (int(piv[col]) // g) % (N // g) if N // g > 1 else 1
-        # invert the unit mod N/g, lift to mod N
-        _, inv, _ = _egcd(unit, N // g)
-        piv = (piv * (inv % (N // g) if N // g > 1 else 1)) % N
-        piv[col] = g  # exact by construction
-        # annihilator row: (N/g)*piv kills the pivot, may reveal lower entries
-        ann = ((N // g) * piv) % N
+                    rest.append(resid[None])
+            piv, g = new_piv, g_new
+        # normalize the pivot to d = gcd(g, N): invert the unit g/d mod N/d
+        d = math.gcd(g, N)
+        _, inv, _ = _egcd((g // d) % (N // d), N // d)
+        piv = piv * (inv % (N // d)) % N
+        # annihilator row: (N/d)*piv kills the pivot, may reveal lower entries
+        ann = (N // d) * piv % N
         if ann.any():
-            rest.append(ann)
-        result.append((col, piv))
+            rest.append(ann[None])
+        done.append(piv)
         pivots.append(col)
-        rows = rest
-        col += 1
+        values.append(d)
+        rows = np.vstack(rest)
+    R = np.array(done, dtype=np.int64).reshape(len(done), T.shape[1])
     # reduce entries above pivots
-    result_rows = [r for _, r in result]
-    for i in range(len(result_rows) - 1, -1, -1):
-        c = result[i][0]
-        g = int(result_rows[i][c])
-        for j in range(i):
-            q = int(result_rows[j][c]) // g
-            if q:
-                result_rows[j] = (result_rows[j] - q * result_rows[i]) % N
-    H = np.array(result_rows, dtype=np.int64) if result_rows else np.zeros((0, m_cols), dtype=np.int64)
-    return H, pivots
+    for i in range(len(R) - 1, 0, -1):
+        q = column(R[:i], pivots[i]) // values[i]
+        hit = np.flatnonzero(q)
+        R[hit] = (R[hit] - q[hit, None] * R[i]) % N
+    return R, pivots
+
+
+def row_reduce_mod(A: np.ndarray, N: int):
+    """Howell-style echelon form (H, pivots) of the row span of A over Z/N:
+    each pivot entry divides N and the entries above it are reduced mod it."""
+    A = np.array(A, dtype=np.int64) % N
+    return _howell(A, np.zeros((0, A.shape[1]), dtype=np.int64), N)
 
 
 def _reduce_transposed(A: np.ndarray, N: int):
-    """Howell form of [A^T | I] and the width m of its left half; each row's right
-    half is the combination of columns of A giving its left half."""
-    A = np.asarray(A, dtype=np.int64) % N
-    H, _ = row_reduce_mod(np.hstack([A.T, np.eye(A.shape[1], dtype=np.int64)]), N)
-    return H, A.shape[0]
+    """Howell form of [A^T | I] as (T, pivots, A): its row i is
+    (A @ T[i] | T[i]), the combination T[i] of columns of A and its value."""
+    A = np.asarray(A, dtype=np.int64)
+    return (*_howell(np.eye(A.shape[1], dtype=np.int64), A, N), A)
 
 
-def _kernel_rows(H: np.ndarray, m: int, N: int) -> np.ndarray:
-    # rows with zero left half give kernel generators
-    gens = [r[m:] for r in H if not r[:m].any()]
-    if not gens:
-        return np.zeros((0, H.shape[1] - m), dtype=np.int64)
-    K, _ = row_reduce_mod(np.array(gens, dtype=np.int64), N)
-    return K
+def _kernel_rows(T: np.ndarray, pivots, A: np.ndarray, N: int) -> np.ndarray:
+    # rows pivoting right of A's rows have zero left half: kernel generators
+    return row_reduce_mod(T[np.array(pivots, dtype=np.int64) >= len(A)], N)[0]
 
 
-def _back_substitute(H: np.ndarray, m: int, b: np.ndarray, N: int):
-    # reduce b against the rows of H's left half
+def _back_substitute(T: np.ndarray, pivots, A: np.ndarray, b: np.ndarray, N: int):
+    # reduce b against the rows whose left half A @ t is nonzero
+    left = [i for i, c in enumerate(pivots) if c < len(A)]
+    L = _dot_mod(T[left], A.T % N, N)
     r = np.asarray(b, dtype=np.int64) % N
-    x = np.zeros(H.shape[1] - m, dtype=np.int64)
-    for row in H:
-        nz = np.flatnonzero(row[:m])
-        if len(nz) == 0 or r[nz[0]] == 0:
-            continue
-        q, rem = divmod(int(r[nz[0]]), int(row[nz[0]]))
+    x = np.zeros(T.shape[1], dtype=np.int64)
+    for i, row in zip(left, L):
+        q, rem = divmod(int(r[pivots[i]]), int(row[pivots[i]]))
         if rem:
             return None
-        r = (r - q * row[:m]) % N
-        x = (x + q * row[m:]) % N
-    if r.any():
-        return None
-    return x
+        r = (r - q * row) % N
+        x = (x + q * T[i]) % N
+    return None if r.any() else x
 
 
 def kernel_mod(A: np.ndarray, N: int) -> np.ndarray:
@@ -126,8 +135,7 @@ def kernel_mod(A: np.ndarray, N: int) -> np.ndarray:
 
 def solve_mod(A: np.ndarray, b: np.ndarray, N: int):
     """One solution x of A @ x = b mod N, or None."""
-    H, m = _reduce_transposed(A, N)
-    return _back_substitute(H, m, b, N)
+    return _back_substitute(*_reduce_transposed(A, N), b, N)
 
 
 def quotient_invariants(kernel_gens: np.ndarray, relation_rows: np.ndarray, N: int):
@@ -143,26 +151,21 @@ def quotient_invariants(kernel_gens: np.ndarray, relation_rows: np.ndarray, N: i
         return [], np.zeros((0, kernel_gens.shape[1] if kernel_gens.ndim == 2 else 0), dtype=np.int64)
     # one reduction of [Z | I] expresses each relation in kernel coordinates
     # and gives the syzygies of the generators, which need not be independent
-    H, m = _reduce_transposed(kernel_gens.T, N)
+    reduced = _reduce_transposed(kernel_gens.T, N)
     coords = []
     for rel in relation_rows:
-        c = _back_substitute(H, m, rel, N)
+        c = _back_substitute(*reduced, rel, N)
         if c is None:
             raise ValueError("relation not inside kernel span")
         coords.append(c)
-    M = np.array(coords, dtype=np.int64).reshape(-1, k) if coords else np.zeros((0, k), dtype=np.int64)
-    syzygies = _kernel_rows(H, m, N)
+    M = np.array(coords, dtype=np.int64).reshape(-1, k)
+    syzygies = _kernel_rows(*reduced, N)
     M = np.vstack([M, syzygies.reshape(-1, k), N * np.eye(k, dtype=np.int64)])
     factors, V = _smith_mod(M, N)
     # row i of V is quotient generator i as a combination of the kernel generators
-    basis = (V @ kernel_gens) % N
-    out_factors, out_basis = [], []
-    for f, row in zip(factors, basis):
-        if f > 1:
-            out_factors.append(int(f))
-            out_basis.append(row % N)
-    out = np.array(out_basis, dtype=np.int64) if out_basis else np.zeros((0, kernel_gens.shape[1]), dtype=np.int64)
-    return out_factors, out
+    basis = _dot_mod(V, kernel_gens % N, N)
+    keep = [i for i, f in enumerate(factors) if f > 1]
+    return [int(factors[i]) for i in keep], basis[keep]
 
 
 def _smith_mod(M: np.ndarray, N: int):
@@ -213,15 +216,12 @@ def _smith_mod(M: np.ndarray, N: int):
                 if M[r0, c + 1 :].any():
                     continue
             break
-        piv = int(M[r0, c]) if r0 < rows else 0
-        if piv == 0:
-            diag.append(0)
-        else:
-            diag.append(math.gcd(piv, N))
+        piv = int(M[r0, c])
+        diag.append(math.gcd(piv, N) if piv else 0)
+        if piv:
             r0 += 1
         if r0 >= rows:
-            for c2 in range(c + 1, cols):
-                diag.append(0)
+            diag.extend([0] * (cols - c - 1))
             break
     # the lattice contains N*Z^k, so each diagonal entry divides N and is the
     # order of the corresponding quotient generator (0 cannot occur)

@@ -1,4 +1,5 @@
-"""Brute-force references for the direct route and the KR integral.
+"""Brute-force references for the direct route, the KR integral and the
+Howell elimination.
 
 `dwu.tqft.partition_direct` walks the relator one handle or crosscap at a
 time and `dwu.tqft._kr_integral` counts roots over the double-loop carrier.
@@ -7,7 +8,11 @@ holonomy point of the surface's presentation paired with the fundamental
 chain, the same points grouped into orbits of the even part's conjugation and
 weighted by orbit size, and the KR integrand integrated over the double real
 loop as an action groupoid.  Each divides by the group order once.
+`dwu.intlinalg` keeps only the coefficient rows of the matrices it reduces;
+`row_reduce_mod` here stores and reduces every row in full, one at a time.
 """
+
+import math
 
 import numpy as np
 
@@ -65,3 +70,62 @@ def kr_groupoid_integrals(GG, lambda_hat, field):
         return flip_field.root(t[w][g], N)
 
     return gpd.integrate(f), gpd.integrate(flipped)
+
+
+def _egcd(a, b):
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def row_reduce_mod(A, N):
+    """Howell-style echelon form of the rows of A over Z/N, one dense row at a
+    time: the elimination `dwu.intlinalg` ran before it tracked coefficient
+    rows only.  Returns (H, pivots)."""
+    A = np.array(A, dtype=np.int64) % N
+    rows = [r for r in A if r.any()]
+    m_cols = A.shape[1]
+    result = []
+    pivots = []
+    col = 0
+    while col < m_cols and rows:
+        cand = [r for r in rows if r[col] % N]
+        rest = [r for r in rows if not (r[col] % N)]
+        if not cand:
+            col += 1
+            continue
+        piv = cand[0]
+        for r in cand[1:]:
+            g, u, v = _egcd(int(piv[col]), int(r[col]))
+            new_piv = (u * piv + v * r) % N
+            for old in (piv, r):
+                resid = (old - (int(old[col]) // g) * new_piv) % N
+                if resid.any():
+                    rest.append(resid)
+            piv = new_piv
+        g = math.gcd(int(piv[col]), N)
+        unit = (int(piv[col]) // g) % (N // g) if N // g > 1 else 1
+        _, inv, _ = _egcd(unit, N // g)
+        piv = (piv * (inv % (N // g) if N // g > 1 else 1)) % N
+        piv[col] = g
+        ann = ((N // g) * piv) % N
+        if ann.any():
+            rest.append(ann)
+        result.append((col, piv))
+        pivots.append(col)
+        rows = rest
+        col += 1
+    result_rows = [r for _, r in result]
+    for i in range(len(result_rows) - 1, -1, -1):
+        c = result[i][0]
+        g = int(result_rows[i][c])
+        for j in range(i):
+            q = int(result_rows[j][c]) // g
+            if q:
+                result_rows[j] = (result_rows[j] - q * result_rows[i]) % N
+    H = np.array(result_rows, dtype=np.int64) if result_rows else np.zeros((0, m_cols), dtype=np.int64)
+    return H, pivots

@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -405,3 +406,18 @@ def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
+
+
+def test_cocycle_file_naming_a_directory_is_usage_error(tmp_path, capsys):
+    code = main(["partition", "--group", "C2", "--cocycle-file", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["gradings", "cohomology", "partition", "indicators", "verify-axioms"])
+def test_only_partition_offers_group_all(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    group_help = re.search(r"\n  --group GROUP\s+(.*?)\n  --", capsys.readouterr().out, re.S).group(1)
+    assert ("'all'" in group_help) == (command == "partition")
