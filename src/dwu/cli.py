@@ -17,7 +17,7 @@ from importlib import resources
 
 from dwu.cohomology import cochain_from_json, cohomology_classes
 from dwu.groups import ResourceBudgetError, build_group, enumerate_gradings
-from dwu.moduli import enumeration_budget, parse_surface
+from dwu.moduli import enumeration_budget, parse_surface, require_budget
 from dwu.reptheory import BlockComputationError, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import _turaev_data, check_turaev_axioms, check_unoriented_frobenius, consistency_report, orbifold
 
@@ -75,8 +75,9 @@ class Emitter:
         return flat
 
     def emit(self, record: dict):
-        self.records.append(record)
-        if self.fmt == "json":
+        if self.fmt == "csv":
+            self.records.append(record)
+        else:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
             self._fh.flush()
 
@@ -111,18 +112,21 @@ def _resolve_gradings(group_name: str, which: str, cap: int):
     return g, [(idx, gradings[idx])]
 
 
-def _resolve_classes(gg, source: str, cocycle_file: str | None, cap: int):
-    if cocycle_file:
+def _resolve_classes(gg, args):
+    if args.cocycle_file:
         try:
-            with open(cocycle_file) as f:
+            with open(args.cocycle_file) as f:
                 text = f.read()
         except OSError as exc:  # a missing file, a directory, no permission
             raise ValueError(str(exc)) from exc
-        return [("file", cochain_from_json(text, gg))]
-    reps, _ = cohomology_classes(gg, 2, cap=cap)
-    if source == "all":
+        lam = cochain_from_json(text, gg)
+        # Q(zeta_L) is built as an L x phi(L) table: refuse a large L first
+        require_budget(f"cyclotomic field Q(zeta_{lam.N})", lam.N**2, args.budget)
+        return [("file", lam)]
+    reps, _ = cohomology_classes(gg, 2, cap=args.cap)
+    if args.cls == "all":
         return list(enumerate(reps))
-    idx = int(source)
+    idx = int(args.cls)
     if not 0 <= idx < len(reps):
         raise IndexError(f"class index {idx} out of range (found {len(reps)})")
     return [(idx, reps[idx])]
@@ -167,7 +171,7 @@ def cmd_cohomology(args, emitter: Emitter) -> int:
 def cmd_indicators(args, emitter: Emitter) -> int:
     _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
     for gi, gg in gradings:
-        for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file, args.cap):
+        for ci, lam in _resolve_classes(gg, args):
             alg = algebra_from_graded(gg, lam)
             bl = fs_indicators(blocks(alg), crosscap_element(gg, lam), alg)
             from dwu.moduli import RP2
@@ -204,7 +208,7 @@ def cmd_verify_axioms(args, emitter: Emitter) -> int:
     failures = 0
     _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
     for gi, gg in gradings:
-        for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file, args.cap):
+        for ci, lam in _resolve_classes(gg, args):
             T = _turaev_data(gg, lam)
             t_report = check_turaev_axioms(T)
             F = orbifold(T)
@@ -237,7 +241,7 @@ def cmd_partition(args, emitter: Emitter) -> int:
     for name in names:
         _, gradings = _resolve_gradings(name, args.grading, args.cap)
         for gi, gg in gradings:
-            for ci, lam in _resolve_classes(gg, args.cls, args.cocycle_file, args.cap):
+            for ci, lam in _resolve_classes(gg, args):
                 rep = consistency_report(
                     gg,
                     lam,
@@ -246,34 +250,16 @@ def cmd_partition(args, emitter: Emitter) -> int:
                     budget=args.budget,
                     flip_tau_debug=args.debug_flip_tau,
                 )
-                base = {"group": name, "grading": gi, "class": ci}
-                for row in rep["surfaces"]:
-                    record = dict(base)
-                    record["surface"] = row["surface"]
-                    record["direct"] = _pair(row["direct"])
-                    record["tqft"] = _pair(row["tqft"])
-                    record["verlinde"] = (
-                        _pair(row["verlinde"]) if row["verlinde"] is not None else None
-                    )
-                    record["max_delta"] = _round(row["max_delta"])
-                    if row.get("convention_sensitive"):
+                for row in rep["rows"]:
+                    direct, tqft, verlinde = row.as_complex
+                    record = {"group": name, "grading": gi, "class": ci, "surface": row.surface}
+                    record["direct"], record["tqft"] = _pair(direct), _pair(tqft)
+                    record["verlinde"] = _pair(verlinde) if verlinde is not None else None
+                    record["max_delta"] = _round(row.max_delta)
+                    if row.surface == "S2":  # groupoid cardinality 1/|G|, not the stated 1
                         record["convention_sensitive"] = True
-                        record["paper_stated"] = _pair(row["paper_stated"])
+                        record["paper_stated"] = [1.0, 0.0]
                     emitter.emit(record)
-                kr_rec = dict(base)
-                kr_rec["surface"] = "one-loop-identity"
-                kr_rec["direct"] = _pair(rep["one_loop"])
-                kr_rec["tqft"] = _pair(rep["kr_rank"])
-                kr_rec["verlinde"] = None
-                kr_rec["max_delta"] = _round(rep["kr_delta"])
-                emitter.emit(kr_rec)
-                cc_rec = dict(base)
-                cc_rec["surface"] = "crosscap-trace"
-                cc_rec["direct"] = _pair(rep["rp2_direct"])
-                cc_rec["tqft"] = _pair(rep["crosscap_trace"])
-                cc_rec["verlinde"] = None
-                cc_rec["max_delta"] = _round(rep["crosscap_trace_delta"])
-                emitter.emit(cc_rec)
                 if not rep["ok"]:
                     failing += 1
     return EXIT_OK if failing == 0 else EXIT_FAIL
@@ -343,7 +329,7 @@ def main(argv=None) -> int:
             args.budget = enumeration_budget()
         with Emitter(args.format, args.out) as emitter:
             return args.func(args, emitter)
-    except ResourceBudgetError as exc:
+    except (ResourceBudgetError, OverflowError) as exc:  # OverflowError: past the float range
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except BlockComputationError as exc:

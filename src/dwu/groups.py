@@ -87,31 +87,14 @@ class FiniteGroup:
         verify_group_axioms(table)
         return cls(order=len(table), table=table, name=name)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conj(self, h: int, g: int) -> int:
         """h g h^-1."""
         return self.table[self.table[h][g]][self.inverse[h]]
-
-    def elements(self):
-        return range(self.order)
 
     def word(self, *els: int) -> int:
         acc = 0
         for e in els:
             acc = self.table[acc][e]
-        return acc
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inverse[g], -k
-        acc = 0
-        for _ in range(k):
-            acc = self.table[acc][g]
         return acc
 
     def conjugacy_classes(self) -> list[tuple]:

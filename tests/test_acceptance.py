@@ -41,6 +41,11 @@ def manifest_groups():
     return json.loads(text)["groups"]
 
 
+def identity_row(rep, surface):
+    """The report row of one identity or surface."""
+    return next(row for row in rep["rows"] if row.surface == surface)
+
+
 @pytest.fixture(scope="module")
 def sweep():
     """(name, grading index, class index, GradedGroup, cocycle, report) tuples."""
@@ -95,11 +100,12 @@ def test_criterion_1_mednykh_counts():
 def test_criterion_2_twisted_frobenius_schur(sweep):
     worst = 0.0
     for name, gi, ci, _, _, rep in sweep["rows"]:
-        for row in rep["surfaces"]:
-            if row["surface"] in NONORIENTABLE:
-                delta = abs(row["direct"] - row["verlinde"])
+        for row in rep["rows"]:
+            if row.surface in NONORIENTABLE:
+                direct, _, verlinde = row.as_complex
+                delta = abs(direct - verlinde)
                 worst = max(worst, delta)
-                assert delta < 1e-6, (name, gi, ci, row["surface"], delta)
+                assert delta < 1e-6, (name, gi, ci, row.surface, delta)
     assert sweep["elapsed"] < 300, f"sweep took {sweep['elapsed']:.0f}s"
     print(
         f"\nACCEPT-2 twisted Frobenius-Schur |direct-verlinde| < 1e-6 "
@@ -110,11 +116,12 @@ def test_criterion_2_twisted_frobenius_schur(sweep):
 def test_criterion_3_route_equivalence_cut_and_paste(sweep):
     worst = 0.0
     for name, gi, ci, _, _, rep in sweep["rows"]:
-        for row in rep["surfaces"]:
-            delta = abs(row["direct"] - row["tqft"])
+        for row in rep["rows"][: len(SWEEP_SURFACES)]:
+            direct, tqft, _ = row.as_complex
+            delta = abs(direct - tqft)
             worst = max(worst, delta)
-            assert delta < 1e-12, (name, gi, ci, row["surface"], delta)
-            assert row["exact_match"], (name, gi, ci, row["surface"])
+            assert delta < 1e-12, (name, gi, ci, row.surface, delta)
+            assert row.direct == row.tqft, (name, gi, ci, row.surface)
     print(
         f"\nACCEPT-3 cut-and-paste route |direct-tqft| < 1e-12 "
         f"(worst {worst:.2e}, all bit-exact): PASS"
@@ -124,7 +131,8 @@ def test_criterion_3_route_equivalence_cut_and_paste(sweep):
 def test_criterion_4_kr_rank_identity(sweep):
     worst = 0.0
     for name, gi, ci, _, _, rep in sweep["rows"]:
-        delta = abs(rep["kr_rank"] - rep["one_loop"])
+        loop, kr, _ = identity_row(rep, "one-loop-identity").as_complex
+        delta = abs(kr - loop)
         worst = max(worst, delta)
         assert delta < 1e-6, (name, gi, ci, delta)
     # split C2 x C2 over C2, untwisted: both exactly 2
@@ -247,7 +255,8 @@ def test_criterion_8_rp2_nonsplit_vanishing():
 def test_criterion_9_crosscap_trace_identity(sweep):
     worst = 0.0
     for name, gi, ci, _, _, rep in sweep["rows"]:
-        delta = abs(rep["crosscap_trace"] - rep["rp2_direct"])
+        rp2_direct, crosscap_trace, _ = identity_row(rep, "crosscap-trace").as_complex
+        delta = abs(crosscap_trace - rp2_direct)
         worst = max(worst, delta)
         assert delta < 1e-12, (name, gi, ci, delta)
     print(f"\nACCEPT-9 counit(Q) = Z(RP2) to 1e-12 (worst {worst:.2e}): PASS")

@@ -421,3 +421,38 @@ def test_only_partition_offers_group_all(capsys, command):
         main([command, "--help"])
     group_help = re.search(r"\n  --group GROUP\s+(.*?)\n  --", capsys.readouterr().out, re.S).group(1)
     assert ("'all'" in group_help) == (command == "partition")
+
+
+def test_partition_sphere_record_carries_the_convention_note(capsys):
+    code, out = run(
+        capsys, "partition", "--group", "C2xC2", "--grading", "0", "--class", "0", "--surfaces", "S2"
+    )
+    assert code == 0
+    sphere = [r for r in jsonl(out) if r["surface"] == "S2"]
+    assert len(sphere) == 1
+    assert sphere[0]["convention_sensitive"] and sphere[0]["paper_stated"] == [1.0, 0.0]
+    assert sphere[0]["direct"] == [0.5, 0.0]  # groupoid-cardinality value 1/|G|
+
+
+@pytest.mark.parametrize("surface", ["N_k=1100", "Sigma_g=600"])
+def test_value_beyond_the_float_range_is_resource_error(capsys, surface):
+    code = main(["partition", "--group", "C4", "--grading", "0", "--class", "0", "--surfaces", surface])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource error:") and len(captured.err.strip().splitlines()) == 1
+
+
+def test_cocycle_file_field_is_checked_against_the_budget(tmp_path, capsys):
+    from dwu.cohomology import TwistedCochain, cochain_to_json, twisted_differential
+    from dwu.groups import build_group, enumerate_gradings
+    from dwu.phases import Phase
+
+    gg = enumerate_gradings(build_group("C6"))[0]
+    nu = TwistedCochain.from_dict(gg, 1, {(1,): Phase(1, 211)})
+    path = tmp_path / "cocycle.json"
+    path.write_text(cochain_to_json(twisted_differential(nu), "C6"))
+    for command in ["partition", "indicators", "verify-axioms"]:
+        code = main([command, "--group", "C6", "--cocycle-file", str(path), "--budget", "10000"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", command
+        assert captured.err == "resource error: cyclotomic field Q(zeta_211) size 44521 exceeds budget 10000\n"

@@ -447,30 +447,37 @@ def test_kr_rank_invariant_under_coboundary_shift():
             assert kr_rank(gg, lam, field=field) == kr_rank(gg, shifted, field=field)
 
 
+def identity_row(rep, surface):
+    """The report row of one identity or surface."""
+    return next(row for row in rep["rows"] if row.surface == surface)
+
+
 def test_consistency_report_ok_and_debug_flip():
     gg = split_grading(cyclic(2))
     lam = TwistedCochain.zero(gg, 2)
     rep = consistency_report(gg, lam, SURFACES)
     assert rep["ok"] and rep["max_delta"] == 0.0
-    assert rep["kr_exact_match"]
-    assert abs(rep["crosscap_trace"] - rep["rp2_direct"]) == 0.0
+    loop = identity_row(rep, "one-loop-identity")
+    assert loop.direct == loop.tqft
+    rp2_direct, crosscap_trace, _ = identity_row(rep, "crosscap-trace").as_complex
+    assert abs(crosscap_trace - rp2_direct) == 0.0
     flipped = consistency_report(gg, lam, SURFACES, flip_tau_debug=True)
     assert not flipped["ok"]
-    assert flipped["kr_delta"] > 0.5
+    assert identity_row(flipped, "one-loop-identity").max_delta > 0.5
 
 
 def test_consistency_report_empty_surfaces():
     gg = split_grading(cyclic(2))
     rep = consistency_report(gg, TwistedCochain.zero(gg, 2), [])
-    assert rep["surfaces"] == [] and rep["ok"]
+    assert [row.surface for row in rep["rows"]] == ["one-loop-identity", "crosscap-trace"]
+    assert rep["ok"]
 
 
-def test_sphere_reports_convention_note():
+def test_sphere_row_has_the_groupoid_cardinality_value():
     gg = split_grading(cyclic(2))
     rep = consistency_report(gg, TwistedCochain.zero(gg, 2), [SPHERE])
-    row = rep["surfaces"][0]
-    assert row["convention_sensitive"] and row["paper_stated"] == 1.0 + 0.0j
-    assert abs(row["direct"] - 0.5) < 1e-12  # groupoid-cardinality value 1/|G|
+    direct, _, _ = identity_row(rep, "S2").as_complex
+    assert abs(direct - 0.5) < 1e-12  # groupoid-cardinality value 1/|G|
 
 
 def test_orbifold_p_independence_is_enforced():
