@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dwu.groups import FiniteGroup, GradedGroup, ResourceBudgetError
-from dwu.intlinalg import kernel_mod, quotient_invariants, solve_mod
+from dwu.intlinalg import SparseRows, kernel_mod, quotient_invariants, solve_mod
 from dwu.phases import Phase, lcm_of
 
 
@@ -141,35 +141,31 @@ class TwistedCochain:
         return f"TwistedCochain(deg={self.degree}, {self.group.name}, nonzero={nz})"
 
 
-def _bar_faces(group: FiniteGroup, signs, degree: int) -> list[tuple]:
-    """(coefficients, source columns) per face of d: C^degree -> C^(degree+1).
+def _bar_faces(group: FiniteGroup, signs, degree: int) -> SparseRows:
+    """d: C^degree -> C^(degree+1) as one row of faces per entry.
 
     Entries run over the (degree+1)-tuples without the identity in
-    lexicographic order.  A source column indexes the degree-tuples without
-    the identity in the same order (the columns of differential_matrix), or
-    is -1 for a face tuple containing the identity, where normalized
-    cochains vanish.
+    lexicographic order; face j of entry i is coef[i, j] times the source
+    column idx[i, j], which indexes the degree-tuples without the identity in
+    the same order.  A face tuple containing the identity, where normalized
+    cochains vanish, has coefficient 0.
     """
-    n = group.order
-    w = np.indices((n - 1,) * (degree + 1)).reshape(degree + 1, -1) + 1
+    n, m = group.order, (group.order - 1) ** (degree + 1)
+    w = np.indices((n - 1,) * (degree + 1)).reshape(degree + 1, m) + 1
     mul = np.array(group.table, dtype=np.int64)
-
-    def column(tuples):
-        tuples = np.reshape(tuples, (degree, w.shape[1]))
-        index = np.ravel_multi_index(tuple(np.maximum(tuples - 1, 0)), (n - 1,) * degree)
-        return np.where((tuples > 0).all(axis=0), index, -1)
-
-    faces = [(np.asarray(signs, dtype=np.int64)[w[0]], column(w[1:]))]
-    for j in range(1, degree + 1):
-        faces.append(((-1) ** j, column([*w[: j - 1], mul[w[j - 1], w[j]], *w[j + 1 :]])))
-    faces.append(((-1) ** (degree + 1), column(w[:-1])))
-    return faces
+    inner = ([*w[: j - 1], mul[w[j - 1], w[j]], *w[j + 1 :]] for j in range(1, degree + 1))
+    faces = np.array([w[1:], *inner, w[:-1]]).reshape(degree + 2, degree, m)
+    strides = (n - 1) ** np.arange(degree - 1, -1, -1)
+    idx = (np.maximum(faces - 1, 0) * strides[:, None]).sum(axis=1).T
+    sign = [np.asarray(signs, dtype=np.int64)[w[0]], *(-1) ** np.arange(1, degree + 2)[:, None]]
+    coef = np.stack(np.broadcast_arrays(*sign), axis=1) * (faces > 0).all(axis=1).T
+    return SparseRows(idx, coef, (n - 1) ** degree)
 
 
 def twisted_differential(c: TwistedCochain) -> TwistedCochain:
     """Degree n -> n+1 bar differential with the sign twist on the first face."""
-    src = np.append(c.vector(), 0)  # column -1 reads the trailing zero
-    values = sum(coeff * src[col] for coeff, col in _bar_faces(c.group, c.signs, c.degree))
+    faces = _bar_faces(c.group, c.signs, c.degree)
+    values = (c.vector()[faces.idx] * faces.coef).sum(axis=1)
     return TwistedCochain.from_vector((c.group, c.signs), c.degree + 1, values, c.N)
 
 
@@ -180,11 +176,8 @@ def is_twisted_cocycle(c: TwistedCochain) -> bool:
 def differential_matrix(group: FiniteGroup, signs, degree: int) -> np.ndarray:
     """Integer matrix of d: C^degree -> C^(degree+1) on the normalized complex."""
     faces = _bar_faces(group, signs, degree)
-    rows = np.arange(len(faces[0][1]))
-    D = np.zeros((len(rows), (group.order - 1) ** degree), dtype=np.int64)
-    for coeff, col in faces:
-        keep = col >= 0
-        np.add.at(D, (rows[keep], col[keep]), np.broadcast_to(coeff, rows.shape)[keep])
+    D = np.zeros((len(faces.idx), faces.cols), dtype=np.int64)
+    np.add.at(D, (np.arange(len(D))[:, None], faces.idx), faces.coef)
     return D
 
 
@@ -194,8 +187,7 @@ def is_twisted_coboundary(c: TwistedCochain, denominator: int | None = None):
     N = denominator or math.lcm(c.N, group.order)
     if c.degree == 0 or N % c.N:
         return None
-    D = differential_matrix(group, signs, c.degree - 1)
-    x = solve_mod(D, c.vector() * (N // c.N), N)
+    x = solve_mod(_bar_faces(group, signs, c.degree - 1), c.vector() * (N // c.N), N)
     if x is None:
         return None
     nu = TwistedCochain.from_vector((group, signs), c.degree - 1, x, N)
@@ -219,9 +211,8 @@ def cohomology_classes(ref, degree: int, cap: int = 32):
     N = group.order
     if N == 1:
         return [TwistedCochain.zero((group, signs), degree)], []
-    D_up = differential_matrix(group, signs, degree)
     D_down = differential_matrix(group, signs, degree - 1)
-    Z = kernel_mod(D_up, N)
+    Z = kernel_mod(_bar_faces(group, signs, degree), N)
     relations = [row % N for row in D_down.T]
     # connecting images: a (degree-1)-cocycle z mod N lifts to z/N over Q/Z and
     # d(z/N) is again Z/N-valued; these are exactly the U(1)-coboundaries

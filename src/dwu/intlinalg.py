@@ -4,17 +4,21 @@ Z/N is not a field, so plain Gaussian elimination is not enough: the row
 reduction below is a Howell-style echelon form (pivots divide N, annihilator
 rows N/gcd * row are folded back in) which makes span membership and kernel
 computations exact for composite N.  Kernels and solutions reduce [A^T | I]
-as coefficient rows t alone (a row is (A @ t | t)), reading a left column
-from the nonzeros of A[c] when the sweep reaches it.  Quotient groups ker/im
-are invariant factors of an integer Smith reduction in which mod-N row
-reductions are legal (the lattice always contains N*Z^k).
+as coefficient rows t alone (a row is (A @ t | t)), with A a sparse operator
+(its padded nonzeros per row) whose zero columns are skipped in blocks;
+candidates past a settled running gcd merge in one array step.  Quotient
+groups ker/im are invariant factors of an integer Smith reduction in which
+mod-N row reductions are legal (the lattice always contains N*Z^k).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+BLOCK = 1 << 16  # entries of one block of column values
 
 
 def _egcd(a: int, b: int):
@@ -26,6 +30,11 @@ def _egcd(a: int, b: int):
     return a, s0, t0
 
 
+def _mod(x, N: int):
+    """x % N; numpy divides by a scalar several times faster than it takes a remainder."""
+    return x - x // N * N
+
+
 def _dot_mod(X: np.ndarray, Y: np.ndarray, N: int) -> np.ndarray:
     """X @ Y mod N for entries in [0, N); exact Python ints where int64 could overflow."""
     if X.shape[-1] * (N - 1) ** 2 < 2**63:
@@ -33,39 +42,66 @@ def _dot_mod(X: np.ndarray, Y: np.ndarray, N: int) -> np.ndarray:
     return (X.astype(object) @ Y.astype(object) % N).astype(np.int64)
 
 
-def _howell(T: np.ndarray, A: np.ndarray, N: int):
+class SparseRows(NamedTuple):
+    """A cols-column matrix as padded rows: row i is sum_k coef[i, k] e_{idx[i, k]}."""
+
+    idx: np.ndarray
+    coef: np.ndarray
+    cols: int
+
+
+def _sparse(A, N: int) -> SparseRows:
+    """A (dense or SparseRows) as SparseRows with coefficients in [0, N)."""
+    if not isinstance(A, SparseRows):
+        A = np.asarray(A, dtype=np.int64)
+        nz = A % N != 0
+        idx = np.argsort(~nz, axis=1, kind="stable")[:, : int(nz.sum(axis=1).max(initial=0))]
+        A = SparseRows(idx, np.take_along_axis(A, idx, axis=1), A.shape[1])
+    return SparseRows(A.idx, A.coef % N, A.cols)
+
+
+def _columns(R: np.ndarray, A: SparseRows, c0: int, c1: int, N: int) -> np.ndarray:
+    """Columns c0..c1 of the rows (A @ r | r), r in R, all left or all right of A's rows."""
+    m = len(A.idx)
+    if c0 >= m:
+        return R[:, c0 - m : c1 - m]
+    X = R[:, A.idx[c0:c1]]
+    if A.idx.shape[1] * (N - 1) ** 2 >= 2**63:
+        X = X.astype(object)
+    return _mod((X * A.coef[c0:c1]).sum(axis=-1), N).astype(np.int64)
+
+
+def _howell(T: np.ndarray, A: SparseRows, N: int):
     """Howell-style echelon form (R, pivots) of the rows (A @ t | t), t in T.
 
     Row i of the form is (A @ R[i] | R[i]) mod N; its pivot column counts A's
     rows first, divides N and reduces the entries above it.  Every step is
-    Z/N-linear, so only the coefficient rows are kept.
+    Z/N-linear, so only the coefficient rows are kept.  A block of columns
+    doubles while it is zero and halves after a pivot.
     """
-    m = A.shape[0]
-    rows = T % N
+    m, end = len(A.idx), len(A.idx) + T.shape[1]
+    rows = _mod(T, N)
     rows = rows[rows.any(axis=1)]
     done, pivots, values = [], [], []
-    nz_row, nz_col = np.nonzero(A)
-    nz_val = A[nz_row, nz_col] % N
-    bounds = np.searchsorted(nz_row, np.arange(m + 1)).tolist()
-
-    def column(R, c):
-        if c >= m:
-            return R[:, c - m]
-        nz = slice(bounds[c], bounds[c + 1])
-        return _dot_mod(R[:, nz_col[nz]], nz_val[nz], N)
-
-    for col in range(m + T.shape[1]):
-        if not len(rows):
-            break
-        vals = column(rows, col)
-        cand = np.flatnonzero(vals)
-        if not len(cand):
+    col, width = 0, 1
+    while col < end and len(rows):
+        stop = min(col + max(1, min(width, BLOCK // len(rows))), m if col < m else end)
+        block = _columns(rows, A, col, stop, N)
+        hit = np.flatnonzero(block.any(axis=0))
+        if not len(hit):
+            col, width = stop, 2 * width
             continue
+        col, width = col + int(hit[0]), max(1, width // 2)
+        vals = block[:, hit[0]]
+        cand = np.flatnonzero(vals)
+        cv = vals[cand]
         # combine candidates so the pivot becomes gcd of the column entries;
         # both combined rows leave a residual with a zero in this column
         rest = [rows[vals == 0]]
-        piv, g = rows[cand[0]], int(vals[cand[0]])
-        for r, rc in zip(rows[cand[1:]], vals[cand[1:]].tolist()):
+        run = np.gcd.accumulate(cv)
+        s = int(np.argmax(run == run[-1]))
+        piv, g = rows[cand[0]], int(cv[0])
+        for r, rc in zip(rows[cand[1 : s + 1]], cv[1 : s + 1].tolist()):
             g_new, u, v = _egcd(g, rc)
             new_piv = (u * piv + v * r) % N
             for old, oc in ((piv, g), (r, rc)):
@@ -73,24 +109,37 @@ def _howell(T: np.ndarray, A: np.ndarray, N: int):
                 if resid.any():
                     rest.append(resid[None])
             piv, g = new_piv, g_new
+        # past s every value is k*g: k = 1 makes r the pivot (residual piv - r),
+        # k > 1 leaves the residual r - k*piv
+        later, k = rows[cand[s + 1 :]], cv[s + 1 :, None] // g
+        # the pivot before each of these rows and after the last: the latest
+        # row with k = 1, or piv (index -1)
+        swaps = np.where(k[:, 0] == 1, np.arange(len(k)), -1)
+        at = np.concatenate([[-1], np.maximum.accumulate(swaps)])
+        cur = later[at[:-1]]
+        cur[at[:-1] < 0] = piv
+        resid = _mod(np.where(k == 1, cur - later, later - k * cur), N)
+        rest.append(resid[resid.any(axis=1)])
+        piv = later[at[-1]] if at[-1] >= 0 else piv
         # normalize the pivot to d = gcd(g, N): invert the unit g/d mod N/d
         d = math.gcd(g, N)
         _, inv, _ = _egcd((g // d) % (N // d), N // d)
-        piv = piv * (inv % (N // d)) % N
+        piv = _mod(piv * (inv % (N // d)), N)
         # annihilator row: (N/d)*piv kills the pivot, may reveal lower entries
-        ann = (N // d) * piv % N
+        ann = _mod((N // d) * piv, N)
         if ann.any():
             rest.append(ann[None])
         done.append(piv)
         pivots.append(col)
         values.append(d)
         rows = np.vstack(rest)
+        col += 1
     R = np.array(done, dtype=np.int64).reshape(len(done), T.shape[1])
     # reduce entries above pivots
     for i in range(len(R) - 1, 0, -1):
-        q = column(R[:i], pivots[i]) // values[i]
+        q = _columns(R[:i], A, pivots[i], pivots[i] + 1, N)[:, 0] // values[i]
         hit = np.flatnonzero(q)
-        R[hit] = (R[hit] - q[hit, None] * R[i]) % N
+        R[hit] = _mod(R[hit] - q[hit, None] * R[i], N)
     return R, pivots
 
 
@@ -98,25 +147,25 @@ def row_reduce_mod(A: np.ndarray, N: int):
     """Howell-style echelon form (H, pivots) of the row span of A over Z/N:
     each pivot entry divides N and the entries above it are reduced mod it."""
     A = np.array(A, dtype=np.int64) % N
-    return _howell(A, np.zeros((0, A.shape[1]), dtype=np.int64), N)
+    return _howell(A, _sparse(np.zeros((0, A.shape[1]), dtype=np.int64), N), N)
 
 
-def _reduce_transposed(A: np.ndarray, N: int):
+def _reduce_transposed(A, N: int):
     """Howell form of [A^T | I] as (T, pivots, A): its row i is
     (A @ T[i] | T[i]), the combination T[i] of columns of A and its value."""
-    A = np.asarray(A, dtype=np.int64)
-    return (*_howell(np.eye(A.shape[1], dtype=np.int64), A, N), A)
+    A = _sparse(A, N)
+    return (*_howell(np.eye(A.cols, dtype=np.int64), A, N), A)
 
 
-def _kernel_rows(T: np.ndarray, pivots, A: np.ndarray, N: int) -> np.ndarray:
+def _kernel_rows(T: np.ndarray, pivots, A: SparseRows, N: int) -> np.ndarray:
     # rows pivoting right of A's rows have zero left half: kernel generators
-    return row_reduce_mod(T[np.array(pivots, dtype=np.int64) >= len(A)], N)[0]
+    return row_reduce_mod(T[np.array(pivots, dtype=np.int64) >= len(A.idx)], N)[0]
 
 
-def _back_substitute(T: np.ndarray, pivots, A: np.ndarray, b: np.ndarray, N: int):
+def _back_substitute(T: np.ndarray, pivots, A: SparseRows, b: np.ndarray, N: int):
     # reduce b against the rows whose left half A @ t is nonzero
-    left = [i for i, c in enumerate(pivots) if c < len(A)]
-    L = _dot_mod(T[left], A.T % N, N)
+    left = [i for i, c in enumerate(pivots) if c < len(A.idx)]
+    L = _columns(T[left], A, 0, len(A.idx), N)
     r = np.asarray(b, dtype=np.int64) % N
     x = np.zeros(T.shape[1], dtype=np.int64)
     for i, row in zip(left, L):
@@ -128,13 +177,13 @@ def _back_substitute(T: np.ndarray, pivots, A: np.ndarray, b: np.ndarray, N: int
     return None if r.any() else x
 
 
-def kernel_mod(A: np.ndarray, N: int) -> np.ndarray:
-    """Generators (rows) of {x in (Z/N)^n : A @ x = 0 mod N}."""
+def kernel_mod(A, N: int) -> np.ndarray:
+    """Generators (rows) of {x in (Z/N)^n : A @ x = 0 mod N}; A dense or SparseRows."""
     return _kernel_rows(*_reduce_transposed(A, N), N)
 
 
-def solve_mod(A: np.ndarray, b: np.ndarray, N: int):
-    """One solution x of A @ x = b mod N, or None."""
+def solve_mod(A, b: np.ndarray, N: int):
+    """One solution x of A @ x = b mod N, or None; A dense or SparseRows."""
     return _back_substitute(*_reduce_transposed(A, N), b, N)
 
 

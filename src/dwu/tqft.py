@@ -624,7 +624,7 @@ def partition_verlinde(block_list: list[BlockData], surface: Surface) -> complex
                 continue  # 0^0 := 0 at chi = 0; zero for every other chi too
             total += float(b.indicator * b.dimension) ** chi
     scale = float(n) ** chi
-    if not scale:
+    if not scale or abs(total / scale) == float("inf"):
         raise OverflowError(f"|G|^-chi = {n}^{-chi} is beyond the float range")
     return complex(total / scale)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,19 @@ def test_kernel_generators_are_cocycles():
     K = kernel_mod(D, gg.group.order)
     for row in K:
         assert not (D @ row % gg.group.order).any()
+
+
+def test_h2_of_s4_stays_under_20_mib():
+    """H^2 reads the degree-2 differential as four faces per row; the dense
+    12167x529 int64 matrix alone would take 49 MiB."""
+    gg = enumerate_gradings(build_group("S4"))[0]
+    tracemalloc.start()
+    try:
+        cohomology_classes(gg, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_cochain_json_roundtrip():

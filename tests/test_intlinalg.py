@@ -11,9 +11,9 @@ import pytest
 from oracles import row_reduce_mod as dense_row_reduce_mod
 
 from dwu.cli import load_manifest
-from dwu.cohomology import differential_matrix
+from dwu.cohomology import _bar_faces, differential_matrix
 from dwu.groups import build_group, enumerate_gradings
-from dwu.intlinalg import _reduce_transposed, kernel_mod, row_reduce_mod, solve_mod
+from dwu.intlinalg import SparseRows, _reduce_transposed, kernel_mod, row_reduce_mod, solve_mod
 
 MODULI = [2, 4, 6, 8, 9, 12, 16, 24, 30, 32]
 
@@ -34,10 +34,14 @@ def random_matrix(rng, N):
     return A
 
 
-def full_form(A, N):
-    """The rows (A @ t | t) of the reduced [A^T | I], written out in full."""
-    T, pivots, A = _reduce_transposed(A, N)
-    return np.hstack([T @ A.T % N, T]), pivots
+def full_form(A, N, operator=None):
+    """The rows (A @ t | t) of the reduced [A^T | I], written out in full;
+    the reduction reads A, or the same matrix given as SparseRows."""
+    T, pivots, _ = _reduce_transposed(A if operator is None else operator, N)
+    left, At = T % N, np.asarray(A).T % N
+    if len(At) * (N - 1) ** 2 >= 2**63:  # sums past int64: Python integers
+        left, At = left.astype(object), At.astype(object)
+    return np.hstack([(left @ At % N).astype(np.int64), T]), pivots
 
 
 def dense_transposed(A, N):
@@ -84,6 +88,74 @@ def test_products_past_int64_are_exact():
         assert [sum(int(a) * int(v) for a, v in zip(row, y)) % N for row in A] == b.tolist()
 
 
+def assert_all_forms_match(A, N, operator=None):
+    """Both eliminations of A and of [A^T | I] agree entry for entry."""
+    assert_same_form(row_reduce_mod(A, N), dense_row_reduce_mod(A, N))
+    assert_same_form(full_form(A, N, operator), dense_transposed(A, N))
+
+
+@pytest.mark.parametrize("N", MODULI)
+def test_merge_of_runs_of_equal_values(N):
+    """Columns that hold one value g on many rows and multiples of it on the
+    rest: every row with value g takes over the pivot, every multiple k*g > g
+    leaves r - k*piv behind."""
+    rng = np.random.default_rng(200 + N)
+    divisors = [d for d in range(1, N) if N % d == 0]
+    for _ in range(30):
+        rows, cols = int(rng.integers(2, 41)), int(rng.integers(1, 7))
+        g = rng.choice(divisors, size=cols)
+        k = rng.choice([0, 1, 1, 1, 2, 3], size=(rows, cols))
+        assert_all_forms_match(k * g % N, N)
+
+
+@pytest.mark.parametrize("N", [30, 60])
+def test_merge_of_late_settling_gcds(N):
+    """Values 6, 10 and 15 (and their multiples) mod 30: the running gcd of a
+    column reaches the column gcd only after several candidates."""
+    rng = np.random.default_rng(N)
+    for _ in range(40):
+        rows, cols = int(rng.integers(2, 41)), int(rng.integers(1, 6))
+        A = rng.choice([0, 6, 10, 15], size=(rows, cols)) * rng.integers(1, 4, size=(rows, cols))
+        assert_all_forms_match(A % N, N)
+
+
+def random_operator(rng, N, width=4):
+    """SparseRows of at most 40 rows whose entries often repeat a column, and
+    the same matrix written out densely."""
+    rows, cols = int(rng.integers(1, 41)), int(rng.integers(1, 7))
+    idx = rng.integers(0, cols, size=(rows, width))
+    coef = rng.integers(-N, 2 * N, size=(rows, width))
+    dense = np.zeros((rows, cols), dtype=object)
+    np.add.at(dense, (np.arange(rows)[:, None], idx), coef.astype(object))
+    return SparseRows(idx, coef, cols), (dense % N).astype(np.int64)
+
+
+@pytest.mark.parametrize("N", MODULI)
+def test_rows_with_repeated_face_columns(N):
+    rng = np.random.default_rng(300 + N)
+    for _ in range(30):
+        op, A = random_operator(rng, N)
+        assert_same_form(full_form(A, N, op), dense_transposed(A, N))
+        assert np.array_equal(kernel_mod(op, N), kernel_mod(A, N))
+        b = rng.integers(0, N, size=len(A))
+        x, y = solve_mod(op, b, N), solve_mod(A, b, N)
+        assert (x is None and y is None) or np.array_equal(x, y)
+
+
+def test_column_blocks_past_int64_are_exact():
+    """Four faces of coefficients near N = 2^31 - 1 sum past 2^63, so the
+    column values are taken in Python integers."""
+    N = 2**31 - 1
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        op, A = random_operator(rng, N)
+        op = SparseRows(op.idx, rng.integers(N - 2**20, N, size=op.coef.shape), op.cols)
+        A = np.zeros((len(A), op.cols), dtype=object)
+        np.add.at(A, (np.arange(len(A))[:, None], op.idx), op.coef.astype(object))
+        A = (A % N).astype(np.int64)
+        assert_same_form(full_form(A, N, op), dense_transposed(A, N))
+
+
 # The pivot normalisation multiplies a row by the inverse of the unit g/d mod
 # N/d, lifted to [0, N/d); when that lift is not a unit mod N the row module
 # shrinks.  Both eliminations do it, so the comparisons above cannot see it.
@@ -116,10 +188,29 @@ def bases():
 @pytest.mark.parametrize("gg", bases())
 def test_kernel_of_the_differential_matches_the_dense_elimination(gg, degree):
     D, N = differential_matrix(gg.group, gg.sign, degree), gg.group.order
+    faces = _bar_faces(gg.group, gg.sign, degree)
     expected = dense_transposed(D, N)
     assert_same_form(full_form(D, N), expected)
+    assert_same_form(full_form(D, N, faces), expected)
     H_ref, pivots_ref = expected
     gens = H_ref[[c >= len(D) for c in pivots_ref], len(D) :]
     K = kernel_mod(D, N)
     assert np.array_equal(K, dense_row_reduce_mod(gens, N)[0])
+    assert np.array_equal(kernel_mod(faces, N), K)
     assert not (D @ K.T % N).any()
+
+
+def manifest_gradings():
+    for name in load_manifest()["groups"]:
+        for i, gg in enumerate(enumerate_gradings(build_group(name))):
+            yield pytest.param(gg, id=f"{name}-g{i}")
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("gg", manifest_gradings())
+def test_face_operator_and_differential_matrix_give_one_kernel(gg, degree):
+    """On every manifest grading, including the order-16 ones the dense
+    elimination above is too slow for."""
+    N = gg.group.order
+    K = kernel_mod(_bar_faces(gg.group, gg.sign, degree), N)
+    assert np.array_equal(K, kernel_mod(differential_matrix(gg.group, gg.sign, degree), N))

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dwu.cohomology import (
@@ -20,7 +21,7 @@ from dwu.groups import (
 )
 from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
 from dwu.phases import CycField, Phase
-from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
+from dwu.reptheory import BlockData, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
     CheckReport,
     ConventionError,
@@ -399,6 +400,15 @@ def test_verlinde_examples():
     # RP2 is the signed dimension sum over |G|
     got = partition_verlinde(bl3, RP2)
     assert abs(got - sum(b.indicator * b.dimension for b in bl3) / 3) < 1e-12
+
+
+@pytest.mark.parametrize("surface", ["N_k=1060", "Sigma_g=530", "N_k=1100", "Sigma_g=600"])
+def test_verlinde_past_the_float_range_raises(surface):
+    """|G|^chi = 2^-1058 is subnormal, so sum/|G|^chi overflows rather than
+    dividing by zero; both are refused, never returned as inf."""
+    bl = [BlockData(np.ones(1), 1, 1), BlockData(np.ones(1), 1, 1)]
+    with pytest.raises(OverflowError):
+        partition_verlinde(bl, parse_surface(surface))
 
 
 def test_kr_rank_examples():
