@@ -182,9 +182,13 @@ def differential_matrix(group: FiniteGroup, signs, degree: int) -> np.ndarray:
 
 
 def is_twisted_coboundary(c: TwistedCochain, denominator: int | None = None):
-    """A witness nu with d(nu) = c, searched over denominators dividing N, or None."""
+    """A witness nu with d(nu) = c, searched over denominators dividing N, or None.
+
+    If c = d(nu) over U(1), then c.N * nu is a cocycle; its class is
+    |G|-torsion, so a change of nu by a coboundary gives c.N * nu an order
+    dividing |G|.  The default N = c.N * |G| holds a witness whenever one exists."""
     group, signs = c.group, c.signs
-    N = denominator or math.lcm(c.N, group.order)
+    N = denominator or c.N * group.order
     if c.degree == 0 or N % c.N:
         return None
     x = solve_mod(_bar_faces(group, signs, c.degree - 1), c.vector() * (N // c.N), N)

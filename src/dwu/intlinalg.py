@@ -6,7 +6,10 @@ rows N/gcd * row are folded back in) which makes span membership and kernel
 computations exact for composite N.  Kernels and solutions reduce [A^T | I]
 as coefficient rows t alone (a row is (A @ t | t)), with A a sparse operator
 (its padded nonzeros per row) whose zero columns are skipped in blocks;
-candidates past a settled running gcd merge in one array step.  Quotient
+candidates past a settled running gcd merge in one array step.  The live rows
+sit in one pool, where a pivot step writes the rows it leaves over the ones it
+consumed.  A kernel back-reduces only its own rows, the tail of the form, and
+one pass over the form solves for every right-hand side at once.  Quotient
 groups ker/im are invariant factors of an integer Smith reduction in which
 mod-N row reductions are legal (the lattice always contains N*Z^k).
 """
@@ -60,58 +63,55 @@ def _sparse(A, N: int) -> SparseRows:
     return SparseRows(A.idx, A.coef % N, A.cols)
 
 
-def _columns(R: np.ndarray, A: SparseRows, c0: int, c1: int, N: int) -> np.ndarray:
-    """Columns c0..c1 of the rows (A @ r | r), r in R, all left or all right of A's rows."""
+def _columns(P: np.ndarray, live: np.ndarray, A: SparseRows, c0: int, c1: int, N: int) -> np.ndarray:
+    """Columns c0..c1 of the rows (A @ r | r), r in P[live], all left or all right of A's rows."""
     m = len(A.idx)
     if c0 >= m:
-        return R[:, c0 - m : c1 - m]
-    X = R[:, A.idx[c0:c1]]
+        return P[live, c0 - m : c1 - m]
+    X = P[live[:, None, None], A.idx[c0:c1]]
     if A.idx.shape[1] * (N - 1) ** 2 >= 2**63:
         X = X.astype(object)
     return _mod((X * A.coef[c0:c1]).sum(axis=-1), N).astype(np.int64)
 
 
-def _howell(T: np.ndarray, A: SparseRows, N: int):
-    """Howell-style echelon form (R, pivots) of the rows (A @ t | t), t in T.
+def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
+    """Howell-style echelon form (R, pivots) of the rows (A @ t | t), t in T,
+    restricted to the rows pivoting at or past column first.
 
     Row i of the form is (A @ R[i] | R[i]) mod N; its pivot column counts A's
     rows first, divides N and reduces the entries above it.  Every step is
-    Z/N-linear, so only the coefficient rows are kept.  A block of columns
-    doubles while it is zero and halves after a pivot.
-    """
+    Z/N-linear, so only coefficient rows are kept, in a pool (T, reduced in
+    place) read in the order of the live rows.  A block of columns doubles
+    while it is zero and halves after a pivot."""
     m, end = len(A.idx), len(A.idx) + T.shape[1]
-    rows = _mod(T, N)
-    rows = rows[rows.any(axis=1)]
-    done, pivots, values = [], [], []
+    pool = np.remainder(T, N, out=T)
+    live = pool.any(axis=1)
+    order, free = np.flatnonzero(live), np.flatnonzero(~live)
+    done = []
     col, width = 0, 1
-    while col < end and len(rows):
-        stop = min(col + max(1, min(width, BLOCK // len(rows))), m if col < m else end)
-        block = _columns(rows, A, col, stop, N)
+    while col < end and len(order):
+        stop = min(col + max(1, min(width, BLOCK // len(order))), m if col < m else end)
+        block = _columns(pool, order, A, col, stop, N)
         hit = np.flatnonzero(block.any(axis=0))
         if not len(hit):
             col, width = stop, 2 * width
             continue
         col, width = col + int(hit[0]), max(1, width // 2)
         vals = block[:, hit[0]]
-        cand = np.flatnonzero(vals)
-        cv = vals[cand]
+        cv, slots = vals[vals != 0], order[vals != 0]
         # combine candidates so the pivot becomes gcd of the column entries;
         # both combined rows leave a residual with a zero in this column
-        rest = [rows[vals == 0]]
-        run = np.gcd.accumulate(cv)
+        rest, run = [], np.gcd.accumulate(cv)
         s = int(np.argmax(run == run[-1]))
-        piv, g = rows[cand[0]], int(cv[0])
-        for r, rc in zip(rows[cand[1 : s + 1]], cv[1 : s + 1].tolist()):
+        piv, g = pool[slots[0]], int(cv[0])
+        for r, rc in zip(pool[slots[1 : s + 1]], cv[1 : s + 1].tolist()):
             g_new, u, v = _egcd(g, rc)
             new_piv = (u * piv + v * r) % N
-            for old, oc in ((piv, g), (r, rc)):
-                resid = (old - (oc // g_new) * new_piv) % N
-                if resid.any():
-                    rest.append(resid[None])
+            rest += [((old - (oc // g_new) * new_piv) % N)[None] for old, oc in ((piv, g), (r, rc))]
             piv, g = new_piv, g_new
         # past s every value is k*g: k = 1 makes r the pivot (residual piv - r),
         # k > 1 leaves the residual r - k*piv
-        later, k = rows[cand[s + 1 :]], cv[s + 1 :, None] // g
+        later, k = pool[slots[s + 1 :]], cv[s + 1 :, None] // g
         # the pivot before each of these rows and after the last: the latest
         # row with k = 1, or piv (index -1)
         swaps = np.where(k[:, 0] == 1, np.arange(len(k)), -1)
@@ -119,25 +119,31 @@ def _howell(T: np.ndarray, A: SparseRows, N: int):
         cur = later[at[:-1]]
         cur[at[:-1] < 0] = piv
         resid = _mod(np.where(k == 1, cur - later, later - k * cur), N)
-        rest.append(resid[resid.any(axis=1)])
+        rest.append(resid)
         piv = later[at[-1]] if at[-1] >= 0 else piv
         # normalize the pivot to d = gcd(g, N): invert the unit g/d mod N/d
         d = math.gcd(g, N)
         _, inv, _ = _egcd((g // d) % (N // d), N // d)
         piv = _mod(piv * (inv % (N // d)), N)
         # annihilator row: (N/d)*piv kills the pivot, may reveal lower entries
-        ann = _mod((N // d) * piv, N)
-        if ann.any():
-            rest.append(ann[None])
-        done.append(piv)
-        pivots.append(col)
-        values.append(d)
-        rows = np.vstack(rest)
+        rest.append(_mod((N // d) * piv, N)[None])
+        done.append((col, d, piv))
+        # the rows left go to the consumed slots, then to free ones; fewer
+        # than the consumed and live rows together, so one doubling fits them
+        rest, slots = np.concatenate(rest), np.concatenate([slots, free])
+        rest = rest[rest.any(axis=1)]
+        if len(rest) > len(slots):
+            slots = np.concatenate([slots, np.arange(len(pool), 2 * len(pool))])
+            pool = np.concatenate([pool, np.empty_like(pool)])
+        pool[slots[: len(rest)]] = rest
+        order, free = np.concatenate([order[vals == 0], slots[: len(rest)]]), slots[len(rest) :]
         col += 1
-    R = np.array(done, dtype=np.int64).reshape(len(done), T.shape[1])
-    # reduce entries above pivots
+    done = [x for x in done if x[0] >= first]
+    pivots, values = [c for c, _, _ in done], [d for _, d, _ in done]
+    R = np.array([r for _, _, r in done], dtype=np.int64).reshape(len(done), T.shape[1])
+    # reduce entries above pivots; a row changes only through rows below it
     for i in range(len(R) - 1, 0, -1):
-        q = _columns(R[:i], A, pivots[i], pivots[i] + 1, N)[:, 0] // values[i]
+        q = _columns(R, np.arange(i), A, pivots[i], pivots[i] + 1, N)[:, 0] // values[i]
         hit = np.flatnonzero(q)
         R[hit] = _mod(R[hit] - q[hit, None] * R[i], N)
     return R, pivots
@@ -146,7 +152,7 @@ def _howell(T: np.ndarray, A: SparseRows, N: int):
 def row_reduce_mod(A: np.ndarray, N: int):
     """Howell-style echelon form (H, pivots) of the row span of A over Z/N:
     each pivot entry divides N and the entries above it are reduced mod it."""
-    A = np.array(A, dtype=np.int64) % N
+    A = np.array(A, dtype=np.int64)
     return _howell(A, _sparse(np.zeros((0, A.shape[1]), dtype=np.int64), N), N)
 
 
@@ -157,34 +163,31 @@ def _reduce_transposed(A, N: int):
     return (*_howell(np.eye(A.cols, dtype=np.int64), A, N), A)
 
 
-def _kernel_rows(T: np.ndarray, pivots, A: SparseRows, N: int) -> np.ndarray:
-    # rows pivoting right of A's rows have zero left half: kernel generators
-    return row_reduce_mod(T[np.array(pivots, dtype=np.int64) >= len(A.idx)], N)[0]
-
-
-def _back_substitute(T: np.ndarray, pivots, A: SparseRows, b: np.ndarray, N: int):
-    # reduce b against the rows whose left half A @ t is nonzero
-    left = [i for i, c in enumerate(pivots) if c < len(A.idx)]
-    L = _columns(T[left], A, 0, len(A.idx), N)
-    r = np.asarray(b, dtype=np.int64) % N
-    x = np.zeros(T.shape[1], dtype=np.int64)
-    for i, row in zip(left, L):
-        q, rem = divmod(int(r[pivots[i]]), int(row[pivots[i]]))
-        if rem:
-            return None
-        r = (r - q * row) % N
-        x = (x + q * T[i]) % N
-    return None if r.any() else x
+def _back_substitute(T: np.ndarray, pivots, A: SparseRows, B: np.ndarray, N: int):
+    """(X, ok) with A @ X[j] = B[j] mod N where ok[j]: one pass over the rows
+    whose left half A @ t is nonzero reduces every row of B.  A remainder
+    left in a pivot column stays, as the rows below are zero there."""
+    left = np.array([i for i, c in enumerate(pivots) if c < len(A.idx)], dtype=np.int64)
+    L = _columns(T, left, A, 0, len(A.idx), N)
+    R = np.asarray(B, dtype=np.int64) % N
+    X = np.zeros((len(R), T.shape[1]), dtype=np.int64)
+    for i, row in zip(left.tolist(), L):
+        q = R[:, pivots[i] : pivots[i] + 1] // row[pivots[i]]
+        R, X = (R - q * row) % N, (X + q * T[i]) % N
+    return X, ~R.any(axis=1)
 
 
 def kernel_mod(A, N: int) -> np.ndarray:
     """Generators (rows) of {x in (Z/N)^n : A @ x = 0 mod N}; A dense or SparseRows."""
-    return _kernel_rows(*_reduce_transposed(A, N), N)
+    # rows pivoting right of A's rows have zero left half: kernel generators
+    A = _sparse(A, N)
+    return row_reduce_mod(_howell(np.eye(A.cols, dtype=np.int64), A, N, len(A.idx))[0], N)[0]
 
 
 def solve_mod(A, b: np.ndarray, N: int):
     """One solution x of A @ x = b mod N, or None; A dense or SparseRows."""
-    return _back_substitute(*_reduce_transposed(A, N), b, N)
+    X, ok = _back_substitute(*_reduce_transposed(A, N), np.asarray(b)[None], N)
+    return X[0] if ok[0] else None
 
 
 def quotient_invariants(kernel_gens: np.ndarray, relation_rows: np.ndarray, N: int):
@@ -200,15 +203,11 @@ def quotient_invariants(kernel_gens: np.ndarray, relation_rows: np.ndarray, N: i
         return [], np.zeros((0, kernel_gens.shape[1] if kernel_gens.ndim == 2 else 0), dtype=np.int64)
     # one reduction of [Z | I] expresses each relation in kernel coordinates
     # and gives the syzygies of the generators, which need not be independent
-    reduced = _reduce_transposed(kernel_gens.T, N)
-    coords = []
-    for rel in relation_rows:
-        c = _back_substitute(*reduced, rel, N)
-        if c is None:
-            raise ValueError("relation not inside kernel span")
-        coords.append(c)
-    M = np.array(coords, dtype=np.int64).reshape(-1, k)
-    syzygies = _kernel_rows(*reduced, N)
+    T, pivots, A = _reduce_transposed(kernel_gens.T, N)
+    M, ok = _back_substitute(T, pivots, A, np.reshape(relation_rows, (-1, len(A.idx))), N)
+    if not ok.all():
+        raise ValueError("relation not inside kernel span")
+    syzygies = row_reduce_mod(T[np.array(pivots, dtype=np.int64) >= len(A.idx)], N)[0]
     M = np.vstack([M, syzygies.reshape(-1, k), N * np.eye(k, dtype=np.int64)])
     factors, V = _smith_mod(M, N)
     # row i of V is quotient generator i as a combination of the kernel generators

@@ -118,14 +118,41 @@ def test_nontrivial_cocycle_on_c2c2():
     assert exhaustive_coboundary_search(lam, 4) is None
 
 
-def test_solver_matches_exhaustive_oracle():
-    gg = identity_c2()
+def tiny_cochains():
+    """Every 2-cochain with denominator 4 on C2, untwisted and twisted, and
+    cochains with denominator 2 on C4 graded by parity, one a coboundary."""
+    for gg in (cyclic(2), identity_c2()):
+        for k in range(4):
+            yield TwistedCochain.from_dict(gg, 2, {(1, 1): Phase(k, 4)})
     rng = random.Random(5)
-    for _ in range(4):
-        c = random_cochain(gg, 2, 2, rng)
-        fast = is_twisted_coboundary(c, denominator=2)
-        slow = exhaustive_coboundary_search(c, 2)
-        assert (fast is None) == (slow is None)
+    yield from (random_cochain(parity_c4(), 2, 2, rng) for _ in range(2))
+    yield twisted_differential(random_cochain(parity_c4(), 1, 2, rng))
+
+
+def test_solver_matches_exhaustive_oracle():
+    """Every denominator up to N*|G| finds a witness exactly when the
+    exhaustive search does, and the default finds one when any of them does.
+    On untwisted C2, c(1,1) = 1/2 is d(nu) for nu(1) = 1/4 only: denominator
+    4 = N*|G|, past lcm(N, |G|) = 2."""
+    for c in tiny_cochains():
+        found = []
+        for denominator in range(1, c.N * c.group.order + 1):
+            fast = is_twisted_coboundary(c, denominator=denominator)
+            assert (fast is None) == (exhaustive_coboundary_search(c, denominator) is None)
+            found.append(fast is not None)
+        assert (is_twisted_coboundary(c) is not None) == any(found)
+
+
+@pytest.mark.parametrize("name, grading, coboundaries", [("Q8", 2, 2), ("C2xC2xC2", 3, 8)])
+def test_restrictions_to_the_even_subgroup_that_are_coboundaries(name, grading, coboundaries):
+    """Q8 graded by C4 restricts to C4, where H^2(C4; U(1)) = 0, so both
+    classes restrict to coboundaries; the N = 8 class needs denominator
+    8 * 4, past lcm(8, 4).  C2xC2xC2 grading 3 restricts to C2xC2, where
+    H^2 = Z/2, so 8 of its 16 classes do."""
+    gg = enumerate_gradings(build_group(name))[grading]
+    reps, _ = cohomology_classes(gg, 2)
+    witnesses = [is_twisted_coboundary(restrict_to_even(r, gg)) for r in reps]
+    assert sum(w is not None for w in witnesses) == coboundaries
 
 
 def test_h2_untwisted_c2_is_trivial():

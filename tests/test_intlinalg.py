@@ -13,7 +13,15 @@ from oracles import row_reduce_mod as dense_row_reduce_mod
 from dwu.cli import load_manifest
 from dwu.cohomology import _bar_faces, differential_matrix
 from dwu.groups import build_group, enumerate_gradings
-from dwu.intlinalg import SparseRows, _reduce_transposed, kernel_mod, row_reduce_mod, solve_mod
+from dwu.intlinalg import (
+    SparseRows,
+    _back_substitute,
+    _reduce_transposed,
+    kernel_mod,
+    quotient_invariants,
+    row_reduce_mod,
+    solve_mod,
+)
 
 MODULI = [2, 4, 6, 8, 9, 12, 16, 24, 30, 32]
 
@@ -62,6 +70,58 @@ def test_row_reduce_matches_the_dense_elimination(N):
         A = random_matrix(rng, N)
         assert_same_form(row_reduce_mod(A, N), dense_row_reduce_mod(A, N))
         assert_same_form(full_form(A, N), dense_transposed(A, N))
+
+
+def dense_kernel(A, N):
+    """Kernel generators from the dense reduction of [A^T | I]: the rows
+    pivoting right of A's rows, reduced again."""
+    H, pivots = dense_transposed(A, N)
+    return dense_row_reduce_mod(H[[c >= len(A) for c in pivots], len(A) :], N)[0]
+
+
+@pytest.mark.parametrize("N", MODULI)
+def test_kernel_mod_matches_the_dense_kernel(N):
+    """kernel_mod back-reduces only the rows it keeps, the tail of the form;
+    the rows below a row are all that change it, so nothing else moves."""
+    rng = np.random.default_rng(N)
+    for _ in range(40):
+        A = random_matrix(rng, N)
+        assert np.array_equal(kernel_mod(A, N), dense_kernel(A, N))
+
+
+@pytest.mark.parametrize("N", MODULI)
+def test_batched_back_substitution_matches_one_right_hand_side_at_a_time(N):
+    """Six right-hand sides at once, half of them in the image of A, give
+    what each gives alone, and every solution found solves its equation."""
+    rng = np.random.default_rng(400 + N)
+    for _ in range(20):
+        A = random_matrix(rng, N)
+        B = [A @ rng.integers(0, N, size=A.shape[1]) for _ in range(3)]
+        B = np.array(B + [rng.integers(-N, 2 * N, size=len(A)) for _ in range(3)])
+        X, ok = _back_substitute(*_reduce_transposed(A, N), B, N)
+        for b, x, solved in zip(B, X, ok):
+            y = solve_mod(A, b, N)
+            assert solved == (y is not None)
+            assert not solved or (np.array_equal(x, y) and np.array_equal(A @ x % N, b % N))
+
+
+def test_quotient_invariants_rejects_a_relation_outside_the_kernel_span():
+    """The span of (2, 0, 0) and (0, 3, 0) mod 6 is Z/6; (4, 0, 0) cuts it to
+    Z/2, and (1, 0, 0) is not in it, even beside a relation that is."""
+    kernel_gens = np.array([[2, 0, 0], [0, 3, 0]])
+    factors, basis = quotient_invariants(kernel_gens, np.array([[4, 0, 0]]), 6)
+    assert factors == [2] and basis.tolist() == [[0, 3, 0]]
+    with pytest.raises(ValueError, match="kernel span"):
+        quotient_invariants(kernel_gens, np.array([[4, 0, 0], [1, 0, 0]]), 6)
+
+
+def test_a_pivot_step_that_leaves_more_rows_than_it_consumed():
+    """The column (6, 10, 15) mod 30 settles its running gcd only at the third
+    candidate: the two merges leave four residuals of the three rows, one
+    more than the pool has room for."""
+    A = np.array([[6, 10, 15]])
+    assert_same_form(full_form(A, 30), dense_transposed(A, 30))
+    assert np.array_equal(kernel_mod(A, 30), dense_kernel(A, 30))
 
 
 @pytest.mark.parametrize("N", MODULI)
