@@ -148,7 +148,8 @@ def _bar_faces(group: FiniteGroup, signs, degree: int) -> SparseRows:
     lexicographic order; face j of entry i is coef[i, j] times the source
     column idx[i, j], which indexes the degree-tuples without the identity in
     the same order.  A face tuple containing the identity, where normalized
-    cochains vanish, has coefficient 0.
+    cochains vanish, has coefficient 0.  Most entries are dependent on earlier
+    ones (see _cocycle_equations); all of them are kept here.
     """
     n, m = group.order, (group.order - 1) ** (degree + 1)
     w = np.indices((n - 1,) * (degree + 1)).reshape(degree + 1, m) + 1
@@ -160,6 +161,23 @@ def _bar_faces(group: FiniteGroup, signs, degree: int) -> SparseRows:
     sign = [np.asarray(signs, dtype=np.int64)[w[0]], *(-1) ** np.arange(1, degree + 2)[:, None]]
     coef = np.stack(np.broadcast_arrays(*sign), axis=1) * (faces > 0).all(axis=1).T
     return SparseRows(idx, coef, (n - 1) ** degree)
+
+
+def _cocycle_equations(group: FiniteGroup, signs, degree: int) -> np.ndarray:
+    """Mask of the rows of _bar_faces(group, signs, degree) whose first element
+    x is leading: no a before x has a*x or a^-1*x before x (a = 1 never does).
+
+    With R(w) the row of w, zero on tuples containing the identity, d(d c) = 0
+    at (a, b, ..) reads s(a) R(b, ..) - R(ab, ..) + (rows starting with a) = 0.
+    At b = x or at ab = x it writes R(x, ..) as +-1 times a sum of rows with
+    earlier first elements, so a row of any other x is zero on every vector
+    the earlier rows vanish on, and an elimination in row order never pivots
+    on it.  The signs enter only as that +-1."""
+    n = group.order
+    x = np.arange(n)
+    mul = np.array(group.table, dtype=np.int64)
+    lower = (mul < x) | (mul[list(group.inverse)] < x)  # [a, x]: a*x or a^-1*x before x
+    return np.repeat(~(lower & (x[:, None] < x)).any(axis=0)[1:], (n - 1) ** degree)
 
 
 def twisted_differential(c: TwistedCochain) -> TwistedCochain:
@@ -204,8 +222,11 @@ def cohomology_classes(ref, degree: int, cap: int = 32):
 
     Every class is N-torsion for N = |G^|, so Z/N-valued cocycles suffice;
     Z/N-classes that merge over U(1) are identified via the connecting images
-    d(z/N).  Returns (reps, factors) with reps sorted lexicographically by
-    numerator vector and factors the invariant-factor chain of the group.
+    d(z/N).  Both kernels solve only the leading equations (_cocycle_equations),
+    which give the same elimination steps and generators as all of them; the
+    relations use the whole differential.  Returns (reps, factors) with reps
+    sorted lexicographically by numerator vector and factors the
+    invariant-factor chain of the group.
     """
     if degree not in (1, 2):
         raise ValueError("cohomology computed in degrees 1 and 2 only")
@@ -216,12 +237,13 @@ def cohomology_classes(ref, degree: int, cap: int = 32):
     if N == 1:
         return [TwistedCochain.zero((group, signs), degree)], []
     D_down = differential_matrix(group, signs, degree - 1)
-    Z = kernel_mod(_bar_faces(group, signs, degree), N)
+    faces, keep = _bar_faces(group, signs, degree), _cocycle_equations(group, signs, degree)
+    Z = kernel_mod(SparseRows(faces.idx[keep], faces.coef[keep], faces.cols), N)
     relations = [row % N for row in D_down.T]
     # connecting images: a (degree-1)-cocycle z mod N lifts to z/N over Q/Z and
     # d(z/N) is again Z/N-valued; these are exactly the U(1)-coboundaries
     # that are invisible over Z/N
-    for z in kernel_mod(D_down, N):
+    for z in kernel_mod(D_down[_cocycle_equations(group, signs, degree - 1)], N):
         img = D_down @ z.astype(np.int64)
         assert not (img % N).any(), "kernel generator is not a cocycle"
         relations.append((img // N) % N)

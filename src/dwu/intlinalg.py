@@ -200,6 +200,8 @@ def quotient_invariants(kernel_gens: np.ndarray, relation_rows: np.ndarray, N: i
     """
     k = kernel_gens.shape[0]
     if k == 0:
+        if np.any(np.asarray(relation_rows) % N):
+            raise ValueError("relation not inside kernel span")
         return [], np.zeros((0, kernel_gens.shape[1] if kernel_gens.ndim == 2 else 0), dtype=np.int64)
     # one reduction of [Z | I] expresses each relation in kernel coordinates
     # and gives the syzygies of the generators, which need not be independent

@@ -326,6 +326,22 @@ def test_cohomology_output_is_golden(capsys, group, grading):
     assert out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (["--group", "D16xC2", "--grading", "0", "--degree", "2"], "cohomology_D16xC2_g0.jsonl"),
+        (["--group", "D16", "--degree", "1"], "cohomology_D16_all_degree1.jsonl"),
+    ],
+    ids=["D16xC2-0-degree2", "D16-all-degree1"],
+)
+def test_cohomology_of_order_32_and_of_degree_1_is_golden(capsys, args, golden):
+    """H^2 of an order-32 group and H^1 of every D16 grading match a capture
+    of an earlier release; both orders are powers of 2."""
+    code, out = run(capsys, "cohomology", *args)
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
 @pytest.mark.parametrize("extra, expected_code, golden", GOLDEN)
 def test_partition_enumerates_no_points_and_builds_no_groupoid(
     capsys, monkeypatch, extra, expected_code, golden

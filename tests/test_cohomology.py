@@ -5,8 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dwu.cli import load_manifest
 from dwu.cohomology import (
     TwistedCochain,
+    _bar_faces,
+    _cocycle_equations,
     cochain_from_json,
     cochain_to_json,
     cohomology_classes,
@@ -19,6 +22,7 @@ from dwu.cohomology import (
     twisted_differential,
 )
 from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
+from dwu.intlinalg import SparseRows, _reduce_transposed, kernel_mod
 from dwu.phases import Phase
 
 
@@ -243,8 +247,6 @@ def test_pullback_then_restrict_is_identity():
 def test_kernel_generators_are_cocycles():
     gg = split_grading(build_group("S3"))
     D = differential_matrix(gg.group, gg.sign, 2)
-    from dwu.intlinalg import kernel_mod
-
     K = kernel_mod(D, gg.group.order)
     for row in K:
         assert not (D @ row % gg.group.order).any()
@@ -334,3 +336,103 @@ def test_differential_matches_scalar_bar_formula(ref, degree):
         D = differential_matrix(group, signs, degree)
         nonidentity = expected[(slice(1, None),) * (degree + 1)].ravel()
         assert np.array_equal(D @ c.vector() % c.N, nonidentity)
+
+
+def leading_elements(group):
+    """Oracle: the x != 1 such that no a != 1 before x has a*x or a^-1*x before x."""
+    t, inv = group.table, group.inverse
+    return {
+        x
+        for x in range(1, group.order)
+        if not any(t[a][x] < x or t[inv[a]][x] < x for a in range(1, x))
+    }
+
+
+def leading_equations(gg, degree):
+    """The bar faces of gg in degree and the rows _cocycle_equations keeps."""
+    faces = _bar_faces(gg.group, gg.sign, degree)
+    keep = _cocycle_equations(gg.group, gg.sign, degree)
+    return faces, SparseRows(faces.idx[keep], faces.coef[keep], faces.cols), keep
+
+
+def every_grading(names):
+    for name in names:
+        for i, gg in enumerate(enumerate_gradings(build_group(name))):
+            yield pytest.param(gg, id=f"{name}-g{i}")
+
+
+LARGER = ["S4", "D24", "C3xS3", "C6xC3", "D18", "C10xC2"]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("gg", every_grading([*load_manifest()["groups"], *LARGER]))
+def test_leading_equations_have_the_kernel_of_all_equations(gg, degree):
+    faces, kept, keep = leading_equations(gg, degree)
+    assert keep.sum() < len(keep) or gg.group.order == 2
+    N = gg.group.order
+    assert np.array_equal(kernel_mod(kept, N), kernel_mod(faces, N))
+
+
+def pivot_values(T, pivots, A, N):
+    """Entry of each row (A @ t | t) of a form at its pivot column."""
+    m = len(A.idx)
+    return [int((t[A.idx[p]] * A.coef[p]).sum() % N if p < m else t[p - m]) for t, p in zip(T, pivots)]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize(
+    "gg",
+    [
+        *every_grading(load_manifest()["groups"]),
+        *(pytest.param(enumerate_gradings(build_group(name))[0], id=f"{name}-g0") for name in LARGER),
+    ],
+)
+def test_leading_equations_take_the_same_pivot_steps(gg, degree):
+    """The Howell form of [A^T | I] over the leading rows of A is the form over
+    all rows, with each pivot column of A mapped through the kept-row index."""
+    faces, kept, keep = leading_equations(gg, degree)
+    N = gg.group.order
+    T, pivots, A = _reduce_transposed(faces, N)
+    T_kept, pivots_kept, A_kept = _reduce_transposed(kept, N)
+    assert np.array_equal(T_kept, T)
+    rows, shift = np.flatnonzero(keep), len(keep) - int(keep.sum())
+    assert [int(rows[p]) if p < len(rows) else p + shift for p in pivots_kept] == pivots
+    assert pivot_values(T_kept, pivots_kept, A_kept, N) == pivot_values(T, pivots, A, N)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("gg", every_grading(["C4", "D8", "S3xC2", "Q8"]))
+def test_each_dropped_equation_is_a_combination_of_earlier_ones(gg, degree):
+    """d(d c) = 0 at (a, b, w..), with b = x or ab = x for an a before x,
+    writes the row of (x, w..) as +-1 times rows with first element a, ab or b."""
+    G, s = gg.group, gg.sign
+    D = differential_matrix(G, s, degree)
+    tuples = list(itertools.product(range(1, G.order), repeat=degree + 1))
+    row = dict(zip(tuples, D))  # a tuple containing the identity has the zero row
+    leading = leading_elements(G)
+    keep = _cocycle_equations(G, s, degree)
+    assert keep.tolist() == [w[0] in leading for w in tuples]
+    for w in itertools.compress(tuples, ~keep):
+        x = w[0]
+        a = next(a for a in range(1, x) if G.table[a][x] < x or G.table[G.inverse[a]][x] < x)
+        u = (a, x if G.table[a][x] < x else G.table[G.inverse[a]][x], *w[1:])
+        terms = [(s[a], u[1:])]
+        terms += [((-1) ** j, u[: j - 1] + (G.table[u[j - 1]][u[j]],) + u[j + 1 :]) for j in range(1, degree + 2)]
+        terms += [((-1) ** (degree + 2), u[:-1])]
+        (e,) = [c for c, t in terms if t == w]
+        others = [(c, t) for c, t in terms if t != w]
+        assert all(0 in t or t[0] < x for _, t in others)
+        combination = sum((c * row[t] for c, t in others if t in row), np.zeros(D.shape[1], dtype=np.int64))
+        assert np.array_equal(row[w], -e * combination)
+
+
+@pytest.mark.parametrize("grading, degree, row", [(0, 2, 0), (2, 1, 7)])
+def test_dropping_a_leading_equation_changes_the_kernel(grading, degree, row):
+    """Not every leading row of S3xC2 is implied by the other ones, so the
+    kernel test above can fail.  (Mod |G| many are: on C4 and D8 every single
+    leading row can be dropped.)"""
+    gg = enumerate_gradings(build_group("S3xC2"))[grading]
+    faces, kept, _ = leading_equations(gg, degree)
+    fewer = np.arange(len(kept.idx)) != row
+    K = kernel_mod(SparseRows(kept.idx[fewer], kept.coef[fewer], kept.cols), 12)
+    assert not np.array_equal(K, kernel_mod(faces, 12))

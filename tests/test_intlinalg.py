@@ -115,6 +115,13 @@ def test_quotient_invariants_rejects_a_relation_outside_the_kernel_span():
         quotient_invariants(kernel_gens, np.array([[4, 0, 0], [1, 0, 0]]), 6)
 
 
+def test_quotient_invariants_of_no_generators_checks_the_relations():
+    """The zero span holds only zero relations, 6 = 0 mod 6 among them."""
+    assert quotient_invariants(np.zeros((0, 3)), [[6, 0, 0]], 6)[0] == []
+    with pytest.raises(ValueError, match="kernel span"):
+        quotient_invariants(np.zeros((0, 3)), [[1, 0, 0]], 6)
+
+
 def test_a_pivot_step_that_leaves_more_rows_than_it_consumed():
     """The column (6, 10, 15) mod 30 settles its running gcd only at the third
     candidate: the two merges leave four residuals of the three rows, one
