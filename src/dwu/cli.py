@@ -44,10 +44,9 @@ def _pair(z: complex) -> list:
 
 def _fingerprint(cochain) -> str:
     """Hash of the reduced fractions on the tuples without the identity."""
-    N = cochain.N
-    payload = ",".join(
-        f"{k // math.gcd(k, N)}/{N // math.gcd(k, N)}" for k in cochain.vector().tolist()
-    ).encode()
+    N, vec = cochain.N, cochain.vector().tolist()
+    frac = {k: f"{k // math.gcd(k, N)}/{N // math.gcd(k, N)}" for k in set(vec)}
+    payload = ",".join(map(frac.__getitem__, vec)).encode()
     return hashlib.sha1(payload).hexdigest()[:12]
 
 

@@ -5,13 +5,15 @@ reduction below is a Howell-style echelon form (pivots divide N, annihilator
 rows N/gcd * row are folded back in) which makes span membership and kernel
 computations exact for composite N.  Kernels and solutions reduce [A^T | I]
 as coefficient rows t alone (a row is (A @ t | t)), with A a sparse operator
-(its padded nonzeros per row) whose zero columns are skipped in blocks;
-candidates past a settled running gcd merge in one array step.  The live rows
-sit in one pool, where a pivot step writes the rows it leaves over the ones it
-consumed.  A kernel back-reduces only its own rows, the tail of the form, and
-one pass over the form solves for every right-hand side at once.  Quotient
-groups ker/im are invariant factors of an integer Smith reduction in which
-mod-N row reductions are legal (the lattice always contains N*Z^k).
+(its padded nonzeros per row) whose zero columns are skipped in blocks.  A
+pivot step decides its merges and swaps on the column values alone, then
+forms every row it leaves as x + b*y of two candidate or merged-pivot rows
+in one array step.  The live rows sit in one pool, where a pivot step writes
+the rows it leaves over the ones it consumed.  A kernel back-reduces only its
+own rows, the tail of the form, and one pass over the form solves for every
+right-hand side at once.  Quotient groups ker/im are invariant factors of an
+integer Smith reduction in which mod-N row reductions are legal (the lattice
+always contains N*Z^k).
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def _columns(P: np.ndarray, live: np.ndarray, A: SparseRows, c0: int, c1: int, N
         return P[live, c0 - m : c1 - m]
     X = P[live[:, None, None], A.idx[c0:c1]]
     if A.idx.shape[1] * (N - 1) ** 2 >= 2**63:
-        X = X.astype(object)
-    return _mod((X * A.coef[c0:c1]).sum(axis=-1), N).astype(np.int64)
+        return _mod((X.astype(object) * A.coef[c0:c1]).sum(axis=-1), N).astype(np.int64)
+    return _mod(np.einsum("lwk,wk->lw", X, A.coef[c0:c1]), N)
 
 
 def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
@@ -92,51 +94,57 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
     while col < end and len(order):
         stop = min(col + max(1, min(width, BLOCK // len(order))), m if col < m else end)
         block = _columns(pool, order, A, col, stop, N)
-        hit = np.flatnonzero(block.any(axis=0))
-        if not len(hit):
+        hit = block.any(axis=0)
+        h = int(hit.argmax())
+        if not hit[h]:
             col, width = stop, 2 * width
             continue
-        col, width = col + int(hit[0]), max(1, width // 2)
-        vals = block[:, hit[0]]
-        cv, slots = vals[vals != 0], order[vals != 0]
-        # combine candidates so the pivot becomes gcd of the column entries;
-        # both combined rows leave a residual with a zero in this column
-        rest, run = [], np.gcd.accumulate(cv)
-        s = int(np.argmax(run == run[-1]))
-        piv, g = pool[slots[0]], int(cv[0])
-        for r, rc in zip(pool[slots[1 : s + 1]], cv[1 : s + 1].tolist()):
-            g_new, u, v = _egcd(g, rc)
-            new_piv = (u * piv + v * r) % N
-            rest += [((old - (oc // g_new) * new_piv) % N)[None] for old, oc in ((piv, g), (r, rc))]
-            piv, g = new_piv, g_new
-        # past s every value is k*g: k = 1 makes r the pivot (residual piv - r),
-        # k > 1 leaves the residual r - k*piv
-        later, k = pool[slots[s + 1 :]], cv[s + 1 :, None] // g
-        # the pivot before each of these rows and after the last: the latest
-        # row with k = 1, or piv (index -1)
-        swaps = np.where(k[:, 0] == 1, np.arange(len(k)), -1)
-        at = np.concatenate([[-1], np.maximum.accumulate(swaps)])
-        cur = later[at[:-1]]
-        cur[at[:-1] < 0] = piv
-        resid = _mod(np.where(k == 1, cur - later, later - k * cur), N)
-        rest.append(resid)
-        piv = later[at[-1]] if at[-1] >= 0 else piv
-        # normalize the pivot to d = gcd(g, N): invert the unit g/d mod N/d
+        col, width = col + h, max(1, width // 2)
+        vals = block[:, h]
+        nz = vals != 0
+        slots, cv = order[nz], vals[nz].tolist()
+        # every row the step leaves is E[i] + b*E[j] mod N, E the candidates
+        # and then the pivots merged from them.  Until its value g is the gcd
+        # of the column, the pivot merges with the next candidate r, and both
+        # leave a residual with a zero in this column; then a value g makes r
+        # the pivot (residual piv - r), and a value k*g leaves r - k*piv.
+        # b lies in [0, N), so the sums stay below N^2 < 2^63.
+        cand = pool[slots]
+        E, rows, G, g, cur, piv = [cand], [], math.gcd(*cv), cv[0], 0, cand[0]
+        for j, c in enumerate(cv[1:], 1):
+            if g != G:
+                g_new, u, v = _egcd(g, c)
+                piv = (u * piv + v * cand[j]) % N
+                E.append(piv[None])
+                new = len(cv) + len(E) - 2
+                rows += [(cur, N - g // g_new, new), (j, N - c // g_new, new)]
+                cur, g = new, g_new
+            elif c == g:
+                rows.append((cur, N - 1, j))
+                cur = j
+            else:
+                rows.append((j, N - c // g, cur))
+        # normalize the pivot to d = gcd(g, N): invert the unit g/d mod N/d;
+        # the annihilator row (N/d)*piv kills the pivot and may reveal lower
+        # entries (it is zero for d = 1).  u*piv is piv + (u - 1)*piv.
         d = math.gcd(g, N)
-        _, inv, _ = _egcd((g // d) % (N // d), N // d)
-        piv = _mod(piv * (inv % (N // d)), N)
-        # annihilator row: (N/d)*piv kills the pivot, may reveal lower entries
-        rest.append(_mod((N // d) * piv, N)[None])
-        done.append((col, d, piv))
+        inv = _egcd((g // d) % (N // d), N // d)[1] % (N // d)
+        rows = [(cur, (inv - 1) % N, cur)] + rows + [(cur, ((N // d) * inv - 1) % N, cur)] * (d > 1)
+        i, b, j = np.array(rows).T
+        E = np.concatenate(E) if len(E) > 1 else cand
+        rest = E[j]
+        rest *= b[:, None]
+        rest += E[i]
+        rest -= rest // N * N
+        done.append((col, d, rest[0].copy()))  # a copy keeps no step's rows alive
         # the rows left go to the consumed slots, then to free ones; fewer
         # than the consumed and live rows together, so one doubling fits them
-        rest, slots = np.concatenate(rest), np.concatenate([slots, free])
-        rest = rest[rest.any(axis=1)]
+        rest, slots = rest[1:][rest[1:].any(axis=1)], np.concatenate([slots, free])
         if len(rest) > len(slots):
             slots = np.concatenate([slots, np.arange(len(pool), 2 * len(pool))])
             pool = np.concatenate([pool, np.empty_like(pool)])
         pool[slots[: len(rest)]] = rest
-        order, free = np.concatenate([order[vals == 0], slots[: len(rest)]]), slots[len(rest) :]
+        order, free = np.concatenate([order[~nz], slots[: len(rest)]]), slots[len(rest) :]
         col += 1
     done = [x for x in done if x[0] >= first]
     pivots, values = [c for c, _, _ in done], [d for _, d, _ in done]

@@ -186,6 +186,33 @@ def test_merge_of_late_settling_gcds(N):
         assert_all_forms_match(A % N, N)
 
 
+@pytest.mark.parametrize(
+    "column, N",
+    [([2, 4, 2, 6, 2, 8], 12), ([4, 6, 2, 4, 2, 6, 2, 10], 12), ([3, 6, 3, 9], 12), ([6, 10, 15, 5, 5, 10], 30)],
+    ids=["five-past-two-swaps", "merge-then-six-past", "three-past", "late-gcd-then-three-past"],
+)
+def test_candidates_past_the_settled_gcd(column, N):
+    """Runs of rows past the candidate where the running gcd g settles: a
+    value g takes over the pivot (two or three times in the first two
+    columns), a value k*g leaves r - k*piv."""
+    rng = np.random.default_rng(len(column))
+    A = np.column_stack([column, rng.integers(0, N, size=(len(column), 4))])
+    assert_all_forms_match(A, N)
+    assert_all_forms_match(A.T, N)
+    assert np.array_equal(kernel_mod(A.T, N), dense_kernel(A.T, N))
+
+
+def test_unit_and_non_unit_pivots_in_one_matrix():
+    """Mod 12 the first pivot, 5, is a unit: it is scaled to 1 and leaves no
+    annihilator row.  The second, 8, is scaled to d = 4 and leaves the
+    annihilator 3*piv, which has entries past the pivot."""
+    A = np.array([[5, 3, 7, 2], [0, 8, 1, 5], [0, 0, 6, 9]])
+    H, pivots = row_reduce_mod(A, 12)
+    assert pivots[:2] == [0, 1] and H[0, 0] == 1 and H[1, 1] == 4
+    assert_all_forms_match(A, 12)
+    assert_all_forms_match(A.T, 12)
+
+
 def random_operator(rng, N, width=4):
     """SparseRows of at most 40 rows whose entries often repeat a column, and
     the same matrix written out densely."""
@@ -214,10 +241,15 @@ def test_column_blocks_past_int64_are_exact():
     column values are taken in Python integers."""
     N = 2**31 - 1
     rng = np.random.default_rng(1)
+    cases = []
     for _ in range(10):
-        op, A = random_operator(rng, N)
-        op = SparseRows(op.idx, rng.integers(N - 2**20, N, size=op.coef.shape), op.cols)
-        A = np.zeros((len(A), op.cols), dtype=object)
+        op = random_operator(rng, N)[0]
+        cases.append(SparseRows(op.idx, rng.integers(N - 2**20, N, size=op.coef.shape), op.cols))
+    # after the first pivot of two rows of faces, the read of the second
+    # left column is one column wide, on rows filled with entries near N
+    cases.append(SparseRows(np.array([[0, 1, 1, 2], [2, 0, 1, 2]]), N - np.array([[1, 2, 3, 5], [7, 11, 13, 17]]), 3))
+    for op in cases:
+        A = np.zeros((len(op.idx), op.cols), dtype=object)
         np.add.at(A, (np.arange(len(A))[:, None], op.idx), op.coef.astype(object))
         A = (A % N).astype(np.int64)
         assert_same_form(full_form(A, N, op), dense_transposed(A, N))
