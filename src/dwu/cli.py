@@ -99,16 +99,15 @@ class Emitter:
 
 
 def _resolve_gradings(group_name: str, which: str, cap: int):
-    g = build_group(group_name, cap=cap)
-    gradings = enumerate_gradings(g)
+    gradings = enumerate_gradings(build_group(group_name, cap=cap))
     if not gradings:
         raise ValueError(f"group {group_name} has no Z2-gradings (no index-2 subgroup)")
     if which == "all":
-        return g, list(enumerate(gradings))
+        return list(enumerate(gradings))
     idx = int(which)
     if not 0 <= idx < len(gradings):
         raise IndexError(f"grading index {idx} out of range (found {len(gradings)})")
-    return g, [(idx, gradings[idx])]
+    return [(idx, gradings[idx])]
 
 
 def _resolve_classes(gg, args):
@@ -151,8 +150,7 @@ def cmd_gradings(args, emitter: Emitter) -> int:
 
 
 def cmd_cohomology(args, emitter: Emitter) -> int:
-    _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
-    for gi, gg in gradings:
+    for gi, gg in _resolve_gradings(args.group, args.grading, args.cap):
         reps, factors = cohomology_classes(gg, args.degree, cap=args.cap)
         emitter.emit(
             {
@@ -168,8 +166,7 @@ def cmd_cohomology(args, emitter: Emitter) -> int:
 
 
 def cmd_indicators(args, emitter: Emitter) -> int:
-    _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
-    for gi, gg in gradings:
+    for gi, gg in _resolve_gradings(args.group, args.grading, args.cap):
         for ci, lam in _resolve_classes(gg, args):
             alg = algebra_from_graded(gg, lam)
             bl = fs_indicators(blocks(alg), crosscap_element(gg, lam), alg)
@@ -205,8 +202,7 @@ def cmd_indicators(args, emitter: Emitter) -> int:
 
 def cmd_verify_axioms(args, emitter: Emitter) -> int:
     failures = 0
-    _, gradings = _resolve_gradings(args.group, args.grading, args.cap)
-    for gi, gg in gradings:
+    for gi, gg in _resolve_gradings(args.group, args.grading, args.cap):
         for ci, lam in _resolve_classes(gg, args):
             T = _turaev_data(gg, lam)
             t_report = check_turaev_axioms(T)
@@ -238,8 +234,7 @@ def cmd_partition(args, emitter: Emitter) -> int:
         names = [args.group]
     failing = 0
     for name in names:
-        _, gradings = _resolve_gradings(name, args.grading, args.cap)
-        for gi, gg in gradings:
+        for gi, gg in _resolve_gradings(name, args.grading, args.cap):
             for ci, lam in _resolve_classes(gg, args):
                 rep = consistency_report(
                     gg,

@@ -273,23 +273,6 @@ def restrict_to_even(c: TwistedCochain, GG: GradedGroup) -> TwistedCochain:
     return TwistedCochain(sub, (1,) * sub.order, c.degree, c.N, table)
 
 
-def pullback_split(lmbda: TwistedCochain, GG: GradedGroup) -> TwistedCochain:
-    """Pull an order-2 cocycle on the even part back along a split projection."""
-    if lmbda.N > 2:
-        raise ValueError("pullback to a twisted cocycle needs 2*lambda = 0")
-    G = GG.group
-    odd_inv = G.inverse[GG.odd_part()[0]]
-    proj = [GG.even_index[g if GG.sign[g] == 1 else G.table[g][odd_inv]] for g in range(G.order)]
-    table = lmbda.table[np.ix_(*[proj] * lmbda.degree)]
-    return TwistedCochain(G, GG.sign, lmbda.degree, lmbda.N, table)
-
-
-def random_cochain(ref, degree: int, denominator: int, rng) -> TwistedCochain:
-    group, _ = _group_signs(ref)
-    vec = [rng.randrange(denominator) for _ in range((group.order - 1) ** degree)]
-    return TwistedCochain.from_vector(ref, degree, vec, denominator)
-
-
 def cochain_to_json(c: TwistedCochain, group_name: str | None = None) -> str:
     nonzero = zip(np.argwhere(c.table).tolist(), c.table[c.table != 0].tolist())
     return json.dumps(

@@ -2,10 +2,11 @@
 
 A groupoid is presented as a finite set with a group action; components carry
 their orbit size and automorphism (stabilizer) order, and integration weights
-a class function by 1/|Aut|.  Loop groupoids and the double reflective loop
-groupoid of a graded group are built as explicit action groupoids (the tests'
-references for the direct route and the KR integral).  The orbit loop and the
-flat-section search over conjugation (the exact orbifold and the
+a class function by 1/|Aut|.  The double reflective loop groupoid of a graded
+group is built as an explicit action groupoid, the tests' reference for the KR
+integral; its carrier is what dwu.tqft counts over.  The loop, point and
+moduli groupoids the tests build live in tests/oracles.py.  The orbit loop and
+the flat-section search over conjugation (the exact orbifold and the
 floating-point center) are module functions shared by their callers.
 """
 
@@ -121,28 +122,6 @@ def _transport(G: FiniteGroup, rep: int, start, step):
             elif values[g2] != v2:
                 return None
     return values
-
-
-def loop_groupoid(gpd: ActionGroupoid) -> ActionGroupoid:
-    """Carrier {(x, h) : h.x = x} with the acting group unchanged, k.(x,h) = (k.x, khk^-1)."""
-    H = gpd.acting_group
-    carrier = [
-        (x, h) for x in gpd.carrier for h in range(H.order) if gpd.action[(h, x)] == x
-    ]
-
-    def act(k, pt):
-        x, h = pt
-        return (gpd.action[(k, x)], H.conj(k, h))
-
-    return ActionGroupoid.build(carrier, H, act, label=f"loop({gpd.label})")
-
-
-def point_mod_group(G: FiniteGroup) -> ActionGroupoid:
-    return ActionGroupoid.build(["pt"], G, lambda h, x: x, label=f"pt//{G.name}")
-
-
-def conjugation_groupoid(G: FiniteGroup) -> ActionGroupoid:
-    return ActionGroupoid.build(range(G.order), G, lambda h, g: G.conj(h, g), label=f"{G.name}//conj")
 
 
 def double_real_loop_carrier(GG: GradedGroup) -> list[tuple]:

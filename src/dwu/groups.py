@@ -202,12 +202,6 @@ def real_conjugate(GG: GradedGroup, h: int, g: int) -> int:
     return G.table[G.table[h][gs]][G.inverse[h]]
 
 
-def odd_square_roots(GG: GradedGroup, g: int) -> set:
-    """All odd elements whose square is g (empty when g is odd)."""
-    G = GG.group
-    return {s for s in GG.odd_part() if G.table[s][s] == g}
-
-
 def enumerate_gradings(G_hat: FiniteGroup) -> list[GradedGroup]:
     """All surjective sign homomorphisms, ordered lexicographically by sign vector.
 

@@ -4,8 +4,9 @@ A surface is a fundamental-group presentation: one generator list with
 orientation characters (+1 for orientable handles, -1 for crosscap loops) and
 one relator word.  Holonomy points are generator tuples satisfying the relator
 whose signs match the orientation characters; the even subgroup acts by
-simultaneous conjugation.  Their enumeration and groupoids are the tests'
-references for the direct route, which walks the relator (dwu.tqft).
+simultaneous conjugation.  The direct route walks the relator (dwu.tqft);
+the tests enumerate the points and build the bundle, circle, crosscap and
+one-loop groupoids from them as its brute-force references (tests/oracles.py).
 
 Presentations used:
   sphere         no generators, empty relator
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dwu.groupoids import ActionGroupoid, double_real_loop_carrier
 from dwu.groups import FiniteGroup, GradedGroup, ResourceBudgetError
 
 DEFAULT_BUDGET = 5_000_000
@@ -148,65 +148,3 @@ def holonomy_points(surface: Surface, GG: GradedGroup, budget: int | None = None
         ends = word_value(GG.group, surface.relator(), columns, np.zeros(len(chunk), np.int64))
         out += [tup for tup, end in zip(chunk, ends) if end == 0]
     return out
-
-
-def is_valid_holonomy(surface: Surface, GG: GradedGroup, tup) -> bool:
-    chars = surface.generator_characters()
-    if len(tup) != len(chars):
-        return False
-    if any(GG.sign[g] != c for g, c in zip(tup, chars)):
-        return False
-    return bool(word_value(GG.group, surface.relator(), tup) == 0)
-
-
-def even_conjugation(GG: GradedGroup):
-    """act(k, tup): simultaneous conjugation of a tuple by the k-th even element."""
-    G = GG.group
-
-    def act(k, tup):
-        return tuple(G.conj(GG.even_part[k], g) for g in tup)
-
-    return act
-
-
-def bundle_groupoid(surface: Surface, GG: GradedGroup, budget: int | None = None):
-    """Holonomy tuples modulo simultaneous conjugation by the even subgroup."""
-    points = holonomy_points(surface, GG, budget)
-    return ActionGroupoid.build(
-        points, GG.even_subgroup, even_conjugation(GG), label=f"Bun^or({surface.name})"
-    )
-
-
-def circle_groupoid(GG: GradedGroup):
-    """Bundles on the circle: the even part under its own conjugation."""
-    sub = GG.even_subgroup
-    return ActionGroupoid.build(
-        range(sub.order), sub, lambda k, g: sub.conj(k, g), label="Bun(S1)"
-    )
-
-
-def crosscap_groupoid(GG: GradedGroup):
-    """Odd elements under even conjugation, plus the boundary map t(s) = s^2.
-
-    Boundary values are element indices of the ambient group (always even);
-    GG.even_index converts them to circle_groupoid coordinates.
-    """
-    G = GG.group
-    sub = GG.even_subgroup
-    odd = GG.odd_part()
-
-    def act(k, s):
-        return G.conj(GG.even_part[k], s)
-
-    gpd = ActionGroupoid.build(odd, sub, act, label="Bun^or(M)")
-    boundary = {s: G.table[s][s] for s in odd}
-    return gpd, boundary
-
-
-def one_loop_groupoid(GG: GradedGroup):
-    """Torus and Klein-bottle moduli glued: the double real loop carrier
-    (g, w) with w g^{sign w} w^{-1} = g, under even conjugation."""
-    return ActionGroupoid.build(
-        double_real_loop_carrier(GG), GG.even_subgroup, even_conjugation(GG),
-        label="Bun^or(1-loop)",
-    )

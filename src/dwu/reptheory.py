@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from dwu.cohomology import TwistedCochain, is_twisted_cocycle, restrict_to_even
+from dwu.cohomology import TwistedCochain, restrict_to_even
 from dwu.groupoids import flat_sections
-from dwu.groups import GradedGroup, real_conjugate
-from dwu.phases import Phase, root_of_unity
-from dwu.transgression import require_cocycle, tau_circle, tau_ref
+from dwu.groups import GradedGroup
+from dwu.phases import root_of_unity
+from dwu.transgression import require_cocycle, tau_circle
 
 INTERNAL_TOL = 1e-9  # block extraction
 REPORT_TOL = 1e-6  # indicator integrality
@@ -173,65 +173,6 @@ def fs_indicators(
             f"indicator {nu_complex[i]} does not round to -1/0/+1 (residual {residual[i]:.2e})"
         )
     return [replace(b, indicator=int(x)) for b, x in zip(block_list, nu)]
-
-
-@dataclass
-class DualityPhases:
-    """Phase data of the duality structure attached to an odd element."""
-
-    sigma: int  # ambient odd element
-    p_permutation: tuple  # even-subgroup permutation g -> sigma g^-1 sigma^-1
-    p_phases: tuple  # Phase per even-subgroup element: -tau_ref(sigma, g)
-    theta_phase: Phase  # lambda^(sigma, sigma)
-    theta_carrier: int  # even-subgroup index of sigma^2
-    F_phases: tuple  # Phase per even-subgroup element: lambda^(g, sigma)
-
-    def apply_p(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(v), dtype=complex)
-        for g, coeff in enumerate(v):
-            if coeff != 0:
-                out[self.p_permutation[g]] += coeff * self.p_phases[g].to_complex()
-        return out
-
-
-def duality_phases(GG: GradedGroup, lambda_hat: TwistedCochain, sigma: int) -> DualityPhases:
-    if GG.sign[sigma] != -1:
-        raise ValueError(f"element {sigma} is even; the duality needs an odd element")
-    require_cocycle(lambda_hat)
-    t = tau_ref(lambda_hat, GG)
-    G, even = GG.group, GG.even_part
-    return DualityPhases(
-        sigma=sigma,
-        p_permutation=tuple(GG.even_index[G.conj(sigma, G.inverse[g])] for g in even),
-        p_phases=tuple(-t.value(sigma, g) for g in even),
-        theta_phase=lambda_hat.value((sigma, sigma)),
-        theta_carrier=GG.even_index[G.table[sigma][sigma]],
-        F_phases=tuple(lambda_hat.value((g, sigma)) for g in even),
-    )
-
-
-@dataclass
-class RealOneDimData:
-    rep_phases: tuple  # Phase per even-subgroup element
-    interval_phase: Phase  # lambda^(sigma^-1) for the chosen odd sigma
-    invariants_dimension: int  # 1 iff the restriction to G is trivial
-
-
-def real_1d_phases(GG: GradedGroup, lambda_hat_1: TwistedCochain) -> RealOneDimData:
-    if lambda_hat_1.degree != 1:
-        raise ValueError("expected a twisted 1-cocycle")
-    if not is_twisted_cocycle(lambda_hat_1):
-        raise ValueError("input is not a twisted 1-cocycle")
-    G = GG.group
-    rep = tuple(lambda_hat_1.value((g,)) for g in GG.even_part)
-    sigma = GG.odd_part()[0]
-    iota = lambda_hat_1.value((G.inverse[sigma],))
-    # Real compatibility: the phase is invariant under Real conjugation
-    t = lambda_hat_1.rows
-    if any(t[real_conjugate(GG, s, g)] != t[g] for s in GG.odd_part() for g in GG.even_part):
-        raise AssertionError("Real conjugation invariance fails for a 1-cocycle")
-    inv_dim = 1 if all(p.is_zero() for p in rep) else 0
-    return RealOneDimData(rep_phases=rep, interval_phase=iota, invariants_dimension=inv_dim)
 
 
 def algebra_from_graded(GG: GradedGroup, lambda_hat: TwistedCochain) -> TwistedGroupAlgebra:

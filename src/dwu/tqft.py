@@ -16,7 +16,7 @@ element of Z[Z/L], see dwu.phases): the orbifold algebra is the span of flat
 sections inside the twisted group algebra, its vectors are integer count
 arrays, and the direct route and the KR integral count roots in Python ints
 and divide by the group order once; the tests hold both to the brute-force
-holonomy and groupoid sums of dwu.moduli and dwu.groupoids.
+holonomy and groupoid sums of tests/oracles.py.
 """
 
 from __future__ import annotations

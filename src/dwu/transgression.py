@@ -20,8 +20,10 @@ each read after the pieces before it: the direct route walks them.
 
 Everything here is an integer exponent mod the cocycle's N: tau_ref and
 tau_circle are exponent tables, and a pairing is a sum of integers mod N, for
-integer arrays of holonomies at once.  pair_surface and the closed forms
-return a Phase, the value type at the API edge.
+integer arrays of holonomies at once.  LoopCocycle.value returns a Phase,
+the value type at the API edge.  The tests check relator_pairing against a
+one-holonomy pairing and the torus, RP2 and Klein closed forms
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from dwu.cohomology import TwistedCochain, is_twisted_cocycle
 from dwu.groups import FiniteGroup, GradedGroup, real_conjugate
-from dwu.moduli import Surface, is_valid_holonomy
+from dwu.moduli import Surface
 from dwu.phases import Phase
 
 
@@ -123,31 +125,3 @@ def relator_pairing(cochain: TwistedCochain, surface: Surface, holonomy, prefix=
             acc = acc - lam[holonomy[gen], x]
         prefix = table[prefix, x]
     return acc % cochain.N
-
-
-def pair_surface(lambda_hat: TwistedCochain, GG: GradedGroup, surface: Surface, holonomy) -> Phase:
-    """<eps(f*lambda_hat), [Sigma]> as an exact phase."""
-    require_cocycle(lambda_hat)
-    if not is_valid_holonomy(surface, GG, holonomy):
-        raise ValueError(f"invalid holonomy {holonomy} for {surface.name}")
-    return Phase(int(relator_pairing(lambda_hat, surface, holonomy)), lambda_hat.N)
-
-
-def torus_closed_form(lambda_hat: TwistedCochain, holonomy) -> Phase:
-    g1, g2 = holonomy
-    return lambda_hat.value((g2, g1)) - lambda_hat.value((g1, g2))
-
-
-def rp2_closed_form(lambda_hat: TwistedCochain, holonomy) -> Phase:
-    (s,) = holonomy
-    return lambda_hat.value((s, s))
-
-
-def klein_closed_form(lambda_hat: TwistedCochain, group: FiniteGroup, holonomy) -> Phase:
-    g, s = holonomy
-    ginv = group.inverse[g]
-    return (
-        -lambda_hat.value((g, ginv))
-        + lambda_hat.value((g, s))
-        - lambda_hat.value((s, ginv))
-    )

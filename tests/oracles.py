@@ -1,25 +1,54 @@
-"""Brute-force references for the direct route, the KR integral and the
-Howell elimination.
+"""Brute-force references the tests hold dwu to, and the test-only
+constructions of the paper's groupoids and phase data.
 
-`dwu.tqft.partition_direct` walks the relator one handle or crosscap at a
-time and `dwu.tqft._kr_integral` counts roots over the double-loop carrier.
-The tests hold them to the same sums in their brute-force forms: every
-holonomy point of the surface's presentation paired with the fundamental
-chain, the same points grouped into orbits of the even part's conjugation and
-weighted by orbit size, and the KR integrand integrated over the double real
-loop as an action groupoid.  Each divides by the group order once.
-`dwu.intlinalg` keeps only the coefficient rows of the matrices it reduces;
-`row_reduce_mod` here stores and reduces every row in full, one at a time.
+Direct route and KR integral.  `dwu.tqft.partition_direct` walks the relator
+one handle or crosscap at a time and `dwu.tqft._kr_integral` counts roots over
+the double-loop carrier.  The tests hold them to the same sums in their
+brute-force forms: every holonomy point of the surface's presentation paired
+with the fundamental chain, the same points grouped into orbits of the even
+part's conjugation and weighted by orbit size, and the KR integrand integrated
+over the double real loop as an action groupoid.  Each divides by the group
+order once.
+
+Groupoid constructions.  The moduli Bun^or(Sigma) of a surface as holonomy
+points under even conjugation, the circle, crosscap and one-loop groupoids,
+and the loop, point and conjugation groupoids, each an explicit
+`dwu.groupoids.ActionGroupoid`: the groupoid-cardinality form of the
+invariants, whose components and cardinalities the tests count.
+
+Closed forms and pairing.  `pair_surface` pairs one valid holonomy point with
+the fundamental chain as a Phase, and the torus, RP2 and Klein closed forms
+are the literal formulas `dwu.transgression.relator_pairing` must reproduce.
+
+Duality and Real 1-d phase data.  The phases of the duality structure at an
+odd element and of a Real one-dimensional representation, which the tests
+check the twisted group algebra against.
+
+Cochains and groups.  Random cochains, the pullback of an order-2 cocycle
+along a split grading, and the odd square roots of an element.
+
+Howell elimination.  `dwu.intlinalg` keeps only the coefficient rows of the
+matrices it reduces; `row_reduce_mod` here stores and reduces every row in
+full, one at a time.
 """
 
+from __future__ import annotations
+
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from dwu.groupoids import double_real_loop, orbits
-from dwu.moduli import even_conjugation, holonomy_points
-from dwu.phases import CycField
-from dwu.transgression import relator_pairing, tau_ref
+from dwu.cohomology import TwistedCochain, _group_signs, is_twisted_cocycle
+from dwu.groupoids import ActionGroupoid, double_real_loop, double_real_loop_carrier, orbits
+from dwu.groups import FiniteGroup, GradedGroup, real_conjugate
+from dwu.moduli import Surface, holonomy_points, word_value
+from dwu.phases import CycField, Phase
+from dwu.transgression import relator_pairing, require_cocycle, tau_ref
+
+
+# ---------------------------------------------------------------------------
+# direct route and KR integral
 
 
 def _points_and_pairings(GG, lambda_hat, surface):
@@ -70,6 +99,220 @@ def kr_groupoid_integrals(GG, lambda_hat, field):
         return flip_field.root(t[w][g], N)
 
     return gpd.integrate(f), gpd.integrate(flipped)
+
+
+# ---------------------------------------------------------------------------
+# groupoid constructions
+
+
+def is_valid_holonomy(surface: Surface, GG: GradedGroup, tup) -> bool:
+    chars = surface.generator_characters()
+    if len(tup) != len(chars):
+        return False
+    if any(GG.sign[g] != c for g, c in zip(tup, chars)):
+        return False
+    return bool(word_value(GG.group, surface.relator(), tup) == 0)
+
+
+def even_conjugation(GG: GradedGroup):
+    """act(k, tup): simultaneous conjugation of a tuple by the k-th even element."""
+    G = GG.group
+
+    def act(k, tup):
+        return tuple(G.conj(GG.even_part[k], g) for g in tup)
+
+    return act
+
+
+def bundle_groupoid(surface: Surface, GG: GradedGroup, budget: int | None = None):
+    """Holonomy tuples modulo simultaneous conjugation by the even subgroup."""
+    points = holonomy_points(surface, GG, budget)
+    return ActionGroupoid.build(
+        points, GG.even_subgroup, even_conjugation(GG), label=f"Bun^or({surface.name})"
+    )
+
+
+def circle_groupoid(GG: GradedGroup):
+    """Bundles on the circle: the even part under its own conjugation."""
+    sub = GG.even_subgroup
+    return ActionGroupoid.build(
+        range(sub.order), sub, lambda k, g: sub.conj(k, g), label="Bun(S1)"
+    )
+
+
+def crosscap_groupoid(GG: GradedGroup):
+    """Odd elements under even conjugation, plus the boundary map t(s) = s^2.
+
+    Boundary values are element indices of the ambient group (always even);
+    GG.even_index converts them to circle_groupoid coordinates.
+    """
+    G = GG.group
+    sub = GG.even_subgroup
+    odd = GG.odd_part()
+
+    def act(k, s):
+        return G.conj(GG.even_part[k], s)
+
+    gpd = ActionGroupoid.build(odd, sub, act, label="Bun^or(M)")
+    boundary = {s: G.table[s][s] for s in odd}
+    return gpd, boundary
+
+
+def one_loop_groupoid(GG: GradedGroup):
+    """Torus and Klein-bottle moduli glued: the double real loop carrier
+    (g, w) with w g^{sign w} w^{-1} = g, under even conjugation."""
+    return ActionGroupoid.build(
+        double_real_loop_carrier(GG), GG.even_subgroup, even_conjugation(GG),
+        label="Bun^or(1-loop)",
+    )
+
+
+def loop_groupoid(gpd: ActionGroupoid) -> ActionGroupoid:
+    """Carrier {(x, h) : h.x = x} with the acting group unchanged, k.(x,h) = (k.x, khk^-1)."""
+    H = gpd.acting_group
+    carrier = [
+        (x, h) for x in gpd.carrier for h in range(H.order) if gpd.action[(h, x)] == x
+    ]
+
+    def act(k, pt):
+        x, h = pt
+        return (gpd.action[(k, x)], H.conj(k, h))
+
+    return ActionGroupoid.build(carrier, H, act, label=f"loop({gpd.label})")
+
+
+def point_mod_group(G: FiniteGroup) -> ActionGroupoid:
+    return ActionGroupoid.build(["pt"], G, lambda h, x: x, label=f"pt//{G.name}")
+
+
+def conjugation_groupoid(G: FiniteGroup) -> ActionGroupoid:
+    return ActionGroupoid.build(range(G.order), G, lambda h, g: G.conj(h, g), label=f"{G.name}//conj")
+
+
+# ---------------------------------------------------------------------------
+# closed forms and pairing
+
+
+def pair_surface(lambda_hat: TwistedCochain, GG: GradedGroup, surface: Surface, holonomy) -> Phase:
+    """<eps(f*lambda_hat), [Sigma]> as an exact phase."""
+    require_cocycle(lambda_hat)
+    if not is_valid_holonomy(surface, GG, holonomy):
+        raise ValueError(f"invalid holonomy {holonomy} for {surface.name}")
+    return Phase(int(relator_pairing(lambda_hat, surface, holonomy)), lambda_hat.N)
+
+
+def torus_closed_form(lambda_hat: TwistedCochain, holonomy) -> Phase:
+    g1, g2 = holonomy
+    return lambda_hat.value((g2, g1)) - lambda_hat.value((g1, g2))
+
+
+def rp2_closed_form(lambda_hat: TwistedCochain, holonomy) -> Phase:
+    (s,) = holonomy
+    return lambda_hat.value((s, s))
+
+
+def klein_closed_form(lambda_hat: TwistedCochain, group: FiniteGroup, holonomy) -> Phase:
+    g, s = holonomy
+    ginv = group.inverse[g]
+    return (
+        -lambda_hat.value((g, ginv))
+        + lambda_hat.value((g, s))
+        - lambda_hat.value((s, ginv))
+    )
+
+
+# ---------------------------------------------------------------------------
+# duality and Real 1-d phase data
+
+
+@dataclass
+class DualityPhases:
+    """Phase data of the duality structure attached to an odd element."""
+
+    sigma: int  # ambient odd element
+    p_permutation: tuple  # even-subgroup permutation g -> sigma g^-1 sigma^-1
+    p_phases: tuple  # Phase per even-subgroup element: -tau_ref(sigma, g)
+    theta_phase: Phase  # lambda^(sigma, sigma)
+    theta_carrier: int  # even-subgroup index of sigma^2
+    F_phases: tuple  # Phase per even-subgroup element: lambda^(g, sigma)
+
+    def apply_p(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(v), dtype=complex)
+        for g, coeff in enumerate(v):
+            if coeff != 0:
+                out[self.p_permutation[g]] += coeff * self.p_phases[g].to_complex()
+        return out
+
+
+def duality_phases(GG: GradedGroup, lambda_hat: TwistedCochain, sigma: int) -> DualityPhases:
+    if GG.sign[sigma] != -1:
+        raise ValueError(f"element {sigma} is even; the duality needs an odd element")
+    require_cocycle(lambda_hat)
+    t = tau_ref(lambda_hat, GG)
+    G, even = GG.group, GG.even_part
+    return DualityPhases(
+        sigma=sigma,
+        p_permutation=tuple(GG.even_index[G.conj(sigma, G.inverse[g])] for g in even),
+        p_phases=tuple(-t.value(sigma, g) for g in even),
+        theta_phase=lambda_hat.value((sigma, sigma)),
+        theta_carrier=GG.even_index[G.table[sigma][sigma]],
+        F_phases=tuple(lambda_hat.value((g, sigma)) for g in even),
+    )
+
+
+@dataclass
+class RealOneDimData:
+    rep_phases: tuple  # Phase per even-subgroup element
+    interval_phase: Phase  # lambda^(sigma^-1) for the chosen odd sigma
+    invariants_dimension: int  # 1 iff the restriction to G is trivial
+
+
+def real_1d_phases(GG: GradedGroup, lambda_hat_1: TwistedCochain) -> RealOneDimData:
+    if lambda_hat_1.degree != 1:
+        raise ValueError("expected a twisted 1-cocycle")
+    if not is_twisted_cocycle(lambda_hat_1):
+        raise ValueError("input is not a twisted 1-cocycle")
+    G = GG.group
+    rep = tuple(lambda_hat_1.value((g,)) for g in GG.even_part)
+    sigma = GG.odd_part()[0]
+    iota = lambda_hat_1.value((G.inverse[sigma],))
+    # Real compatibility: the phase is invariant under Real conjugation
+    t = lambda_hat_1.rows
+    if any(t[real_conjugate(GG, s, g)] != t[g] for s in GG.odd_part() for g in GG.even_part):
+        raise AssertionError("Real conjugation invariance fails for a 1-cocycle")
+    inv_dim = 1 if all(p.is_zero() for p in rep) else 0
+    return RealOneDimData(rep_phases=rep, interval_phase=iota, invariants_dimension=inv_dim)
+
+
+# ---------------------------------------------------------------------------
+# cochains and groups
+
+
+def pullback_split(lmbda: TwistedCochain, GG: GradedGroup) -> TwistedCochain:
+    """Pull an order-2 cocycle on the even part back along a split projection."""
+    if lmbda.N > 2:
+        raise ValueError("pullback to a twisted cocycle needs 2*lambda = 0")
+    G = GG.group
+    odd_inv = G.inverse[GG.odd_part()[0]]
+    proj = [GG.even_index[g if GG.sign[g] == 1 else G.table[g][odd_inv]] for g in range(G.order)]
+    table = lmbda.table[np.ix_(*[proj] * lmbda.degree)]
+    return TwistedCochain(G, GG.sign, lmbda.degree, lmbda.N, table)
+
+
+def random_cochain(ref, degree: int, denominator: int, rng) -> TwistedCochain:
+    group, _ = _group_signs(ref)
+    vec = [rng.randrange(denominator) for _ in range((group.order - 1) ** degree)]
+    return TwistedCochain.from_vector(ref, degree, vec, denominator)
+
+
+def odd_square_roots(GG: GradedGroup, g: int) -> set:
+    """All odd elements whose square is g (empty when g is odd)."""
+    G = GG.group
+    return {s for s in GG.odd_part() if G.table[s][s] == g}
+
+
+# ---------------------------------------------------------------------------
+# Howell elimination
 
 
 def _egcd(a, b):

@@ -12,13 +12,9 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from oracles import random_cochain
 
-from dwu.cohomology import (
-    TwistedCochain,
-    cohomology_classes,
-    random_cochain,
-    twisted_differential,
-)
+from dwu.cohomology import TwistedCochain, cohomology_classes, twisted_differential
 from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
 from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
 from dwu.phases import CycField, Phase

@@ -1,10 +1,13 @@
 import csv
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -502,3 +505,77 @@ def test_fingerprint_matches_the_per_entry_formula(N):
             vec[0] = 1  # keeps the denominator at N
             c = TwistedCochain.from_vector(group, degree, vec, N)
             assert c.N == N and _fingerprint(c) == reference_fingerprint(c)
+
+
+# The module-level functions of dwu that no subcommand enters, each kept for a
+# reason outside the CLI.  A reference that only the tests call lives in
+# tests/oracles.py instead.
+UNREACHED_BY_THE_CLI = {
+    # looked up by name in the WRAPS table of perfbench/tracing.py
+    "moduli.holonomy_points",
+    "tqft.one_loop",
+    "groupoids.double_real_loop",
+    "groupoids.orbits",  # the components of the groupoid double_real_loop builds
+    # kept for the restriction map H^2(BG^; U(1)_pi) -> H^2(BG; U(1))
+    "cohomology.is_twisted_coboundary",
+    "intlinalg.solve_mod",
+    "cohomology.cochain_to_json",  # writes the format --cocycle-file reads
+    "groups.split_grading",  # the public constructor of the split grading G x C2
+}
+
+
+def test_the_cli_enters_every_module_function_but_the_listed_ones(tmp_path, capsys):
+    """Every subcommand runs under a profile hook that records the code it
+    enters; the module-level functions of dwu left unentered are exactly
+    UNREACHED_BY_THE_CLI, and `from dwu import *` binds every name of __all__."""
+    import dwu
+    from dwu.cohomology import cochain_to_json, cohomology_classes
+    from dwu.groups import enumerate_gradings
+
+    reps, _ = cohomology_classes(enumerate_gradings(build_group("D8"))[0], 2)
+    path = tmp_path / "cocycle.json"
+    path.write_text(cochain_to_json(reps[1]))
+    d8 = ["--group", "D8", "--grading", "0"]
+    runs = [
+        ["gradings", "--group", "D8"],
+        ["cohomology", *d8, "--degree", "1"],
+        ["cohomology", *d8, "--degree", "2"],
+        ["partition", *d8],
+        ["partition", *d8, "--format", "csv"],
+        ["partition", *d8, "--debug-flip-tau"],
+        ["partition", *d8, "--cocycle-file", str(path)],
+        # the manifest, and through it S3xC2, Q8 and the products
+        ["partition", "--group", "all", "--grading", "0", "--class", "0", "--surfaces", ""],
+        ["indicators", *d8],
+        ["verify-axioms", *d8],
+    ]
+    modules = [importlib.import_module(f"dwu.{info.name}") for info in pkgutil.iter_modules(dwu.__path__)]
+    for module in modules:  # a cached function is entered only on a miss
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    entered = set()
+
+    def record(frame, event, arg):
+        entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [main(argv) for argv in runs]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+
+    unentered = set()
+    for module in modules:
+        for name, obj in vars(module).items():
+            fn = inspect.unwrap(obj)
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and fn.__code__ not in entered:
+                unentered.add(f"{module.__name__.removeprefix('dwu.')}.{name}")
+    assert unentered == UNREACHED_BY_THE_CLI
+
+    namespace = {}
+    exec("from dwu import *", namespace)
+    assert set(dwu.__all__) <= namespace.keys()

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import pullback_split, random_cochain
 
 from dwu.cli import load_manifest
 from dwu.cohomology import (
@@ -16,8 +17,6 @@ from dwu.cohomology import (
     differential_matrix,
     is_twisted_coboundary,
     is_twisted_cocycle,
-    pullback_split,
-    random_cochain,
     restrict_to_even,
     twisted_differential,
 )

@@ -2,14 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from oracles import conjugation_groupoid, loop_groupoid, point_mod_group
 
-from dwu.groupoids import (
-    ActionGroupoid,
-    conjugation_groupoid,
-    double_real_loop,
-    loop_groupoid,
-    point_mod_group,
-)
+from dwu.groupoids import ActionGroupoid, double_real_loop
 from dwu.groups import GradedGroup, build_group, cyclic, split_grading, symmetric
 
 

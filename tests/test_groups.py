@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from oracles import odd_square_roots
 
 from dwu.groups import (
     DEFAULT_ORDER_CAP,
@@ -14,7 +15,6 @@ from dwu.groups import (
     dihedral,
     direct_product,
     enumerate_gradings,
-    odd_square_roots,
     quaternion8,
     real_conjugate,
     split_grading,

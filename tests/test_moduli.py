@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from oracles import bundle_groupoid, circle_groupoid, crosscap_groupoid, is_valid_holonomy, one_loop_groupoid
 
 from dwu.groups import GradedGroup, ResourceBudgetError, build_group, cyclic, split_grading
 from dwu.moduli import (
@@ -9,12 +10,7 @@ from dwu.moduli import (
     SPHERE,
     TORUS,
     Surface,
-    bundle_groupoid,
-    circle_groupoid,
-    crosscap_groupoid,
     holonomy_points,
-    is_valid_holonomy,
-    one_loop_groupoid,
     parse_surface,
     word_value,
 )

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import duality_phases, real_1d_phases
 
 from dwu.cohomology import TwistedCochain, cohomology_classes, restrict_to_even
 from dwu.groups import GradedGroup, build_group, cyclic, split_grading
@@ -14,9 +15,7 @@ from dwu.reptheory import (
     blocks,
     crosscap_element,
     crosscap_phase_table,
-    duality_phases,
     fs_indicators,
-    real_1d_phases,
 )
 
 

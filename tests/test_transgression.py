@@ -2,26 +2,18 @@ import itertools
 import random
 
 import pytest
+from oracles import klein_closed_form, pair_surface, random_cochain, rp2_closed_form, torus_closed_form
 
 from dwu.cohomology import (
     TwistedCochain,
     cohomology_classes,
-    random_cochain,
     restrict_to_even,
     twisted_differential,
 )
 from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, real_conjugate, split_grading
 from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, holonomy_points, parse_surface
 from dwu.phases import Phase
-from dwu.transgression import (
-    klein_closed_form,
-    pair_surface,
-    relator_pairing,
-    rp2_closed_form,
-    tau_circle,
-    tau_ref,
-    torus_closed_form,
-)
+from dwu.transgression import relator_pairing, tau_circle, tau_ref
 
 
 def parity_c4():
