@@ -267,10 +267,14 @@ def _invariant_factor_chain(factors) -> list[int]:
 
 
 def restrict_to_even(c: TwistedCochain, GG: GradedGroup) -> TwistedCochain:
-    """Restriction to the even subgroup; the twist disappears there."""
+    """Restriction to the even subgroup; the twist disappears there.  d
+    commutes with restriction, so a checked cocycle restricts to one."""
     sub = GG.even_subgroup
     table = c.table[np.ix_(*[GG.even_part] * c.degree)]
-    return TwistedCochain(sub, (1,) * sub.order, c.degree, c.N, table)
+    out = TwistedCochain(sub, (1,) * sub.order, c.degree, c.N, table)
+    if getattr(c, "_is_cocycle", False):  # set by transgression.require_cocycle
+        object.__setattr__(out, "_is_cocycle", True)
+    return out
 
 
 def cochain_to_json(c: TwistedCochain, group_name: str | None = None) -> str:

@@ -14,9 +14,10 @@ of its structure constants are single roots of unity, held as exponent tables.
 Every exact value is a count of roots zeta_L^k over one denominator (an
 element of Z[Z/L], see dwu.phases): the orbifold algebra is the span of flat
 sections inside the twisted group algebra, its vectors are integer count
-arrays, and the direct route and the KR integral count roots in Python ints
-and divide by the group order once; the tests hold both to the brute-force
-holonomy and groupoid sums of tests/oracles.py.
+arrays, and the direct route and the KR integral count roots and divide by
+the group order once.  Counts are int64 while a bound proves them exact and
+Python ints past it; the tests hold the routes to the brute-force holonomy
+and groupoid sums of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ class UnorientedFrobeniusData:
     The arrays are int64: the orbifold of a group of order n has entries of
     size at most n^4 (a product of two crosscap vectors, or the associativity
     check's sums of products of structure constants), far from 2^63.
-    partition_tqft, whose powers grow without bound, works over Python ints.
+    partition_tqft's powers move to Python ints once their sums reach 2^63.
     """
 
     GG: GradedGroup
@@ -333,6 +334,11 @@ class UnorientedFrobeniusData:
         sub = self.GG.even_subgroup
         h = np.asarray(sub.table)[np.asarray(sub.inverse)[:, None], np.arange(sub.order)]
         return h, np.take_along_axis(self.mult, h, axis=1)
+
+    @functools.cached_property
+    def powers(self) -> dict:
+        """{(surface kind, e): H^e or Q^e}, filled by partition_tqft."""
+        return {}
 
     @property
     def dim(self) -> int:
@@ -570,8 +576,11 @@ def partition_direct(
     holonomies of the pieces so far with product p and pairing k mod N, and
     a step convolves it with table[p, p', k], the count of piece holonomies
     ((a, b) in G^2, or odd x) taking p to p' with fan pairing k read from p.
-    Z is state[e] over |G|.  The table's size is checked against the budget
-    before it is built; the state holds Python ints.
+    Z is state[e] over |G|.  The budget bounds the table on every call,
+    before it is built.  The walk (table, state, and state[e] per step) is
+    kept on the cochain per (GG, surface kind), so a call takes only the
+    steps no earlier call took.  The state sums to exactly (piece
+    holonomies)^steps: int64 below 2^63, Python ints from there on.
     """
     require_cocycle(lambda_hat)
     N, n = lambda_hat.N, GG.even_subgroup.order
@@ -580,33 +589,49 @@ def partition_direct(
         piece, holonomy = TORUS, (even[:, None], even)
     else:
         piece, holonomy = RP2, (np.asarray(GG.odd_part()),)
-    require_budget("transfer table", n * np.broadcast(*holonomy).size, budget)
-    prefix = even[:, None, None]
-    ends = word_value(GG.group, piece.relator(), holonomy, prefix)
-    pairing = relator_pairing(lambda_hat, piece, holonomy, prefix)
-    table = np.zeros((n, n, N), np.int64)
-    np.add.at(table, tuple(np.broadcast_arrays(sub_of[prefix], sub_of[ends], pairing)), 1)
-    state = np.zeros((n, N), object)
-    state[0, 0] = 1
-    for _ in range(surface.param):
+    choices = np.broadcast(*holonomy).size
+    require_budget("transfer table", n * choices, budget)
+    walks = vars(lambda_hat).setdefault("_walks", {})
+    walk = walks.get((GG, surface.kind))
+    if walk is None:
+        prefix = even[:, None, None]
+        ends = word_value(GG.group, piece.relator(), holonomy, prefix)
+        pairing = relator_pairing(lambda_hat, piece, holonomy, prefix)
+        table = np.zeros((n, n, N), np.int64)
+        np.add.at(table, tuple(np.broadcast_arrays(sub_of[prefix], sub_of[ends], pairing)), 1)
+        state = np.zeros((n, N), np.int64)
+        state[0, 0] = 1
+        walk = walks[GG, surface.kind] = [table, state, [state[0].copy()]]
+    table, state, rows = walk
+    while len(rows) <= surface.param:
+        if choices ** len(rows) >= 2**63:  # the state's sum after this step
+            state = state.astype(object, copy=False)
         state = _convolve(state, table)
-    return (field or CycField(N)).from_counts(state[0], n)
+        rows.append(state[0].copy())
+    walk[1] = state
+    return (field or CycField(N)).from_counts(rows[surface.param], n)
 
 
 def partition_tqft(F: UnorientedFrobeniusData, surface: Surface) -> CycNum:
     """Cut-and-paste value: counit(H^g) or counit(Q^k).
 
-    The powers are taken by repeated squaring over Python ints: their counts
-    grow without bound."""
+    Left-to-right binary exponentiation; H, Q and every power formed are kept
+    in F.powers.  Counts are non-negative, so |uv|_1 = |u|_1 |v|_1 bounds every
+    entry of a product: int64 below 2^63, Python ints from there on."""
     if not surface.param:
         return F.vec_counit(F.unit_vector())
-    step = handle_element(F) if surface.kind == "orientable" else F.crosscap_vector()
-    acc = step = step.astype(object)
+    kind, powers, e = surface.kind, F.powers, 1
+    if (kind, 1) not in powers:
+        powers[kind, 1] = handle_element(F) if kind == "orientable" else F.crosscap_vector()
     for bit in bin(surface.param)[3:]:  # the binary digits after the leading 1
-        acc = F.vec_product(acc, acc)
-        if bit == "1":
-            acc = F.vec_product(acc, step)
-    return F.vec_counit(acc)
+        for a in (e, 1)[: 1 + int(bit)]:  # square, then times the step on a 1
+            if (kind, e + a) not in powers:
+                u, v = powers[kind, e], powers[kind, a]
+                if int(u.sum()) * int(v.sum()) >= 2**63:
+                    u, v = u.astype(object), v.astype(object)
+                powers[kind, e + a] = F.vec_product(u, v)
+            e += a
+    return F.vec_counit(powers[kind, surface.param])
 
 
 def partition_verlinde(block_list: list[BlockData], surface: Surface) -> complex:
@@ -727,7 +752,7 @@ def consistency_report(
         kr = kr_rank(GG, lambda_hat, field=field)
     loop = (direct_value(TORUS) + direct_value(KLEIN)) / 2  # one_loop
     rows.append(IdentityRow("one-loop-identity", loop, kr))
-    rows.append(IdentityRow("crosscap-trace", direct_value(RP2), F.vec_counit(F.crosscap_vector())))
+    rows.append(IdentityRow("crosscap-trace", direct_value(RP2), partition_tqft(F, RP2)))
     max_delta = max(row.max_delta for row in rows)
     return {
         "rows": rows,

@@ -79,8 +79,12 @@ def _real_conjugation(GG: GradedGroup) -> np.ndarray:
 
 
 def tau_ref(lambda_hat: TwistedCochain, GG: GradedGroup) -> LoopCocycle:
-    """The reflective loop transgression of a twisted 2-cocycle."""
+    """The reflective loop transgression of a twisted 2-cocycle, computed once
+    per graded group and kept on the cochain."""
     require_cocycle(lambda_hat)
+    computed = vars(lambda_hat).setdefault("_tau_ref", {})
+    if GG in computed:
+        return computed[GG]
     G = GG.group
     lam = lambda_hat.table
     inv = np.asarray(G.inverse)
@@ -94,6 +98,7 @@ def tau_ref(lambda_hat: TwistedCochain, GG: GradedGroup) -> LoopCocycle:
     out = LoopCocycle(graded_group=GG, N=lambda_hat.N, table=table)
     if not out.check_cocycle_law():
         raise AssertionError("transgressed cochain fails the loop 1-cocycle law")
+    computed[GG] = out
     return out
 
 

@@ -16,7 +16,7 @@ from oracles import random_cochain
 
 from dwu.cohomology import TwistedCochain, cohomology_classes, twisted_differential
 from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
-from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
+from dwu.moduli import RP2, SPHERE, TORUS, parse_surface
 from dwu.phases import CycField, Phase
 from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (

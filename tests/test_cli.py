@@ -4,7 +4,6 @@ import importlib
 import inspect
 import json
 import math
-import os
 import pkgutil
 import re
 import sys
@@ -245,6 +244,39 @@ def test_partition_enumerates_each_surface_once_per_class(capsys, monkeypatch):
     classes = len({(r["grading"], r["class"]) for r in jsonl(out)})
     assert classes >= 2
     assert sorted(calls) == sorted(["T2", "RP2", "K", "N_k=3"] * classes)
+
+
+def test_partition_shares_each_class_work_across_its_surfaces(capsys):
+    """Per class, one transfer table per piece (handle and crosscap), one
+    handle element, one transgression and one cocycle check serve all six
+    surfaces."""
+    from dwu.cohomology import is_twisted_cocycle
+    from dwu.tqft import handle_element
+    from dwu.transgression import LoopCocycle, relator_pairing
+
+    per_class = {
+        relator_pairing.__code__: 2,
+        handle_element.__code__: 1,
+        LoopCocycle.check_cocycle_law.__code__: 1,
+        is_twisted_cocycle.__code__: 1,
+    }
+    entered = dict.fromkeys(per_class, 0)
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code in entered:
+            entered[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        code, out = run(capsys, "partition", "--group", "C4", "--surfaces", "T2,Sigma_g=2,RP2,K,N_k=3,N_k=4")
+    finally:
+        sys.setprofile(previous)
+    assert code == 0
+    classes = len({(r["grading"], r["class"]) for r in jsonl(out)})
+    assert classes >= 2
+    names = {code.co_qualname: count for code, count in entered.items()}
+    assert names == {code.co_qualname: count * classes for code, count in per_class.items()}
 
 
 def test_verify_axioms_checks_turaev_conditions_once_per_class(capsys, monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from oracles import odd_square_roots
 
 from dwu.groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     GradedGroup,
     GroupAxiomError,
@@ -13,7 +12,6 @@ from dwu.groups import (
     build_group,
     cyclic,
     dihedral,
-    direct_product,
     enumerate_gradings,
     quaternion8,
     real_conjugate,

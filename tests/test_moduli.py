@@ -9,7 +9,6 @@ from dwu.moduli import (
     RP2,
     SPHERE,
     TORUS,
-    Surface,
     holonomy_points,
     parse_surface,
     word_value,

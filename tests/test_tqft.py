@@ -23,8 +23,6 @@ from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
 from dwu.phases import CycField, Phase
 from dwu.reptheory import BlockData, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
-    CheckReport,
-    ConventionError,
     _closed_form_duals,
     _dual_sections,
     check_turaev_axioms,
@@ -292,6 +290,35 @@ def test_cut_and_paste_past_int64():
         assert exact > 2**63
         assert partition_tqft(F, surface) == F.field.from_rational(exact), name
         assert partition_direct(gg, lam, surface) == F.field.from_rational(exact), name
+
+
+def test_counts_on_each_side_of_int64():
+    """C4 has two odd elements and an even subgroup of order 2, so a crosscap
+    step has 2 holonomies and a handle 4, and |Q|_1 = 2, |H|_1 = 4.  N_62 and
+    Sigma_31 total 2^62 and run in int64; N_64 and Sigma_32 total 2^64 and
+    need Python ints.  (An odd crosscap count never reaches the identity on
+    C4, so N_63 is 0 and would hide an overflow.)  In both classes both routes
+    equal |G|^(-chi) sum (nu d)^chi exactly: 2^(1 - chi), or 0 for crosscaps
+    in the twisted class."""
+    gg = enumerate_gradings(build_group("C4"))[0]
+    n = gg.even_subgroup.order
+    reps, _ = cohomology_classes(gg, 2)
+    assert len(reps) == 2
+    for lam in reps:
+        F = orbifold(turaev_from_cocycle(gg, lam))
+        alg = algebra_from_graded(gg, lam)
+        bl = fs_indicators(blocks(alg), crosscap_element(gg, lam), alg)
+        for name in ["N_k=62", "Sigma_g=31", "N_k=64", "Sigma_g=32"]:
+            surface = parse_surface(name)
+            chi = surface.euler_characteristic
+            signs = [1 if surface.orientable else b.indicator for b in bl]
+            exact = Fraction(n) ** -chi * sum(
+                Fraction(s * b.dimension) ** chi for s, b in zip(signs, bl) if s
+            )
+            twisted_crosscaps = lam.N > 1 and not surface.orientable  # both indicators 0
+            assert exact == (0 if twisted_crosscaps else 2 ** (1 - chi))
+            assert partition_tqft(F, surface) == F.field.from_rational(exact), name
+            assert partition_direct(gg, lam, surface) == F.field.from_rational(exact), name
 
 
 def test_direct_budget_bounds_the_transfer_table():
