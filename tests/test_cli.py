@@ -275,8 +275,9 @@ def test_partition_shares_each_class_work_across_its_surfaces(capsys):
     assert code == 0
     classes = len({(r["grading"], r["class"]) for r in jsonl(out)})
     assert classes >= 2
-    names = {code.co_qualname: count for code, count in entered.items()}
-    assert names == {code.co_qualname: count * classes for code, count in per_class.items()}
+    assert {f.co_qualname: n for f, n in entered.items()} == {
+        f.co_qualname: n * classes for f, n in per_class.items()
+    }
 
 
 def test_verify_axioms_checks_turaev_conditions_once_per_class(capsys, monkeypatch):
