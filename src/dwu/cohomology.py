@@ -47,6 +47,11 @@ def _nonidentity(degree: int) -> tuple:
     return (slice(1, None),) * degree
 
 
+def _require_denominator(N: int) -> None:
+    if N >= 2**31:  # keeps every sum of a few entries inside int64
+        raise ValueError(f"cochain denominator {N} is 2^31 or more")
+
+
 @dataclass(frozen=True, eq=False)
 class TwistedCochain:
     """A normalized cochain G^^n -> Q/Z as exponents mod N; signs record the
@@ -64,8 +69,7 @@ class TwistedCochain:
         table %= self.N
         common = math.gcd(self.N, int(np.gcd.reduce(table.ravel())))
         N = self.N // common
-        if N >= 2**31:  # keeps every sum of a few entries inside int64
-            raise ValueError(f"cochain denominator {N} is 2^31 or more")
+        _require_denominator(N)
         table //= common
         table.flags.writeable = False
         object.__setattr__(self, "N", N)
@@ -76,6 +80,7 @@ class TwistedCochain:
         """From {tuple: Phase}; tuples not in the mapping are zero."""
         group, signs = _group_signs(ref)
         N = lcm_of((p.denominator for p in mapping.values()), 1)
+        _require_denominator(N)  # the reduced denominator, checked before it meets int64
         table = np.zeros((group.order,) * degree, dtype=np.int64)
         for tup, p in mapping.items():
             if len(tup) != degree or not all(0 <= t < group.order for t in tup):
@@ -292,7 +297,10 @@ def cochain_to_json(c: TwistedCochain, group_name: str | None = None) -> str:
 
 def cochain_from_json(text: str, ref) -> TwistedCochain:
     """Inverse of cochain_to_json; malformed input raises ValueError."""
-    data = json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:  # arrays or objects nested past the parser's depth
+        raise ValueError("malformed cochain file: nested too deeply") from None
     try:
         degree, N = _json_int(data["degree"]), _json_int(data["denominator"])
         if degree < 0 or N < 1:

@@ -15,7 +15,9 @@ an integer.  A root is a unit vector, multiplying by a root is a rotation and
 a product is a cyclic convolution, all in Python ints.  A CycNum is such a
 value in Q(zeta_L) = Q[x]/Phi_L(x): it is reduced mod Phi_L, by the integer
 table of x^k mod Phi_L, only to compare, hash or convert it to a complex
-number.  No caller divides in the field.
+number.  No caller divides in the field.  CycField.embeddings evaluates count
+arrays at the primitive roots, where dwu.tqft compares the orbifold algebra's
+vectors; those floats decide equalities and never become a value.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,6 +128,17 @@ class CycField:
         self.reduction = np.array(rows, dtype=np.int64)
         self.zero = CycNum(self, (0,) * L)
         self.one = self.root(0, 1)
+
+    @cached_property
+    def embeddings(self) -> np.ndarray:
+        """(L, m) complex: entry [k, t] is exp(2 pi i k j_t / L), for the units
+        j_t mod L up to L/2.  Column t evaluates count vectors at the primitive
+        root zeta_L^j_t; it covers one of each complex-conjugate pair of
+        embeddings of Q(zeta_L), since sigma_(L-j) of an element of Z[zeta_L]
+        is the conjugate of sigma_j of it (m = phi(L)/2, or 1 when L <= 2)."""
+        L = self.L
+        units = np.array([j for j in range(L // 2 + 1) if math.gcd(j, L) == 1])
+        return np.exp(2j * np.pi * (np.arange(L)[:, None] * units % L / L))
 
     def from_counts(self, counts, den: int = 1) -> "CycNum":
         """(sum of counts[k] zeta_n^k) / den, n = len(counts) dividing L."""

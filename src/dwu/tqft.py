@@ -18,6 +18,11 @@ arrays, and the direct route and the KR integral count roots and divide by
 the group order once.  Counts are int64 while a bound proves them exact and
 Python ints past it; the tests hold the routes to the brute-force holonomy
 and groupoid sums of tests/oracles.py.
+
+check_unoriented_frobenius and the orbifold's flatness and span tests decide
+equalities of such counts at the primitive L-th roots of unity, where
+products are pointwise, under an a-priori rounding bound; these floats
+decide equalities and never become a value or a record.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from dwu.cohomology import TwistedCochain
 from dwu.groupoids import double_real_loop_carrier, flat_sections
-from dwu.groups import GradedGroup
+from dwu.groups import GradedGroup, ResourceBudgetError
 from dwu.moduli import KLEIN, RP2, TORUS, Surface, require_budget, word_value
 from dwu.moduli import holonomy_points  # noqa: F401  (looked up here by perfbench's tracer)
 from dwu.phases import CycField, CycNum, Phase, lcm_of
@@ -288,9 +293,44 @@ def _convolve(x, y):
     return np.tensordot(x, y[..., rot], axes=([-2, -1], [0, -2]))
 
 
+def _require_exact(mass, depth: int) -> None:
+    """Refuse a comparison at the roots of unity that rounding could decide wrongly.
+
+    A value computed in float64 from integer counts and the roots of
+    field.embeddings is a sum of terms, each a product of counts and roots
+    formed through at most depth roundings (a root counting 8: its own error
+    is at most 32 units in the last place).  Complex products, sums and
+    fused multiply-adds each err by at most 4u (u = 2^-53) relative to the
+    absolute terms they combine, in any summation order, so the value is
+    within mass * ((1 + 4u)^depth - 1) <= mass * depth * 2^-50 of the exact
+    one when mass bounds the sum of the terms' absolute values.  Below 1/2
+    that decides equality exactly (_apart); at 1/2 or more this raises
+    ResourceBudgetError before any verdict.
+    """
+    bound = float(mass) * depth * 2.0**-50
+    if not bound < 0.5:
+        raise ResourceBudgetError(
+            f"rounding error bound {bound:.3g} of a comparison at the roots of unity is not below 1/2"
+        )
+
+
+def _apart(a, b) -> np.ndarray:
+    """Where the evaluated values a and b (first axis: the embeddings) differ
+    by 1/2 or more at some embedding (exact: see check_unoriented_frobenius)."""
+    return (abs(a - b) >= 0.5).any(0)
+
+
 def _unequal(field: CycField, a, b) -> np.ndarray:
-    """Where the count vectors (last axis) of a and b differ mod Phi_L."""
-    return ((a - b) @ field.reduction).any(-1)
+    """Where the count vectors (last axis) of a and b differ in Q(zeta_L);
+    only the vectors whose counts differ are evaluated."""
+    d = a - b
+    out = np.array(d.any(-1))
+    if out.any():
+        d = d[out]
+        # a sum of L count-root products: L roundings and one root per term
+        _require_exact(np.abs(d).sum(-1).max(), field.L + 8)
+        out[out] = _apart((d @ field.embeddings).T, 0)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,9 +347,10 @@ class UnorientedFrobeniusData:
     exponents mult; the counit reads off the identity coefficient over |G|.
 
     The arrays are int64: the orbifold of a group of order n has entries of
-    size at most n^4 (a product of two crosscap vectors, or the associativity
-    check's sums of products of structure constants), far from 2^63.
-    partition_tqft's powers move to Python ints once their sums reach 2^63.
+    size at most n^4 (a product of two crosscap vectors), far from 2^63;
+    check_unoriented_frobenius forms its sums of products of structure
+    constants at the roots of unity, not in these arrays.  partition_tqft's
+    powers move to Python ints once their sums reach 2^63.
     """
 
     GG: GradedGroup
@@ -362,7 +403,12 @@ class UnorientedFrobeniusData:
         return v[..., list(self.basis_reps), :]
 
     def from_coords(self, coords):
-        return _convolve(coords, self.basis)
+        """sum_i coords[..., i] S_i: S_i is one root zeta^e on each g of its
+        support, so the coefficient of l_g is the coordinate of g's section
+        turned by e, and 0 where no section holds g."""
+        L, held = self.field.L, self.basis.any((0, 2))
+        i, e = np.divmod(self.basis.transpose(1, 0, 2).reshape(len(held), -1).argmax(-1), L)
+        return coords[..., i[:, None], (np.arange(L) - e[:, None]) % L] * held[:, None]
 
     def unit_vector(self):
         out = np.zeros((len(self.mult), self.field.L), np.int64)
@@ -371,9 +417,6 @@ class UnorientedFrobeniusData:
 
     def crosscap_vector(self):
         return self.from_coords(self.crosscap_coords)
-
-    def apply_involution(self, v):
-        return self.from_coords(_convolve(self.coords(v), self.involution.transpose(1, 0, 2)))
 
 
 def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
@@ -494,35 +537,76 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
 
     Each condition is one array equation over the basis indices; the witness
     is the first failing index tuple in the order of the nested loops over
-    them.
+    them.  The basis, the closed-form duals, the involution, the crosscap
+    and the unit are evaluated once at the primitive roots of
+    field.embeddings, so every product runs one embedding at a time, an
+    n x n twisted product or a dim x dim contraction.
+
+    Exactness.  Each side of an equation a = b is an element of Z[zeta_L].
+    A nonzero d in Z[zeta_L] has a norm, the product of |sigma_j(d)|^2 over
+    the conjugate pairs of embeddings, that is a nonzero integer, so some
+    |sigma_j(d)| is at least 1.  With a rounding error below 1/2, a = b
+    exactly when every computed |sigma_j(a - b)| is below 1/2 (_apart).
+
+    Rounding bound.  With n = |G^| (the even part), iota the largest row or
+    column sum of the involution's count norms |p_ij|_1, and kappa the
+    largest |crosscap coordinate|_1 (each at least 1), the absolute terms of
+    every compared value sum to at most n max(n, iota, kappa)^2: n^3 for the
+    associativity sums, n iota^2 for p(S_i) p(S_j), n kappa^2 for Q Q, and
+    so on; a difference doubles that.  Each term takes at most 6L + 8n + 128
+    roundings (roots counted as in _require_exact): L per evaluated count
+    vector, n per ambient product, dim per change of coordinates, and the
+    longest chain, p(S_i) p(S_j), multiplies six evaluated inputs.  A check
+    whose bound reaches 1/2 raises ResourceBudgetError before any verdict.
     """
+    field, E = F.field, F.field.embeddings
+    dim, n, L = F.dim, len(F.mult), field.L
+    m = E.shape[1]
+    norms = np.abs(F.involution).sum(-1)
+    iota = max(1, int(norms.sum(0).max()), int(norms.sum(1).max()))
+    kappa = max(1, int(np.abs(F.crosscap_coords).sum(-1).max()))
+    _require_exact(2 * n * max(n, iota, kappa) ** 2, 6 * L + 8 * n + 128)
+
+    def at_roots(counts):  # (..., L) counts -> (m, ...) values
+        return np.moveaxis(counts @ E, -1, 0)
+
+    h, shift = F._factors
+    W = np.moveaxis(E[shift], -1, 0)  # W[t, g, k] = sigma_t(zeta^shift[g, k])
+    B = at_roots(F.basis)  # (m, dim, n)
+    reps = list(F.basis_reps)
+
+    def product(u, v):
+        """u v for every pair of vectors u[:, a] and v[:, b]: (m, a, b, n)."""
+        y = (v[:, :, h] * W[:, None]).transpose(0, 2, 1, 3)  # [t, g, b, k] = v_b[g^-1 k] sigma(shift)
+        return (u @ y.reshape(m, n, -1)).reshape(m, u.shape[1], v.shape[1], n)
+
+    def span(coords):
+        """sum_i coords[..., i] S_i"""
+        return (coords.reshape(m, -1, dim) @ B).reshape(coords.shape[:-1] + (n,))
+
     entries = []
-    field, B = F.field, F.basis
-    dim = F.dim
 
     # products of basis sections stay in the section span (and are flat)
-    P = F.vec_product(B, B)
-    witness = _first(_span_misses(F, P))
+    P = product(B, B)
+    C = P[..., reps]  # S_i S_j = sum_x C[i, j, x] S_x
+    witness = _first(_apart(span(C), P).any(-1))
     entries.append(("closure", witness is None, witness))
     if witness is not None:
         return CheckReport(entries=tuple(entries))
-    C = F.coords(P)  # S_i S_j = sum_m C[i, j, m] S_m
 
-    witness = _first(_unequal(field, C, C.transpose(1, 0, 2, 3)).any(-1))
+    witness = _first(_apart(C, C.transpose(0, 2, 1, 3)).any(-1))
     entries.append(("commutativity", witness is None, witness))
 
-    # (S_i S_j) S_k = sum_m C[i, j, m] C[m, k, l] S_l and
-    # S_i (S_j S_k) = sum_m C[j, k, m] C[i, m, l] S_l
-    lhs = _convolve(C, C)
-    rhs = _convolve(C, C.transpose(1, 0, 2, 3)).transpose(2, 0, 1, 3, 4)
-    witness = _first(_unequal(field, lhs, rhs).any(-1))
+    # (S_i S_j) S_k = sum_x C[i, j, x] C[x, k, l] S_l and
+    # S_i (S_j S_k) = sum_x C[j, k, x] C[i, x, l] S_l
+    pairs = C.reshape(m, dim * dim, dim)
+    lhs = (pairs @ C.reshape(m, dim, -1)).reshape((m,) + (dim,) * 4)
+    rhs = (pairs @ C.transpose(0, 2, 1, 3).reshape(m, dim, -1)).reshape((m,) + (dim,) * 4)
+    witness = _first(_apart(lhs, rhs.transpose(0, 3, 1, 2, 4)).any(-1))
     entries.append(("associativity", witness is None, witness))
 
-    u = F.unit_index
-    expected = np.zeros((dim, dim, field.L), np.int64)
-    expected[range(dim), range(dim), 0] = 1  # the coordinates of S_j
-    bad = _unequal(field, C[u], expected) | _unequal(field, C[:, u], expected)
-    witness = _first(bad.any(-1))
+    u, one = F.unit_index, np.eye(dim)  # row j: the coordinates of S_j
+    witness = _first((_apart(C[:, u], one) | _apart(C[:, :, u], one)).any(-1))
     entries.append(("unit", witness is None, witness))
 
     duals, witness = _closed_form_duals(F)
@@ -531,28 +615,34 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
         return CheckReport(entries=tuple(entries))
 
     # involution laws: p^2 = id, algebra morphism, counit preserved
-    pB = F.apply_involution(B)
-    witness = _first(_unequal(field, F.apply_involution(pB), B).any(-1))
+    p_rows = at_roots(F.involution).transpose(0, 2, 1)  # [t, j, i]: p(S_j) = sum_i [t, j, i] S_i
+
+    def p(v):
+        coords = v[..., reps]
+        return span((coords.reshape(m, -1, dim) @ p_rows).reshape(coords.shape))
+
+    pB = p(B)
+    witness = _first(_apart(p(pB), B).any(-1))
     entries.append(("involution-squares-to-id", witness is None, witness))
 
-    witness = _first(_unequal(field, F.apply_involution(P), F.vec_product(pB, pB)).any(-1))
+    witness = _first(_apart(p(P), product(pB, pB)).any(-1))
     entries.append(("involution-algebra-morphism", witness is None, witness))
 
-    witness = _first(_unequal(field, pB[:, 0], B[:, 0]))
-    unit = F.unit_vector()
-    if witness is None and _unequal(field, F.apply_involution(unit), unit).any():
+    witness = _first(_apart(pB[..., 0], B[..., 0]))
+    unit = at_roots(F.unit_vector())[:, None]
+    if witness is None and _apart(p(unit), unit).any():
         witness = ("unit",)
     entries.append(("involution-counit-preserving", witness is None, witness))
 
     # crosscap constraint: Q x = p(Q x)
-    Q = F.crosscap_vector()
-    qx = F.vec_product(Q, B)
-    witness = _first(_unequal(field, F.apply_involution(qx), qx).any(-1))
+    Q = span(at_roots(F.crosscap_coords)[:, None])  # (m, 1, n)
+    qx = product(Q, B)[:, 0]
+    witness = _first(_apart(p(qx), qx).any(-1))
     entries.append(("crosscap-linear-constraint", witness is None, witness))
 
     # second crosscap diagram: sum_i p(S_i) S^i = Q Q
-    lhs = sum(F.vec_product(vec, dual) for vec, dual in zip(pB, duals))
-    ok = not _unequal(field, lhs, F.vec_product(Q, Q)).any()
+    lhs = np.einsum("tiik->tk", product(pB, at_roots(duals)))
+    ok = not _apart(lhs, product(Q, Q)[:, 0, 0]).any()
     entries.append(("crosscap-comultiplication", ok, None))
 
     return CheckReport(entries=tuple(entries))
@@ -731,6 +821,10 @@ def consistency_report(
     from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 
     require_cocycle(lambda_hat)
+    alg = algebra_from_graded(GG, lambda_hat)
+    bl = fs_indicators(blocks(alg), crosscap_element(GG, lambda_hat), alg)
+    # Verlinde's float-range check refuses a surface before any exact work
+    verlinde = [partition_verlinde(bl, s) for s in surfaces]
     field = CycField(lambda_hat.N)
     # each surface is enumerated once per report
     direct_value = functools.cache(
@@ -739,12 +833,10 @@ def consistency_report(
     T = turaev_from_cocycle(GG, lambda_hat)
     F = orbifold(T)
     frob_report = check_unoriented_frobenius(F)
-    alg = algebra_from_graded(GG, lambda_hat)
-    bl = fs_indicators(blocks(alg), crosscap_element(GG, lambda_hat), alg)
 
     rows = [
-        IdentityRow(s.name, direct_value(s), partition_tqft(F, s), partition_verlinde(bl, s))
-        for s in surfaces
+        IdentityRow(s.name, direct_value(s), partition_tqft(F, s), v)
+        for s, v in zip(surfaces, verlinde)
     ]
     if flip_tau_debug:
         kr = _kr_integral(GG, lambda_hat, field, flip=True)

@@ -27,6 +27,12 @@ check the twisted group algebra against.
 Cochains and groups.  Random cochains, the pullback of an order-2 cocycle
 along a split grading, and the odd square roots of an element.
 
+The unoriented Frobenius check in Z[Z/L].  `dwu.tqft.check_unoriented_frobenius`
+decides each condition at the primitive roots of unity; the check here is
+its integer form, every product a convolution of root counts and every
+comparison a reduction mod Phi_L, with the same conditions, order and
+witnesses.
+
 Howell elimination.  `dwu.intlinalg` keeps only the coefficient rows of the
 matrices it reduces; `row_reduce_mod` here stores and reduces every row in
 full, one at a time.
@@ -44,6 +50,7 @@ from dwu.groupoids import ActionGroupoid, double_real_loop, double_real_loop_car
 from dwu.groups import FiniteGroup, GradedGroup, real_conjugate
 from dwu.moduli import Surface, holonomy_points, word_value
 from dwu.phases import CycField, Phase
+from dwu.tqft import CheckReport, UnorientedFrobeniusData, _closed_form_duals, _convolve, _first
 from dwu.transgression import relator_pairing, require_cocycle, tau_ref
 
 
@@ -309,6 +316,94 @@ def odd_square_roots(GG: GradedGroup, g: int) -> set:
     """All odd elements whose square is g (empty when g is odd)."""
     G = GG.group
     return {s for s in GG.odd_part() if G.table[s][s] == g}
+
+
+# ---------------------------------------------------------------------------
+# the unoriented Frobenius check in Z[Z/L]
+
+
+def _unequal(field: CycField, a, b) -> np.ndarray:
+    """Where the count vectors (last axis) of a and b differ mod Phi_L."""
+    return ((a - b) @ field.reduction).any(-1)
+
+
+def _span_misses(F: UnorientedFrobeniusData, v) -> np.ndarray:
+    """Per batched vector of v, whether it leaves the flat-section span."""
+    return _unequal(F.field, F.from_coords(F.coords(v)), v).any(-1)
+
+
+def apply_involution(F: UnorientedFrobeniusData, v):
+    return F.from_coords(_convolve(F.coords(v), F.involution.transpose(1, 0, 2)))
+
+
+def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
+    """Commutative Frobenius axioms, the involution laws, and both crosscap
+    constraints, reported per condition with witnesses.
+
+    Each condition is one array equation over the basis indices; the witness
+    is the first failing index tuple in the order of the nested loops over
+    them.
+    """
+    entries = []
+    field, B = F.field, F.basis
+    dim = F.dim
+
+    # products of basis sections stay in the section span (and are flat)
+    P = F.vec_product(B, B)
+    witness = _first(_span_misses(F, P))
+    entries.append(("closure", witness is None, witness))
+    if witness is not None:
+        return CheckReport(entries=tuple(entries))
+    C = F.coords(P)  # S_i S_j = sum_m C[i, j, m] S_m
+
+    witness = _first(_unequal(field, C, C.transpose(1, 0, 2, 3)).any(-1))
+    entries.append(("commutativity", witness is None, witness))
+
+    # (S_i S_j) S_k = sum_m C[i, j, m] C[m, k, l] S_l and
+    # S_i (S_j S_k) = sum_m C[j, k, m] C[i, m, l] S_l
+    lhs = _convolve(C, C)
+    rhs = _convolve(C, C.transpose(1, 0, 2, 3)).transpose(2, 0, 1, 3, 4)
+    witness = _first(_unequal(field, lhs, rhs).any(-1))
+    entries.append(("associativity", witness is None, witness))
+
+    u = F.unit_index
+    expected = np.zeros((dim, dim, field.L), np.int64)
+    expected[range(dim), range(dim), 0] = 1  # the coordinates of S_j
+    bad = _unequal(field, C[u], expected) | _unequal(field, C[:, u], expected)
+    witness = _first(bad.any(-1))
+    entries.append(("unit", witness is None, witness))
+
+    duals, witness = _closed_form_duals(F)
+    entries.append(("trace-nondegenerate", witness is None, witness))
+    if duals is None:
+        return CheckReport(entries=tuple(entries))
+
+    # involution laws: p^2 = id, algebra morphism, counit preserved
+    pB = apply_involution(F, B)
+    witness = _first(_unequal(field, apply_involution(F, pB), B).any(-1))
+    entries.append(("involution-squares-to-id", witness is None, witness))
+
+    witness = _first(_unequal(field, apply_involution(F, P), F.vec_product(pB, pB)).any(-1))
+    entries.append(("involution-algebra-morphism", witness is None, witness))
+
+    witness = _first(_unequal(field, pB[:, 0], B[:, 0]))
+    unit = F.unit_vector()
+    if witness is None and _unequal(field, apply_involution(F, unit), unit).any():
+        witness = ("unit",)
+    entries.append(("involution-counit-preserving", witness is None, witness))
+
+    # crosscap constraint: Q x = p(Q x)
+    Q = F.crosscap_vector()
+    qx = F.vec_product(Q, B)
+    witness = _first(_unequal(field, apply_involution(F, qx), qx).any(-1))
+    entries.append(("crosscap-linear-constraint", witness is None, witness))
+
+    # second crosscap diagram: sum_i p(S_i) S^i = Q Q
+    lhs = sum(F.vec_product(vec, dual) for vec, dual in zip(pB, duals))
+    ok = not _unequal(field, lhs, F.vec_product(Q, Q)).any()
+    entries.append(("crosscap-comultiplication", ok, None))
+
+    return CheckReport(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ over "the full sweep"; each test prints a single PASS line on success.
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -20,8 +21,11 @@ from dwu.moduli import RP2, SPHERE, TORUS, parse_surface
 from dwu.phases import CycField, Phase
 from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
+    ConventionError,
     check_turaev_axioms,
+    check_unoriented_frobenius,
     consistency_report,
+    orbifold,
     turaev_from_cocycle,
 )
 
@@ -171,6 +175,40 @@ def test_criterion_5_indicators(sweep):
     print("\nACCEPT-5 indicators in {-1,0,+1}; classical values match oracle: PASS")
 
 
+def random_mutations(gg, rng):
+    """Criterion 6's 50 mutations of one class, as (kind, key, phase or None)."""
+    sub = gg.even_subgroup
+    odd = gg.odd_part()
+    # Pool of detectable mutation classes.  Diagonal product phases
+    # l_g l_g with g != e are excluded: such a shift can be an honest
+    # 2-coboundary (e.g. any phase on a Z2 even part), i.e. a different
+    # but still valid algebra.
+    for _ in range(50):
+        kind = rng.choice(["product", "action", "crosscap", "zero"])
+        if kind == "product":
+            while True:
+                key = (rng.randrange(sub.order), rng.randrange(sub.order))
+                if key[0] != key[1] or key[0] == 0:
+                    break
+            phase = Phase(1, rng.choice([2, 3, 4]))
+        elif kind == "action":
+            key = (rng.randrange(gg.group.order), rng.randrange(sub.order))
+            phase = Phase(1, rng.choice([2, 3, 4]))
+        elif kind == "crosscap":
+            key = rng.choice(odd)
+            phase = Phase(1, rng.choice([3, 4]))
+        else:
+            kind = rng.choice(["product", "action", "crosscap"])
+            if kind == "product":
+                key = (rng.randrange(sub.order), rng.randrange(sub.order))
+            elif kind == "action":
+                key = (rng.randrange(gg.group.order), rng.randrange(sub.order))
+            else:
+                key = rng.choice(odd)
+            phase = None
+        yield kind, key, phase
+
+
 def test_criterion_6_axiom_suites_and_mutations(sweep):
     rng = random.Random(20250810)
     checked = mutations = 0
@@ -178,35 +216,7 @@ def test_criterion_6_axiom_suites_and_mutations(sweep):
         assert rep["axioms_ok"], (name, gi, ci)
         T = turaev_from_cocycle(gg, lam)  # raises unless all ten conditions pass
         checked += 1
-        sub = gg.even_subgroup
-        odd = gg.odd_part()
-        # Pool of detectable mutation classes.  Diagonal product phases
-        # l_g l_g with g != e are excluded: such a shift can be an honest
-        # 2-coboundary (e.g. any phase on a Z2 even part), i.e. a different
-        # but still valid algebra.
-        for _ in range(50):
-            kind = rng.choice(["product", "action", "crosscap", "zero"])
-            if kind == "product":
-                while True:
-                    key = (rng.randrange(sub.order), rng.randrange(sub.order))
-                    if key[0] != key[1] or key[0] == 0:
-                        break
-                phase = Phase(1, rng.choice([2, 3, 4]))
-            elif kind == "action":
-                key = (rng.randrange(gg.group.order), rng.randrange(sub.order))
-                phase = Phase(1, rng.choice([2, 3, 4]))
-            elif kind == "crosscap":
-                key = rng.choice(odd)
-                phase = Phase(1, rng.choice([3, 4]))
-            else:
-                kind = rng.choice(["product", "action", "crosscap"])
-                if kind == "product":
-                    key = (rng.randrange(sub.order), rng.randrange(sub.order))
-                elif kind == "action":
-                    key = (rng.randrange(gg.group.order), rng.randrange(sub.order))
-                else:
-                    key = rng.choice(odd)
-                phase = None
+        for kind, key, phase in random_mutations(gg, rng):
             mutated = T.with_mutation(kind, key, phase)
             assert not check_turaev_axioms(mutated).ok, (
                 name, gi, ci, kind, key, phase,
@@ -216,6 +226,34 @@ def test_criterion_6_axiom_suites_and_mutations(sweep):
         f"\nACCEPT-6 axiom suites pass on {checked} algebras; "
         f"{mutations} mutations all fail: PASS"
     )
+
+
+def test_frobenius_check_at_the_roots_equals_the_integer_check(sweep):
+    """The check decided at the primitive roots of unity returns the integer
+    check's report (names, verdicts and witnesses) on the orbifold of every
+    sweep class, and on the orbifold of every criterion-6 mutation that has
+    one in the class's own field: a phase mutation (a zeroed constant is no
+    root) whose phase lies in Q(zeta_L) and whose sections stay flat.  (The
+    mutations that lift L to 3L or 4L take the integer check 0.05-0.3 s each
+    on the order-16 groups, over 3 minutes together.)"""
+    from oracles import check_unoriented_frobenius as integer_check
+
+    rng = random.Random(20250810)
+    mutated = 0
+    for name, gi, ci, gg, lam, _ in sweep["rows"]:
+        T = turaev_from_cocycle(gg, lam)
+        algebras = [orbifold(T)]
+        for kind, key, phase in random_mutations(gg, rng):
+            if phase is not None and T.L % phase.denominator == 0:
+                try:
+                    algebras.append(orbifold(replace(T.with_mutation(kind, key, phase), zero=None)))
+                except ConventionError:  # no flat crosscap or involution
+                    continue
+        for F in algebras:
+            assert check_unoriented_frobenius(F) == integer_check(F), (name, gi, ci)
+        mutated += len(algebras) - 1
+    assert mutated > 1000
+    print(f"\nFrobenius check at the roots = integer check on {len(sweep['rows'])} classes and {mutated} mutations: PASS")
 
 
 def test_criterion_7_cohomology_invariance(sweep):

@@ -504,6 +504,39 @@ def test_value_beyond_the_float_range_is_resource_error(capsys, surface):
     assert captured.err.startswith("resource error:") and len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100000 + "]" * 100000, "malformed cochain file: nested too deeply"),
+        (
+            '{"degree": 2, "denominator": 1180591620717411303424, "values": {"1,1": 1}}',
+            "malformed cochain file: ValueError('cochain denominator 1180591620717411303424 is 2^31 or more')",
+        ),
+    ],
+    ids=["nested-brackets", "denominator-2^70"],
+)
+def test_cocycle_file_past_a_parser_or_int64_limit_is_one_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "cocycle.json"
+    path.write_text(text)
+    code = main(["partition", "--group", "C4", "--grading", "0", "--cocycle-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "1"]], ids=["default-budget", "budget-1"])
+def test_float_range_is_refused_before_the_exact_routes(capsys, budget):
+    """S3's Verlinde scale on Sigma_40000 is beyond the float range, and the
+    refusal comes before the direct walk (40000 steps, 39 s when it ran
+    first) and cut-and-paste.  With a budget too small for the direct
+    route's transfer table too, the range error still wins."""
+    code = main(["partition", "--group", "S3", "--grading", "0", "--class", "0",
+                 "--surfaces", "T2,Sigma_g=40000", *budget])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "resource error: |G|^-chi = 3^79998 is beyond the float range\n"
+
+
 def test_cocycle_file_field_is_checked_against_the_budget(tmp_path, capsys):
     from dwu.cohomology import TwistedCochain, cochain_to_json, twisted_differential
     from dwu.groups import build_group, enumerate_gradings

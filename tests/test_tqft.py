@@ -1,9 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import check_unoriented_frobenius as integer_check
 from oracles import random_cochain
 
 from dwu.cohomology import (
@@ -20,11 +24,12 @@ from dwu.groups import (
     split_grading,
 )
 from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
-from dwu.phases import CycField, Phase
+from dwu.phases import CycField, Phase, cyclotomic_polynomial
 from dwu.reptheory import BlockData, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
     _closed_form_duals,
     _dual_sections,
+    _unequal,
     check_turaev_axioms,
     check_unoriented_frobenius,
     consistency_report,
@@ -255,6 +260,86 @@ def test_frobenius_mutations_fail():
     report = check_unoriented_frobenius(scaled)
     assert not report.ok
     assert "crosscap-comultiplication" in {name for name, _ in report.failures()}
+    # the same reports, witnesses included, as the check in Z[Z/L]
+    for G in (broken, scaled):
+        assert check_unoriented_frobenius(G) == integer_check(G)
+
+
+def test_frobenius_check_rounding_bound_on_each_side():
+    """The bound 2 n max(n, iota, kappa)^2 (6L + 8n + 128) 2^-50 of the check's
+    docstring: split untwisted S3 has n = 6, L = 1, iota = 1 and kappa = 4, so
+    an involution scaled by s >= 6 has iota = s, and the bound is below 1/2
+    for 2184 s^2 < 2^49.  Just below, the check decides as the integer check
+    does; just above, it refuses before any verdict."""
+    from dataclasses import replace
+
+    gg = split_grading(build_group("S3"))
+    F = orbifold(turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2)))
+    assert (F.field.L, len(F.mult), int(abs(F.crosscap_coords).sum(-1).max())) == (1, 6, 4)
+    s = math.isqrt((2**49 - 1) // 2184)
+    assert 2184 * s**2 < 2**49 <= 2184 * (s + 1) ** 2
+    below = replace(F, involution=s * F.involution)
+    report = check_unoriented_frobenius(below)
+    assert report == integer_check(below) and not report.ok
+    with pytest.raises(ResourceBudgetError, match="rounding error bound"):
+        check_unoriented_frobenius(replace(F, involution=(s + 1) * F.involution))
+
+
+def _reduction_unequal(field, a, b):
+    return ((a - b) @ field.reduction).any(-1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_equality_at_the_roots_is_equality_mod_phi(data):
+    """_unequal (the primitive embeddings) against CycField.reduction (the
+    residue mod Phi_L) for L = 1..32: on random count vectors, and on vectors
+    that vanish in Q(zeta_L) but not in Z[Z/L], added to a random one."""
+    L = data.draw(st.integers(1, 32), label="L")
+    field, phi = CycField(L), np.array(cyclotomic_polynomial(L))
+    vectors = st.lists(st.integers(-(2**20), 2**20), min_size=L, max_size=L).map(np.array)
+    a, b = data.draw(vectors), data.draw(vectors)
+    k = data.draw(st.integers(0, L - 1))
+    zeros = []
+    if L > 1:
+        zeros.append(np.ones(L, np.int64))  # the sum of all L-th roots
+    if L % 2 == 0:
+        zeros.append(np.roll(np.eye(L, dtype=np.int64)[0] + np.eye(L, dtype=np.int64)[L // 2], k))
+    if L > 1:  # Z[Z/1] is Z[zeta_1]
+        size = L - len(phi) + 1
+        cofactor = data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size).filter(any))
+        zeros.append(np.roll(np.convolve(phi, cofactor), k))  # a multiple of Phi_L, rotated
+    assert all(not _reduction_unequal(field, z, 0) and z.any() for z in zeros)
+    left = np.array([a, a, *(a + z for z in zeros)])
+    right = np.array([b, a + 0 * b, *([a] * len(zeros))])
+    assert (_unequal(field, left, right) == _reduction_unequal(field, left, right)).all()
+    assert not _unequal(field, left[1:], right[1:]).any()
+
+
+def test_equality_at_the_roots_sees_a_unit_with_one_small_embedding():
+    """1 + zeta_7^3 is a unit, and at zeta_7 it has absolute value
+    2 cos(3 pi / 7) = 0.445 < 1/2, so one embedding alone would call it 0."""
+    field = CycField(7)
+    d = np.zeros(7, np.int64)
+    d[[0, 3]] = 1
+    values = np.abs(d @ field.embeddings)
+    assert abs(values[0] - 2 * math.cos(3 * math.pi / 7)) < 1e-12 and values[0] < 0.5
+    assert _unequal(field, d, 0) and _reduction_unequal(field, d, 0)
+
+
+def test_equality_at_the_roots_rounding_bound_on_each_side():
+    """A comparison of count vectors at L = 7 is refused once |a - b|_1 (L + 8)
+    2^-50 reaches 1/2, i.e. from |a - b|_1 = 2^49 / 15 on; just below, a
+    nonzero and a vanishing difference of that size are still decided."""
+    field = CycField(7)
+    s = (2**49 - 1) // 30  # 2s (L + 8) < 2^49 <= 2(s + 1)(L + 8)
+    nonzero = np.zeros(7, np.int64)
+    nonzero[[0, 3]] = s  # s (1 + zeta^3)
+    vanishing = np.full(7, (2**49 - 1) // 105)  # a multiple of 1 + zeta + ... + zeta^6
+    assert _unequal(field, nonzero, 0) and not _unequal(field, vanishing, 0)
+    nonzero[0] += 2
+    with pytest.raises(ResourceBudgetError, match="rounding error bound"):
+        _unequal(field, nonzero, 0)
 
 
 def test_mednykh_split_untwisted_counts():
