@@ -293,8 +293,9 @@ def _reduction_unequal(field, a, b):
 @given(st.data())
 def test_equality_at_the_roots_is_equality_mod_phi(data):
     """_unequal (the primitive embeddings) against CycField.reduction (the
-    residue mod Phi_L) for L = 1..32: on random count vectors, and on vectors
-    that vanish in Q(zeta_L) but not in Z[Z/L], added to a random one."""
+    residue mod Phi_L) for L = 1..32: on random count vectors, on one root
+    added to a random one, and on vectors that vanish in Q(zeta_L) but not in
+    Z[Z/L], added to a random one."""
     L = data.draw(st.integers(1, 32), label="L")
     field, phi = CycField(L), np.array(cyclotomic_polynomial(L))
     vectors = st.lists(st.integers(-(2**20), 2**20), min_size=L, max_size=L).map(np.array)
@@ -310,10 +311,12 @@ def test_equality_at_the_roots_is_equality_mod_phi(data):
         cofactor = data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size).filter(any))
         zeros.append(np.roll(np.convolve(phi, cofactor), k))  # a multiple of Phi_L, rotated
     assert all(not _reduction_unequal(field, z, 0) and z.any() for z in zeros)
-    left = np.array([a, a, *(a + z for z in zeros)])
-    right = np.array([b, a + 0 * b, *([a] * len(zeros))])
-    assert (_unequal(field, left, right) == _reduction_unequal(field, left, right)).all()
-    assert not _unequal(field, left[1:], right[1:]).any()
+    root = np.roll(np.eye(L, dtype=np.int64)[0], k)  # a unit: |sigma(zeta^k)| = 1 everywhere
+    left = np.array([a, a + root, a, *(a + z for z in zeros)])
+    right = np.array([b, a, a + 0 * b, *([a] * len(zeros))])
+    got = _unequal(field, left, right)
+    assert (got == _reduction_unequal(field, left, right)).all()
+    assert got[1] and not got[2:].any()
 
 
 def test_equality_at_the_roots_sees_a_unit_with_one_small_embedding():
