@@ -816,14 +816,15 @@ def consistency_report(
     delta; ok means max_delta < tol and the unoriented Frobenius checks pass
     (axioms_ok); blocks lists (dimension, indicator).  flip_tau_debug flips the
     sign of the odd-sector KR integrand, a deliberate convention fault for
-    exercising failure reporting.
+    exercising failure reporting.  Every surface's Verlinde value is formed
+    first, so a surface beyond the float range raises OverflowError before
+    any exact route (or its budget check) runs.
     """
     from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 
     require_cocycle(lambda_hat)
     alg = algebra_from_graded(GG, lambda_hat)
     bl = fs_indicators(blocks(alg), crosscap_element(GG, lambda_hat), alg)
-    # Verlinde's float-range check refuses a surface before any exact work
     verlinde = [partition_verlinde(bl, s) for s in surfaces]
     field = CycField(lambda_hat.N)
     # each surface is enumerated once per report
