@@ -24,7 +24,6 @@ from dwu.groups import (
     ResourceBudgetError,
     build_group,
     enumerate_gradings,
-    real_conjugate,
     split_grading,
 )
 from dwu.moduli import Surface, parse_surface
@@ -77,7 +76,6 @@ __all__ = [
     "partition_direct",
     "partition_tqft",
     "partition_verlinde",
-    "real_conjugate",
     "restrict_to_even",
     "split_grading",
     "tau_ref",

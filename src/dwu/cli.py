@@ -259,12 +259,20 @@ def cmd_partition(args, emitter: Emitter) -> int:
     return EXIT_OK if failing == 0 else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `usage error:` line, exit 2."""
+
+    def error(self, message):
+        print(f"usage error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dwu",
         description="Unoriented Dijkgraaf-Witten computations for Z2-graded groups",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p, with_class=True, group_help="catalog name, e.g. C4, D8, Q8xC2"):
         p.add_argument("--group", required=True, help=group_help)

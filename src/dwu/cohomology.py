@@ -296,11 +296,15 @@ def cochain_to_json(c: TwistedCochain, group_name: str | None = None) -> str:
 
 
 def cochain_from_json(text: str, ref) -> TwistedCochain:
-    """Inverse of cochain_to_json; malformed input raises ValueError."""
+    """Inverse of cochain_to_json; malformed input, or a "group" field that
+    names another group than ref's, raises ValueError."""
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:  # arrays or objects nested past the parser's depth
         raise ValueError("malformed cochain file: nested too deeply") from None
+    group, _ = _group_signs(ref)
+    if isinstance(data, dict) and data.get("group", group.name) != group.name:
+        raise ValueError(f"the cochain file is for group {data['group']!r}, not {group.name}")
     try:
         degree, N = _json_int(data["degree"]), _json_int(data["denominator"])
         if degree < 0 or N < 1:

@@ -4,10 +4,8 @@ A groupoid is presented as a finite set with a group action; components carry
 their orbit size and automorphism (stabilizer) order, and integration weights
 a class function by 1/|Aut|.  The double reflective loop groupoid of a graded
 group is built as an explicit action groupoid, the tests' reference for the KR
-integral; its carrier is what dwu.tqft counts over.  The loop, point and
-moduli groupoids the tests build live in tests/oracles.py.  The orbit loop and
-the flat-section search over conjugation (the exact orbifold and the
-floating-point center) are module functions shared by their callers.
+integral that dwu.tqft counts over its carrier.  The loop, point and moduli
+groupoids the tests build live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from dwu.groups import FiniteGroup, GradedGroup, real_conjugate
+from dwu.groups import FiniteGroup, GradedGroup
 
 
 @dataclass(frozen=True)
@@ -95,52 +93,15 @@ def orbits(points, group_order: int, act) -> list[tuple]:
     return out
 
 
-def flat_sections(G: FiniteGroup, start, step) -> list[tuple]:
-    """(representative, {g: value}) per conjugacy class of G carrying a flat section.
-
-    The section is start at the class representative and is transported along
-    conjugation: step(k, g, v) is its value at k g k^-1 given the value v at g.
-    A class on which transport is inconsistent carries no section.
-    """
-    out = []
-    for cls in G.conjugacy_classes():
-        values = _transport(G, cls[0], start, step)
-        if values is not None:
-            out.append((cls[0], values))
-    return out
-
-
-def _transport(G: FiniteGroup, rep: int, start, step):
-    values = {rep: start}
-    reached = [rep]
-    for g in reached:  # grows while it is walked
-        for k in range(G.order):
-            g2, v2 = G.conj(k, g), step(k, g, values[g])
-            if g2 not in values:
-                values[g2] = v2
-                reached.append(g2)
-            elif values[g2] != v2:
-                return None
-    return values
-
-
-def double_real_loop_carrier(GG: GradedGroup) -> list[tuple]:
-    """Pairs (g, w), g even, with w g^{sign(w)} w^{-1} = g."""
-    return [
-        (g, w)
-        for g in GG.even_part
-        for w in range(GG.group.order)
-        if real_conjugate(GG, w, g) == g
-    ]
-
-
 def double_real_loop(GG: GradedGroup) -> ActionGroupoid:
-    """The double loop carrier with the whole group acting by Real conjugation
-    on g and conjugation on w."""
-    G = GG.group
+    """The pairs (g, w), g even, with w g^{sign w} w^-1 = g, the whole group
+    acting by Real conjugation on g and conjugation on w."""
+    G, even, sub_of = GG.group, GG.even_part, GG.even_index
+    rc, conj = GG.real_conjugation.tolist(), G.conjugation.tolist()
+    carrier = [(g, w) for i, g in enumerate(even) for w in range(G.order) if rc[w][i] == g]
 
     def act(h, pt):
         g, w = pt
-        return (real_conjugate(GG, h, g), G.conj(h, w))
+        return (rc[h][sub_of[g]], conj[h][w])
 
-    return ActionGroupoid.build(double_real_loop_carrier(GG), G, act, label=f"LLref({G.name})")
+    return ActionGroupoid.build(carrier, G, act, label=f"LLref({G.name})")

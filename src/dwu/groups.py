@@ -3,13 +3,22 @@
 Elements are indices 0..n-1 with 0 the identity; every other module works with
 indices only.  A GradedGroup packages a surjective sign homomorphism to {+1,-1}
 together with the even part as a re-indexed subgroup.
+
+Conjugation is one read-only table per group, built once from the
+multiplication table: FiniteGroup.conjugation, and for a graded group the Real
+conjugation w.g = w g^{sign w} w^-1 of the even part, GradedGroup.real_conjugation.
+Every module reads these two.  flat_sections finds the sections over a group's
+conjugation (the exact orbifold and the floating-point centre) in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 DEFAULT_ORDER_CAP = 32
 
@@ -91,6 +100,14 @@ class FiniteGroup:
         """h g h^-1."""
         return self.table[self.table[h][g]][self.inverse[h]]
 
+    @functools.cached_property
+    def conjugation(self) -> np.ndarray:
+        """The read-only table [h, g] = h g h^-1."""
+        table = np.asarray(self.table)
+        out = table[table, np.asarray(self.inverse)[:, None]]
+        out.flags.writeable = False
+        return out
+
     def word(self, *els: int) -> int:
         acc = 0
         for e in els:
@@ -98,16 +115,11 @@ class FiniteGroup:
         return acc
 
     def conjugacy_classes(self) -> list[tuple]:
-        seen = [False] * self.order
-        classes = []
-        for g in range(self.order):
-            if seen[g]:
-                continue
-            orbit = sorted({self.conj(h, g) for h in range(self.order)})
-            for x in orbit:
-                seen[x] = True
-            classes.append(tuple(orbit))
-        return classes
+        """The classes, each sorted, in the order of their least elements."""
+        classes: dict[int, list] = {}
+        for g, least in enumerate(self.conjugation.min(axis=0).tolist()):
+            classes.setdefault(least, []).append(g)
+        return [tuple(c) for c in classes.values()]
 
     def center(self) -> list[int]:
         return [
@@ -178,6 +190,16 @@ class GradedGroup:
     def order(self) -> int:
         return self.group.order
 
+    @functools.cached_property
+    def real_conjugation(self) -> np.ndarray:
+        """The read-only table [w, i] = w g_i^{sign w} w^-1 (an element of the
+        ambient group) for the i-th even element g_i."""
+        G, even = self.group, np.asarray(self.even_part)
+        g = np.where(np.asarray(self.sign)[:, None] == 1, even, np.asarray(G.inverse)[even])
+        out = G.conjugation[np.arange(G.order)[:, None], g]
+        out.flags.writeable = False
+        return out
+
     def odd_part(self) -> tuple:
         return tuple(g for g in range(self.group.order) if self.sign[g] == -1)
 
@@ -193,13 +215,26 @@ class GradedGroup:
         return f"GradedGroup({self.group.name}, even={{{evens}}})"
 
 
-def real_conjugate(GG: GradedGroup, h: int, g: int) -> int:
-    """h g^{sign(h)} h^{-1}; g must be even."""
-    G = GG.group
-    if GG.sign[g] != 1:
-        raise ValueError(f"element {g} is odd; Real conjugation acts on the even part")
-    gs = g if GG.sign[h] == 1 else G.inverse[g]
-    return G.table[G.table[h][gs]][G.inverse[h]]
+def flat_sections(G: FiniteGroup, phase: np.ndarray, L: int) -> list[tuple]:
+    """(representative, {g: exponent mod L}) per conjugacy class of G carrying
+    a flat section, in the order of the representatives (the least elements).
+
+    phase[k, g] is the transport exponent along the conjugation g -> k g k^-1.
+    The section is phase[k, rep] at k rep k^-1, and a class carries it when
+    e[k g k^-1] = e[g] + phase[k, g] mod L on every edge inside the class
+    (the identity k among them, so the section is 0 at rep).
+    """
+    conj = G.conjugation
+    least = conj.min(axis=0)  # the representative of each element's class
+    k = (conj[:, least] == np.arange(G.order)).argmax(axis=0)  # the first k with k rep k^-1 = g
+    e = phase[k, least] % L
+    broken = ((e[conj] - e - phase) % L).any(axis=0)  # an edge leaving g breaks transport
+    sections: dict[int, dict] = {}
+    for g, rep, value in zip(range(G.order), least.tolist(), e.tolist()):
+        sections.setdefault(rep, {})[g] = value
+    for rep in least[broken].tolist():
+        sections.pop(rep, None)
+    return list(sections.items())
 
 
 def enumerate_gradings(G_hat: FiniteGroup) -> list[GradedGroup]:

@@ -7,7 +7,9 @@ leading axes, so the centre's structure constants, the idempotent checks and
 centrality are each one call.
 
 Blocks (primitive central idempotents) are found without character tables:
-the center is spanned by regular-class sums, a random real combination of the
+the center is spanned by regular-class sums, the flat sections of
+groups.flat_sections under the conjugation phases lambda(h, g) -
+lambda(h g h^-1, h) read off the cochain table, a random real combination of the
 multiplication operators on the center separates the simultaneous eigenvectors,
 and each eigenvector normalizes to an idempotent.  The draw is fixed
 (default_rng(12345)); the blocks do not depend on it.  Block dimensions come
@@ -23,10 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from dwu.cohomology import TwistedCochain, restrict_to_even
-from dwu.groupoids import flat_sections
-from dwu.groups import GradedGroup
+from dwu.groups import GradedGroup, flat_sections
 from dwu.phases import root_of_unity
-from dwu.transgression import require_cocycle, tau_circle
+from dwu.transgression import require_cocycle
 
 INTERNAL_TOL = 1e-9  # block extraction
 REPORT_TOL = 1e-6  # indicator integrality
@@ -71,8 +72,10 @@ class TwistedGroupAlgebra:
 
     def center_basis(self) -> np.ndarray:
         """One row per lambda-regular class: its flat class sum."""
-        tau, N = tau_circle(self.lam, self.group), self.lam.N
-        sections = flat_sections(self.group, 0, lambda k, g, e: (e - tau[k][g]) % N)
+        lam, N = self.lam.table, self.lam.N
+        # transport along g -> h g h^-1 by lambda(h, g) - lambda(h g h^-1, h)
+        phase = lam - lam[self.group.conjugation, np.arange(self.dim)[:, None]]
+        sections = flat_sections(self.group, phase, N)
         Z = np.zeros((len(sections), self.dim), dtype=complex)
         for row, (_, exponents) in zip(Z, sections):
             row[list(exponents)] = [root_of_unity(k, N) for k in exponents.values()]

@@ -33,13 +33,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from dwu.cohomology import TwistedCochain
-from dwu.groupoids import double_real_loop_carrier, flat_sections
-from dwu.groups import GradedGroup, ResourceBudgetError
+from dwu.groups import GradedGroup, ResourceBudgetError, flat_sections
 from dwu.moduli import KLEIN, RP2, TORUS, Surface, require_budget, word_value
 from dwu.moduli import holonomy_points  # noqa: F401  (looked up here by perfbench's tracer)
 from dwu.phases import CycField, CycNum, Phase, lcm_of
 from dwu.reptheory import BlockData
-from dwu.transgression import _real_conjugation, relator_pairing, require_cocycle, tau_ref
+from dwu.transgression import relator_pairing, require_cocycle, tau_ref
 
 
 class ConventionError(RuntimeError):
@@ -67,8 +66,8 @@ class TuraevAlgebraData:
     l_{w g^{sign w} w^{-1}}, and crosscap[i] scales l_{s^2} for the i-th odd
     element s of GG.odd_part().  Indices g, h run over the even subgroup, w over
     the ambient group.  zero, when set, holds boolean masks (mult, action,
-    crosscap) of constants that are 0 instead of a root; only with_mutation
-    sets it.
+    crosscap) of constants that are 0 instead of a root; only a with_mutation
+    that zeroes a constant sets it.
     """
 
     GG: GradedGroup
@@ -86,16 +85,17 @@ class TuraevAlgebraData:
             raise ValueError(f"unknown mutation kind {kind}")
         L = self.L if phase is None else lcm_of([phase.denominator], self.L)
         tables = [t * (L // self.L) for t in (self.mult, self.action, self.crosscap)]
-        zero = [np.array(z) for z in self.zero or [np.zeros(t.shape, bool) for t in tables]]
-        i = kinds.index(kind)
+        i, zero = kinds.index(kind), self.zero
         if kind == "crosscap":
             key = self.GG.odd_part().index(key)
         if phase is None:
+            zero = [np.array(z) for z in zero or [np.zeros(t.shape, bool) for t in tables]]
             zero[i][key] = True
+            zero = tuple(zero)
         else:
             tables[i][key] = (tables[i][key] + phase.numerator * (L // phase.denominator)) % L
         mult, action, crosscap = tables
-        return replace(self, L=L, mult=mult, action=action, crosscap=crosscap, zero=tuple(zero))
+        return replace(self, L=L, mult=mult, action=action, crosscap=crosscap, zero=zero)
 
 
 def turaev_from_cocycle(GG: GradedGroup, lambda_hat: TwistedCochain) -> TuraevAlgebraData:
@@ -157,8 +157,8 @@ def check_turaev_axioms(T: TuraevAlgebraData) -> CheckReport:
     Gt, Ginv = np.asarray(G.table), np.asarray(G.inverse)
     St, Sinv = np.asarray(GG.even_subgroup.table), np.asarray(GG.even_subgroup.inverse)
     hat, sub_of = np.asarray(GG.even_part), np.asarray(GG.even_index)
-    rc = sub_of[_real_conjugation(GG)]  # rc[w, g]: the even index of w.g
-    conj = Gt[Gt, Ginv[:, None]]  # conj[h, x] = h x h^-1
+    rc = sub_of[GG.real_conjugation]  # rc[w, g]: the even index of w.g
+    conj = G.conjugation  # conj[h, x] = h x h^-1
 
     Mz, Az, Qz_odd = T.zero or [np.zeros(t.shape, bool) for t in (T.mult, T.action, T.crosscap)]
     Q, Qz = np.zeros(G.order, np.int64), np.zeros(G.order, bool)
@@ -424,11 +424,10 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
     if T.zero is not None:
         raise ValueError("the orbifold needs every structure constant to be a root of unity")
     GG, L = T.GG, T.L
-    G = GG.group
+    G, hat, odd = GG.group, list(GG.even_part), list(GG.odd_part())
     n = GG.even_subgroup.order
     field = CycField(L)
-    action, hat = T.action.tolist(), GG.even_part
-    found = flat_sections(GG.even_subgroup, 0, lambda k, g, e: (e + action[hat[k]][g]) % L)
+    found = flat_sections(GG.even_subgroup, T.action[hat], L)
     reps = tuple(rep for rep, _ in found)
     if 0 not in reps:
         raise ConventionError("identity class is not flat")
@@ -445,7 +444,7 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
     )
     sub_of = np.asarray(GG.even_index)
     # src[w, t]: the even g with w.g = t
-    src = np.argsort(sub_of[_real_conjugation(GG)], axis=-1)
+    src = np.argsort(sub_of[GG.real_conjugation], axis=-1)
     shift = np.take_along_axis(T.action, src, axis=-1)
 
     def act(w, v):
@@ -455,10 +454,9 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
         return v[..., src[w][..., None], (np.arange(L) - shift[w][..., None]) % L]
 
     def is_flat(v):
-        return not _unequal(field, act(list(hat), v), v[..., None, :, :]).any()
+        return not _unequal(field, act(hat, v), v[..., None, :, :]).any()
 
     # crosscap section: g -> sum over odd s with s^2 = g of Q_s
-    odd = GG.odd_part()
     cc = np.zeros((n, L), np.int64)
     np.add.at(cc, (sub_of[np.asarray(G.table)[odd, odd]], T.crosscap), 1)
     # flatness of the crosscap (condition (viii) shadow)
@@ -466,18 +464,15 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
         raise ConventionError("crosscap section is not flat")
     cc_coords = _coords_or_error(F, cc, "crosscap")
 
-    # involution: restriction of the odd action to sections, any odd element
-    inv_matrix = None
-    for s in odd:
-        images = act([s], F.basis)[:, 0]
-        if not is_flat(images):
-            raise ConventionError("involution image is not flat")
-        mat = _coords_or_error(F, images, "involution").transpose(1, 0, 2)
-        if inv_matrix is None:
-            inv_matrix = mat
-        elif _unequal(field, inv_matrix, mat).any():
-            raise ConventionError("involution depends on the choice of odd element")
-    return replace(F, involution=inv_matrix, crosscap_coords=cc_coords)
+    # involution: restriction of the odd action to sections, one matrix per
+    # odd element s, mats[s, i, j], all of them equal
+    images = act(odd, F.basis)
+    if not is_flat(images):
+        raise ConventionError("involution image is not flat")
+    mats = _coords_or_error(F, images, "involution").transpose(1, 2, 0, 3)
+    if _unequal(field, mats[1:], mats[:1]).any():
+        raise ConventionError("involution depends on the choice of odd element")
+    return replace(F, involution=mats[0], crosscap_coords=cc_coords)
 
 
 def _span_misses(F: UnorientedFrobeniusData, v) -> np.ndarray:
@@ -505,7 +500,7 @@ def _closed_form_duals(F: UnorientedFrobeniusData):
     sub = F.GG.even_subgroup
     L, inv = F.field.L, sub.inverse
     index = {rep: j for j, rep in enumerate(F.basis_reps)}
-    class_rep = {g: cls[0] for cls in sub.conjugacy_classes() for g in cls}
+    class_rep = sub.conjugation.min(axis=0).tolist()  # the least element of g's class
     duals = []
     for i, (section, rep) in enumerate(zip(F.sections, F.basis_reps)):
         j = index.get(class_rep[inv[rep]])
@@ -756,7 +751,10 @@ def _kr_integral(
     """Integral of tau_ref over the double real loop: its roots counted over
     the carrier and divided by |G^| once (a component weighs orbit size/|G^|).
     flip adds 1/2 on odd w (in Q(zeta_2L) when L is odd)."""
-    g, w = np.array(double_real_loop_carrier(GG)).T
+    # the double loop carrier: the pairs (g, w), g even, with w.g = g
+    even = np.asarray(GG.even_part)
+    w, i = np.nonzero(GG.real_conjugation == even)
+    g = even[i]
     k, M = tau_ref(lambda_hat, GG).table[w, g], lambda_hat.N  # the root zeta_M^k per point
     if flip:
         k, M = 2 * k + M * (np.asarray(GG.sign)[w] == -1), 2 * M

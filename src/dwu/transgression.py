@@ -18,10 +18,10 @@ reproduce the literal closed forms for the torus, the projective plane and
 the Klein bottle.  A relator's pairing is the sum of the fans of its pieces,
 each read after the pieces before it: the direct route walks them.
 
-Everything here is an integer exponent mod the cocycle's N: tau_ref and
-tau_circle are exponent tables, and a pairing is a sum of integers mod N, for
-integer arrays of holonomies at once.  LoopCocycle.value returns a Phase,
-the value type at the API edge.  The tests check relator_pairing against a
+Everything here is an integer exponent mod the cocycle's N: tau_ref, the one
+transgression, is an exponent table over GradedGroup.real_conjugation, and a
+pairing is a sum of integers mod N, for integer arrays of holonomies at once.
+LoopCocycle.value returns a Phase, the value type at the API edge.  The tests check relator_pairing against a
 one-holonomy pairing and the torus, RP2 and Klein closed forms
 (tests/oracles.py).
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dwu.cohomology import TwistedCochain, is_twisted_cocycle
-from dwu.groups import FiniteGroup, GradedGroup, real_conjugate
+from dwu.groups import GradedGroup
 from dwu.moduli import Surface
 from dwu.phases import Phase
 
@@ -68,14 +68,8 @@ class LoopCocycle:
         even = list(GG.even_part)
         t = self.table
         lhs = t[np.asarray(GG.group.table)][:, :, even]  # [w2, w1, g]
-        rhs = t[:, _real_conjugation(GG)] + t[:, even]
+        rhs = t[:, GG.real_conjugation] + t[:, even]
         return not ((lhs - rhs) % self.N).any()
-
-
-def _real_conjugation(GG: GradedGroup) -> np.ndarray:
-    """rc[w, i] = w g^{sign w} w^-1 for the i-th even element g."""
-    n = GG.group.order
-    return np.array([[real_conjugate(GG, w, g) for g in GG.even_part] for w in range(n)])
 
 
 def tau_ref(lambda_hat: TwistedCochain, GG: GradedGroup) -> LoopCocycle:
@@ -93,24 +87,13 @@ def tau_ref(lambda_hat: TwistedCochain, GG: GradedGroup) -> LoopCocycle:
     odd = np.asarray(GG.sign)[w] == -1
     table = np.zeros((G.order, G.order), dtype=np.int64)
     table[:, GG.even_part] = (
-        lam[_real_conjugation(GG), w] - lam[w, np.where(odd, inv[g], g)] - odd * lam[inv[g], g]
+        lam[GG.real_conjugation, w] - lam[w, np.where(odd, inv[g], g)] - odd * lam[inv[g], g]
     ) % lambda_hat.N
     out = LoopCocycle(graded_group=GG, N=lambda_hat.N, table=table)
     if not out.check_cocycle_law():
         raise AssertionError("transgressed cochain fails the loop 1-cocycle law")
     computed[GG] = out
     return out
-
-
-def tau_circle(lmbda: TwistedCochain, group: FiniteGroup) -> list:
-    """Oriented loop transgression of an untwisted 2-cocycle: exponents
-    t[h][g] = lambda(h g h^-1, h) - lambda(h, g) mod lmbda.N."""
-    require_cocycle(lmbda)
-    lam, N = lmbda.rows, lmbda.N
-    return [
-        [(lam[group.conj(h, g)][h] - lam[h][g]) % N for g in range(group.order)]
-        for h in range(group.order)
-    ]
 
 
 def relator_pairing(cochain: TwistedCochain, surface: Surface, holonomy, prefix=0):

@@ -27,6 +27,13 @@ check the twisted group algebra against.
 Cochains and groups.  Random cochains, the pullback of an order-2 cocycle
 along a split grading, and the odd square roots of an element.
 
+Conjugation, transgression and flat sections one element at a time.
+`real_conjugate` is the scalar Real conjugation that
+`dwu.groups.GradedGroup.real_conjugation` tabulates, `tau_circle` the oriented
+loop transgression of an untwisted cocycle that `dwu.transgression.tau_ref`
+restricts to on the even part, and `flat_sections` the breadth-first
+transport walk that `dwu.groups.flat_sections` replaces by a closed form.
+
 The unoriented Frobenius check in Z[Z/L].  `dwu.tqft.check_unoriented_frobenius`
 decides each condition at the primitive roots of unity; the check here is
 its integer form, every product a convolution of root counts and every
@@ -46,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dwu.cohomology import TwistedCochain, _group_signs, is_twisted_cocycle
-from dwu.groupoids import ActionGroupoid, double_real_loop, double_real_loop_carrier, orbits
-from dwu.groups import FiniteGroup, GradedGroup, real_conjugate
+from dwu.groupoids import ActionGroupoid, double_real_loop, orbits
+from dwu.groups import FiniteGroup, GradedGroup
 from dwu.moduli import Surface, holonomy_points, word_value
 from dwu.phases import CycField, Phase
 from dwu.tqft import CheckReport, UnorientedFrobeniusData, _closed_form_duals, _convolve, _first
@@ -169,7 +176,7 @@ def one_loop_groupoid(GG: GradedGroup):
     """Torus and Klein-bottle moduli glued: the double real loop carrier
     (g, w) with w g^{sign w} w^{-1} = g, under even conjugation."""
     return ActionGroupoid.build(
-        double_real_loop_carrier(GG), GG.even_subgroup, even_conjugation(GG),
+        double_real_loop(GG).carrier, GG.even_subgroup, even_conjugation(GG),
         label="Bun^or(1-loop)",
     )
 
@@ -316,6 +323,59 @@ def odd_square_roots(GG: GradedGroup, g: int) -> set:
     """All odd elements whose square is g (empty when g is odd)."""
     G = GG.group
     return {s for s in GG.odd_part() if G.table[s][s] == g}
+
+
+# ---------------------------------------------------------------------------
+# conjugation, transgression and flat sections one element at a time
+
+
+def real_conjugate(GG: GradedGroup, h: int, g: int) -> int:
+    """h g^{sign(h)} h^{-1}; g must be even."""
+    G = GG.group
+    if GG.sign[g] != 1:
+        raise ValueError(f"element {g} is odd; Real conjugation acts on the even part")
+    gs = g if GG.sign[h] == 1 else G.inverse[g]
+    return G.table[G.table[h][gs]][G.inverse[h]]
+
+
+def tau_circle(lmbda: TwistedCochain, group: FiniteGroup) -> list:
+    """Oriented loop transgression of an untwisted 2-cocycle: exponents
+    t[h][g] = lambda(h g h^-1, h) - lambda(h, g) mod lmbda.N."""
+    require_cocycle(lmbda)
+    lam, N = lmbda.rows, lmbda.N
+    return [
+        [(lam[group.conj(h, g)][h] - lam[h][g]) % N for g in range(group.order)]
+        for h in range(group.order)
+    ]
+
+
+def flat_sections(G: FiniteGroup, start, step) -> list[tuple]:
+    """(representative, {g: value}) per conjugacy class of G carrying a flat section.
+
+    The section is start at the class representative and is transported along
+    conjugation: step(k, g, v) is its value at k g k^-1 given the value v at g.
+    A class on which transport is inconsistent carries no section.
+    """
+    out = []
+    for cls in G.conjugacy_classes():
+        values = _transport(G, cls[0], start, step)
+        if values is not None:
+            out.append((cls[0], values))
+    return out
+
+
+def _transport(G: FiniteGroup, rep: int, start, step):
+    values = {rep: start}
+    reached = [rep]
+    for g in reached:  # grows while it is walked
+        for k in range(G.order):
+            g2, v2 = G.conj(k, g), step(k, g, values[g])
+            if g2 not in values:
+                values[g2] = v2
+                reached.append(g2)
+            elif values[g2] != v2:
+                return None
+    return values
 
 
 # ---------------------------------------------------------------------------

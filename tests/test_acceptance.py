@@ -8,7 +8,6 @@ over "the full sweep"; each test prints a single PASS line on success.
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -246,7 +245,7 @@ def test_frobenius_check_at_the_roots_equals_the_integer_check(sweep):
         for kind, key, phase in random_mutations(gg, rng):
             if phase is not None and T.L % phase.denominator == 0:
                 try:
-                    algebras.append(orbifold(replace(T.with_mutation(kind, key, phase), zero=None)))
+                    algebras.append(orbifold(T.with_mutation(kind, key, phase)))
                 except ConventionError:  # no flat crosscap or involution
                     continue
         for F in algebras:

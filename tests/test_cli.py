@@ -477,6 +477,46 @@ def test_cocycle_file_naming_a_directory_is_usage_error(tmp_path, capsys):
     assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "field, code", [(', "group": "C2"', 0), ("", 0), (', "group": "C4"', 2)], ids=["C2", "absent", "C4"]
+)
+def test_cocycle_file_for_another_group_is_usage_error(tmp_path, capsys, field, code):
+    path = tmp_path / "cocycle.json"
+    path.write_text('{"degree": 2, "denominator": 2, "values": {"1,1": 1}%s}' % field)
+    assert main(["partition", "--group", "C2", "--cocycle-file", str(path), "--surfaces", "RP2"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == "usage error: the cochain file is for group 'C4', not C2\n"
+    else:
+        assert captured.err == "" and len(jsonl(captured.out)) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partition", "--group", "C2", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+        (["indicators", "--group", "C2", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["gradings", "--group", "C2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["cohomology"], "the following arguments are required: --group"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["tol", "format", "unknown-flag", "missing-group", "no-command"],
+)
+def test_argument_error_is_one_usage_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"usage error: {message}") and len(captured.err.splitlines()) == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["partition", "--help"])
+    assert exit_info.value.code == 0 and capsys.readouterr().out.startswith("usage: dwu partition")
+
+
 @pytest.mark.parametrize("command", ["gradings", "cohomology", "partition", "indicators", "verify-axioms"])
 def test_only_partition_offers_group_all(capsys, command):
     with pytest.raises(SystemExit):

@@ -1,9 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from oracles import odd_square_roots
+from oracles import flat_sections as bfs_flat_sections
+from oracles import odd_square_roots, real_conjugate
 
+from dwu.cli import load_manifest
 from dwu.groups import (
     FiniteGroup,
     GradedGroup,
@@ -13,8 +16,8 @@ from dwu.groups import (
     cyclic,
     dihedral,
     enumerate_gradings,
+    flat_sections,
     quaternion8,
-    real_conjugate,
     split_grading,
     symmetric,
     verify_group_axioms,
@@ -159,3 +162,77 @@ def test_grading_json():
 
     data = json.loads(gg.to_json())
     assert data["sign"] == [1, -1, 1, -1]
+
+
+def manifest_gradings():
+    return [gg for name in load_manifest()["groups"] for gg in enumerate_gradings(build_group(name))]
+
+
+def test_conjugation_tables_match_the_scalar_conjugations():
+    """conjugation[h, g] = h g h^-1 and real_conjugation[w, i] = w g_i^{sign w} w^-1
+    entry by entry on every manifest grading and its even part, both read-only."""
+    for gg in manifest_gradings():
+        for G in (gg.group, gg.even_subgroup):
+            assert G.conjugation.tolist() == [[G.conj(h, g) for g in range(G.order)] for h in range(G.order)]
+            assert not G.conjugation.flags.writeable
+        expected = [[real_conjugate(gg, w, g) for g in gg.even_part] for w in range(gg.order)]
+        assert gg.real_conjugation.tolist() == expected
+        assert not gg.real_conjugation.flags.writeable
+        with pytest.raises(ValueError):
+            gg.real_conjugation[0, 0] = 1
+
+
+def assert_flat_sections_match_the_walk(G, phase, L):
+    """The closed form against the breadth-first transport walk, and the
+    sections it returns; returns them."""
+    step = phase.tolist()
+    found = flat_sections(G, phase, L)
+    assert found == bfs_flat_sections(G, 0, lambda k, g, e: (e + step[k][g]) % L)
+    return found
+
+
+def test_flat_sections_match_the_transport_walk():
+    """On the even part of every manifest grading: the phase tables of the
+    orbifold and of the centre for every cohomology class, tables
+    transgressed from a random function on the group (every class flat),
+    the same with one edge moved, and random tables."""
+    from dwu.cohomology import cohomology_classes, restrict_to_even
+    from dwu.tqft import turaev_from_cocycle
+
+    rng = np.random.default_rng(20261019)
+    flat = broken = 0
+    for gg in manifest_gradings():
+        G = gg.even_subgroup
+        conj, n = G.conjugation, G.order
+        reps, _ = cohomology_classes(gg, 2)
+        for lam in reps:
+            T = turaev_from_cocycle(gg, lam)
+            assert_flat_sections_match_the_walk(G, T.action[list(gg.even_part)], T.L)
+            t = restrict_to_even(lam, gg).table
+            assert_flat_sections_match_the_walk(G, t - t[conj, np.arange(n)[:, None]], lam.N)
+        for L in (1, 2, 6):
+            e = rng.integers(L, size=n)
+            phase = e[conj] - e + L * rng.integers(-2, 3, size=(n, n))
+            found = assert_flat_sections_match_the_walk(G, phase, L)
+            assert len(found) == len(G.conjugacy_classes())
+            flat += len(found)
+            k, g = rng.integers(n, size=2)
+            phase[k, g] += 1
+            moved = assert_flat_sections_match_the_walk(G, phase, L)
+            broken += len(found) - len(moved)
+            assert_flat_sections_match_the_walk(G, rng.integers(-L, 2 * L, size=(n, n)), L)
+    assert flat > 500 and broken > 50
+
+
+def test_flat_sections_see_an_edge_away_from_the_representative():
+    """One inconsistent edge k: g -> k g k^-1 with neither end the class
+    representative removes that class, and only that class."""
+    G = build_group("S3")
+    conj, n = G.conjugation, G.order
+    rep, g = 1, 2  # the class {1, 2, 5} of the transpositions
+    assert G.conjugacy_classes() == [(0,), (1, 2, 5), (3, 4)]
+    k = next(k for k in range(n) if conj[k, g] not in (rep, g))
+    phase = np.zeros((n, n), np.int64)
+    assert [r for r, _ in assert_flat_sections_match_the_walk(G, phase, 2)] == [0, 1, 3]
+    phase[k, g] = 1
+    assert [r for r, _ in assert_flat_sections_match_the_walk(G, phase, 2)] == [0, 3]

@@ -125,8 +125,18 @@ def test_mutation_rescales_exponents_to_the_lcm():
     expected[1, 1] = (expected[1, 1] + 4) % 12
     assert (mutated.action == expected).all()
     assert (mutated.mult == T.mult * 3).all() and (mutated.crosscap == T.crosscap * 3).all()
-    assert not any(z.any() for z in mutated.zero)
+    assert mutated.zero is None
     assert not check_turaev_axioms(mutated).ok
+
+
+def test_a_phase_mutation_orbifolds():
+    """A mutation by a phase leaves every constant a root of unity, so its
+    algebra orbifolds; the orbifold fails the Frobenius check."""
+    gg = split_grading(build_group("S3"))
+    T = turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2))
+    F = orbifold(T.with_mutation("product", (1, 2), Phase(1, 3)))
+    assert F.dim == 3
+    assert not check_unoriented_frobenius(F).ok
 
 
 def test_full_check_reports_degenerate_pairing():

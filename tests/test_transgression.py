@@ -2,7 +2,15 @@ import itertools
 import random
 
 import pytest
-from oracles import klein_closed_form, pair_surface, random_cochain, rp2_closed_form, torus_closed_form
+from oracles import (
+    klein_closed_form,
+    pair_surface,
+    random_cochain,
+    real_conjugate,
+    rp2_closed_form,
+    tau_circle,
+    torus_closed_form,
+)
 
 from dwu.cohomology import (
     TwistedCochain,
@@ -10,10 +18,10 @@ from dwu.cohomology import (
     restrict_to_even,
     twisted_differential,
 )
-from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, real_conjugate, split_grading
+from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
 from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, holonomy_points, parse_surface
 from dwu.phases import Phase
-from dwu.transgression import relator_pairing, tau_circle, tau_ref
+from dwu.transgression import relator_pairing, tau_ref
 
 
 def parity_c4():
