@@ -146,18 +146,22 @@ class TwistedCochain:
         return f"TwistedCochain(deg={self.degree}, {self.group.name}, nonzero={nz})"
 
 
-def _bar_faces(group: FiniteGroup, signs, degree: int) -> SparseRows:
+def _bar_faces(group: FiniteGroup, signs, degree: int, first=None) -> SparseRows:
     """d: C^degree -> C^(degree+1) as one row of faces per entry.
 
     Entries run over the (degree+1)-tuples without the identity in
-    lexicographic order; face j of entry i is coef[i, j] times the source
-    column idx[i, j], which indexes the degree-tuples without the identity in
-    the same order.  A face tuple containing the identity, where normalized
-    cochains vanish, has coefficient 0.  Most entries are dependent on earlier
-    ones (see _cocycle_equations); all of them are kept here.
+    lexicographic order, only those whose first element is in first when
+    first (ascending) is given; face j of entry i is coef[i, j] times the
+    source column idx[i, j], which indexes the degree-tuples without the
+    identity in the same order.  A face tuple containing the identity, where
+    normalized cochains vanish, has coefficient 0.  Most entries are dependent
+    on earlier ones: a kernel needs only the first elements _cocycle_equations
+    gives.
     """
-    n, m = group.order, (group.order - 1) ** (degree + 1)
-    w = np.indices((n - 1,) * (degree + 1)).reshape(degree + 1, m) + 1
+    n = group.order
+    first = np.arange(1, n) if first is None else np.asarray(first)
+    w = np.indices((len(first),) + (n - 1,) * degree).reshape(degree + 1, -1) + 1
+    w[0], m = first[w[0] - 1], w.shape[1]
     mul = np.array(group.table, dtype=np.int64)
     inner = ([*w[: j - 1], mul[w[j - 1], w[j]], *w[j + 1 :]] for j in range(1, degree + 1))
     faces = np.array([w[1:], *inner, w[:-1]]).reshape(degree + 2, degree, m)
@@ -168,9 +172,10 @@ def _bar_faces(group: FiniteGroup, signs, degree: int) -> SparseRows:
     return SparseRows(idx, coef, (n - 1) ** degree)
 
 
-def _cocycle_equations(group: FiniteGroup, signs, degree: int) -> np.ndarray:
-    """Mask of the rows of _bar_faces(group, signs, degree) whose first element
-    x is leading: no a before x has a*x or a^-1*x before x (a = 1 never does).
+def _cocycle_equations(group: FiniteGroup) -> np.ndarray:
+    """The leading elements x != 1, ascending: no a before x has a*x or
+    a^-1*x before x (a = 1 never does).  The rows of _bar_faces with a
+    leading first element have the kernel of all rows, in every degree.
 
     With R(w) the row of w, zero on tuples containing the identity, d(d c) = 0
     at (a, b, ..) reads s(a) R(b, ..) - R(ab, ..) + (rows starting with a) = 0.
@@ -178,11 +183,10 @@ def _cocycle_equations(group: FiniteGroup, signs, degree: int) -> np.ndarray:
     earlier first elements, so a row of any other x is zero on every vector
     the earlier rows vanish on, and an elimination in row order never pivots
     on it.  The signs enter only as that +-1."""
-    n = group.order
-    x = np.arange(n)
+    x = np.arange(group.order)
     mul = np.array(group.table, dtype=np.int64)
     lower = (mul < x) | (mul[list(group.inverse)] < x)  # [a, x]: a*x or a^-1*x before x
-    return np.repeat(~(lower & (x[:, None] < x)).any(axis=0)[1:], (n - 1) ** degree)
+    return x[~(lower & (x[:, None] < x)).any(axis=0)][1:]
 
 
 def twisted_differential(c: TwistedCochain) -> TwistedCochain:
@@ -227,11 +231,13 @@ def cohomology_classes(ref, degree: int, cap: int = 32):
 
     Every class is N-torsion for N = |G^|, so Z/N-valued cocycles suffice;
     Z/N-classes that merge over U(1) are identified via the connecting images
-    d(z/N).  Both kernels solve only the leading equations (_cocycle_equations),
-    which give the same elimination steps and generators as all of them; the
-    relations use the whole differential.  Returns (reps, factors) with reps
-    sorted lexicographically by numerator vector and factors the
-    invariant-factor chain of the group.
+    d(z/N).  Both kernels build and solve only the leading equations, the
+    rows of _bar_faces whose first element _cocycle_equations gives, which
+    take the same elimination steps to the same generators as all of them;
+    the elimination stores only the rows a kernel returns.  The relations use
+    the whole differential.  Returns (reps, factors) with reps sorted
+    lexicographically by numerator vector and factors the invariant-factor
+    chain of the group.
     """
     if degree not in (1, 2):
         raise ValueError("cohomology computed in degrees 1 and 2 only")
@@ -241,14 +247,13 @@ def cohomology_classes(ref, degree: int, cap: int = 32):
     N = group.order
     if N == 1:
         return [TwistedCochain.zero((group, signs), degree)], []
-    D_down = differential_matrix(group, signs, degree - 1)
-    faces, keep = _bar_faces(group, signs, degree), _cocycle_equations(group, signs, degree)
-    Z = kernel_mod(SparseRows(faces.idx[keep], faces.coef[keep], faces.cols), N)
+    D_down, lead = differential_matrix(group, signs, degree - 1), _cocycle_equations(group)
+    Z = kernel_mod(_bar_faces(group, signs, degree, lead), N)
     relations = [row % N for row in D_down.T]
     # connecting images: a (degree-1)-cocycle z mod N lifts to z/N over Q/Z and
     # d(z/N) is again Z/N-valued; these are exactly the U(1)-coboundaries
     # that are invisible over Z/N
-    for z in kernel_mod(D_down[_cocycle_equations(group, signs, degree - 1)], N):
+    for z in kernel_mod(_bar_faces(group, signs, degree - 1, lead), N):
         img = D_down @ z.astype(np.int64)
         assert not (img % N).any(), "kernel generator is not a cocycle"
         relations.append((img // N) % N)

@@ -96,10 +96,6 @@ class FiniteGroup:
         verify_group_axioms(table)
         return cls(order=len(table), table=table, name=name)
 
-    def conj(self, h: int, g: int) -> int:
-        """h g h^-1."""
-        return self.table[self.table[h][g]][self.inverse[h]]
-
     @functools.cached_property
     def conjugation(self) -> np.ndarray:
         """The read-only table [h, g] = h g h^-1."""
@@ -113,20 +109,6 @@ class FiniteGroup:
         for e in els:
             acc = self.table[acc][e]
         return acc
-
-    def conjugacy_classes(self) -> list[tuple]:
-        """The classes, each sorted, in the order of their least elements."""
-        classes: dict[int, list] = {}
-        for g, least in enumerate(self.conjugation.min(axis=0).tolist()):
-            classes.setdefault(least, []).append(g)
-        return [tuple(c) for c in classes.values()]
-
-    def center(self) -> list[int]:
-        return [
-            g
-            for g in range(self.order)
-            if all(self.table[g][h] == self.table[h][g] for h in range(self.order))
-        ]
 
     def subgroup_closure(self, gens) -> set:
         out = {0}

@@ -5,15 +5,16 @@ reduction below is a Howell-style echelon form (pivots divide N, annihilator
 rows N/gcd * row are folded back in) which makes span membership and kernel
 computations exact for composite N.  Kernels and solutions reduce [A^T | I]
 as coefficient rows t alone (a row is (A @ t | t)), with A a sparse operator
-(its padded nonzeros per row) whose zero columns are skipped in blocks.  A
+(its padded nonzeros per row) whose zero columns are skipped in blocks; a
+block holds at most BLOCK gathered entries, rows x columns x faces.  A
 pivot step decides its merges and swaps on the column values alone, then
 forms every row it leaves as x + b*y of two candidate or merged-pivot rows
 in one array step.  The live rows sit in one pool, where a pivot step writes
-the rows it leaves over the ones it consumed.  A kernel back-reduces only its
-own rows, the tail of the form, and one pass over the form solves for every
-right-hand side at once.  Quotient groups ker/im are invariant factors of an
-integer Smith reduction in which mod-N row reductions are legal (the lattice
-always contains N*Z^k).
+the rows it leaves over the ones it consumed.  A kernel stores and
+back-reduces only its own rows, the tail of the form, and one pass over the
+form solves for every right-hand side at once.  Quotient groups ker/im are
+invariant factors of an integer Smith reduction in which mod-N row
+reductions are legal (the lattice always contains N*Z^k).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-BLOCK = 1 << 16  # entries of one block of column values
+BLOCK = 1 << 16  # entries one block of columns gathers
 
 
 def _egcd(a: int, b: int):
@@ -83,8 +84,10 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
     Row i of the form is (A @ R[i] | R[i]) mod N; its pivot column counts A's
     rows first, divides N and reduces the entries above it.  Every step is
     Z/N-linear, so only coefficient rows are kept, in a pool (T, reduced in
-    place) read in the order of the live rows.  A block of columns doubles
-    while it is zero and halves after a pivot."""
+    place) read in the order of the live rows, and a pivot row left of first
+    is not stored.  A block of columns doubles while it is zero and halves
+    after a pivot, within BLOCK gathered entries; the pivot is the first
+    nonzero column whatever the width, so no decision reads it."""
     m, end = len(A.idx), len(A.idx) + T.shape[1]
     pool = np.remainder(T, N, out=T)
     live = pool.any(axis=1)
@@ -92,7 +95,8 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
     done = []
     col, width = 0, 1
     while col < end and len(order):
-        stop = min(col + max(1, min(width, BLOCK // len(order))), m if col < m else end)
+        gathered = len(order) * (max(1, A.idx.shape[1]) if col < m else 1)  # per column
+        stop = min(col + max(1, min(width, BLOCK // gathered)), m if col < m else end)
         block = _columns(pool, order, A, col, stop, N)
         hit = block.any(axis=0)
         h = int(hit.argmax())
@@ -136,7 +140,8 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
         rest *= b[:, None]
         rest += E[i]
         rest -= rest // N * N
-        done.append((col, d, rest[0].copy()))  # a copy keeps no step's rows alive
+        if col >= first:
+            done.append((col, d, rest[0].copy()))  # a copy keeps no step's rows alive
         # the rows left go to the consumed slots, then to free ones; fewer
         # than the consumed and live rows together, so one doubling fits them
         rest, slots = rest[1:][rest[1:].any(axis=1)], np.concatenate([slots, free])
@@ -146,7 +151,6 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
         pool[slots[: len(rest)]] = rest
         order, free = np.concatenate([order[~nz], slots[: len(rest)]]), slots[len(rest) :]
         col += 1
-    done = [x for x in done if x[0] >= first]
     pivots, values = [c for c, _, _ in done], [d for _, d, _ in done]
     R = np.array([r for _, _, r in done], dtype=np.int64).reshape(len(done), T.shape[1])
     # reduce entries above pivots; a row changes only through rows below it

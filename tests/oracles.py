@@ -28,8 +28,10 @@ Cochains and groups.  Random cochains, the pullback of an order-2 cocycle
 along a split grading, and the odd square roots of an element.
 
 Conjugation, transgression and flat sections one element at a time.
-`real_conjugate` is the scalar Real conjugation that
-`dwu.groups.GradedGroup.real_conjugation` tabulates, `tau_circle` the oriented
+`conj` and `real_conjugate` are the scalar conjugation and Real conjugation
+that `dwu.groups.FiniteGroup.conjugation` and
+`dwu.groups.GradedGroup.real_conjugation` tabulate, `conjugacy_classes` and
+`center` read the classes and the centre off them, `tau_circle` the oriented
 loop transgression of an untwisted cocycle that `dwu.transgression.tau_ref`
 restricts to on the even part, and `flat_sections` the breadth-first
 transport walk that `dwu.groups.flat_sections` replaces by a closed form.
@@ -133,7 +135,7 @@ def even_conjugation(GG: GradedGroup):
     G = GG.group
 
     def act(k, tup):
-        return tuple(G.conj(GG.even_part[k], g) for g in tup)
+        return tuple(conj(G, GG.even_part[k], g) for g in tup)
 
     return act
 
@@ -150,7 +152,7 @@ def circle_groupoid(GG: GradedGroup):
     """Bundles on the circle: the even part under its own conjugation."""
     sub = GG.even_subgroup
     return ActionGroupoid.build(
-        range(sub.order), sub, lambda k, g: sub.conj(k, g), label="Bun(S1)"
+        range(sub.order), sub, lambda k, g: conj(sub, k, g), label="Bun(S1)"
     )
 
 
@@ -165,7 +167,7 @@ def crosscap_groupoid(GG: GradedGroup):
     odd = GG.odd_part()
 
     def act(k, s):
-        return G.conj(GG.even_part[k], s)
+        return conj(G, GG.even_part[k], s)
 
     gpd = ActionGroupoid.build(odd, sub, act, label="Bun^or(M)")
     boundary = {s: G.table[s][s] for s in odd}
@@ -190,7 +192,7 @@ def loop_groupoid(gpd: ActionGroupoid) -> ActionGroupoid:
 
     def act(k, pt):
         x, h = pt
-        return (gpd.action[(k, x)], H.conj(k, h))
+        return (gpd.action[(k, x)], conj(H, k, h))
 
     return ActionGroupoid.build(carrier, H, act, label=f"loop({gpd.label})")
 
@@ -200,7 +202,7 @@ def point_mod_group(G: FiniteGroup) -> ActionGroupoid:
 
 
 def conjugation_groupoid(G: FiniteGroup) -> ActionGroupoid:
-    return ActionGroupoid.build(range(G.order), G, lambda h, g: G.conj(h, g), label=f"{G.name}//conj")
+    return ActionGroupoid.build(range(G.order), G, lambda h, g: conj(G, h, g), label=f"{G.name}//conj")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +268,7 @@ def duality_phases(GG: GradedGroup, lambda_hat: TwistedCochain, sigma: int) -> D
     G, even = GG.group, GG.even_part
     return DualityPhases(
         sigma=sigma,
-        p_permutation=tuple(GG.even_index[G.conj(sigma, G.inverse[g])] for g in even),
+        p_permutation=tuple(GG.even_index[conj(G, sigma, G.inverse[g])] for g in even),
         p_phases=tuple(-t.value(sigma, g) for g in even),
         theta_phase=lambda_hat.value((sigma, sigma)),
         theta_carrier=GG.even_index[G.table[sigma][sigma]],
@@ -329,6 +331,23 @@ def odd_square_roots(GG: GradedGroup, g: int) -> set:
 # conjugation, transgression and flat sections one element at a time
 
 
+def conj(G: FiniteGroup, h: int, g: int) -> int:
+    """h g h^-1."""
+    return G.table[G.table[h][g]][G.inverse[h]]
+
+
+def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
+    """The classes, each sorted, in the order of their least elements."""
+    classes: dict[int, list] = {}
+    for g, least in enumerate(G.conjugation.min(axis=0).tolist()):
+        classes.setdefault(least, []).append(g)
+    return [tuple(c) for c in classes.values()]
+
+
+def center(G: FiniteGroup) -> list[int]:
+    return [g for g in range(G.order) if all(G.table[g][h] == G.table[h][g] for h in range(G.order))]
+
+
 def real_conjugate(GG: GradedGroup, h: int, g: int) -> int:
     """h g^{sign(h)} h^{-1}; g must be even."""
     G = GG.group
@@ -344,7 +363,7 @@ def tau_circle(lmbda: TwistedCochain, group: FiniteGroup) -> list:
     require_cocycle(lmbda)
     lam, N = lmbda.rows, lmbda.N
     return [
-        [(lam[group.conj(h, g)][h] - lam[h][g]) % N for g in range(group.order)]
+        [(lam[conj(group, h, g)][h] - lam[h][g]) % N for g in range(group.order)]
         for h in range(group.order)
     ]
 
@@ -357,7 +376,7 @@ def flat_sections(G: FiniteGroup, start, step) -> list[tuple]:
     A class on which transport is inconsistent carries no section.
     """
     out = []
-    for cls in G.conjugacy_classes():
+    for cls in conjugacy_classes(G):
         values = _transport(G, cls[0], start, step)
         if values is not None:
             out.append((cls[0], values))
@@ -369,7 +388,7 @@ def _transport(G: FiniteGroup, rep: int, start, step):
     reached = [rep]
     for g in reached:  # grows while it is walked
         for k in range(G.order):
-            g2, v2 = G.conj(k, g), step(k, g, values[g])
+            g2, v2 = conj(G, k, g), step(k, g, values[g])
             if g2 not in values:
                 values[g2] = v2
                 reached.append(g2)

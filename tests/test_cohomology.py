@@ -251,9 +251,11 @@ def test_kernel_generators_are_cocycles():
         assert not (D @ row % gg.group.order).any()
 
 
-def test_h2_of_s4_stays_under_20_mib():
-    """H^2 reads the degree-2 differential as four faces per row; the dense
-    12167x529 int64 matrix alone would take 49 MiB."""
+def test_h2_of_s4_stays_under_twice_its_coefficient_pool():
+    """H^2 reads the degree-2 differential as four faces per row (the dense
+    12167x529 int64 matrix alone would take 49 MiB), builds only the leading
+    rows, stores only the pivot rows its kernel returns and bounds the entries
+    a column block gathers, so the peak stays below two 529x529 int64 pools."""
     gg = enumerate_gradings(build_group("S4"))[0]
     tracemalloc.start()
     try:
@@ -261,7 +263,7 @@ def test_h2_of_s4_stays_under_20_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 2 * 529**2 * 8
 
 
 def test_cochain_json_roundtrip():
@@ -348,9 +350,10 @@ def leading_elements(group):
 
 
 def leading_equations(gg, degree):
-    """The bar faces of gg in degree and the rows _cocycle_equations keeps."""
-    faces = _bar_faces(gg.group, gg.sign, degree)
-    keep = _cocycle_equations(gg.group, gg.sign, degree)
+    """The bar faces of gg in degree, the rows whose first element
+    _cocycle_equations gives, and the mask of those rows."""
+    faces, n = _bar_faces(gg.group, gg.sign, degree), gg.group.order
+    keep = np.repeat(np.isin(np.arange(1, n), _cocycle_equations(gg.group)), (n - 1) ** degree)
     return faces, SparseRows(faces.idx[keep], faces.coef[keep], faces.cols), keep
 
 
@@ -370,6 +373,17 @@ def test_leading_equations_have_the_kernel_of_all_equations(gg, degree):
     assert keep.sum() < len(keep) or gg.group.order == 2
     N = gg.group.order
     assert np.array_equal(kernel_mod(kept, N), kernel_mod(faces, N))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("gg", every_grading(load_manifest()["groups"]))
+def test_faces_built_for_the_leading_elements_are_the_kept_rows(gg, degree):
+    """cohomology_classes builds only the leading rows; they are the rows of
+    the full table, entry for entry and in order."""
+    _, kept, _ = leading_equations(gg, degree)
+    built = _bar_faces(gg.group, gg.sign, degree, _cocycle_equations(gg.group))
+    assert built.cols == kept.cols
+    assert np.array_equal(built.idx, kept.idx) and np.array_equal(built.coef, kept.coef)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -402,8 +416,8 @@ def test_each_dropped_equation_is_a_combination_of_earlier_ones(gg, degree):
     tuples = list(itertools.product(range(1, G.order), repeat=degree + 1))
     row = dict(zip(tuples, D))  # a tuple containing the identity has the zero row
     leading = leading_elements(G)
-    keep = _cocycle_equations(G, s, degree)
-    assert keep.tolist() == [w[0] in leading for w in tuples]
+    assert _cocycle_equations(G).tolist() == sorted(leading)
+    keep = np.array([w[0] in leading for w in tuples])
     for w in itertools.compress(tuples, ~keep):
         x = w[0]
         a = next(a for a in range(1, x) if G.table[a][x] < x or G.table[G.inverse[a]][x] < x)

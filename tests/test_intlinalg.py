@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracles import row_reduce_mod as dense_row_reduce_mod
 
+from dwu import intlinalg
 from dwu.cli import load_manifest
 from dwu.cohomology import _bar_faces, differential_matrix
 from dwu.groups import build_group, enumerate_gradings
@@ -253,6 +254,39 @@ def test_column_blocks_past_int64_are_exact():
         np.add.at(A, (np.arange(len(A))[:, None], op.idx), op.coef.astype(object))
         A = (A % N).astype(np.int64)
         assert_same_form(full_form(A, N, op), dense_transposed(A, N))
+
+
+def block_width_cases():
+    """(A, a dense matrix, relations inside ker A, N): D^2 of S4 and D12 as
+    face rows with D^1 and its images, then seeded random matrices with
+    combinations of their kernel generators.  Lazy, so every kernel here is
+    taken at the block width in force."""
+    for name in ("S4", "D12"):
+        gg = enumerate_gradings(build_group(name))[0]
+        D1 = differential_matrix(gg.group, gg.sign, 1)
+        yield _bar_faces(gg.group, gg.sign, 2), D1, D1.T, gg.group.order
+    rng = np.random.default_rng(500)
+    for N in MODULI:
+        for _ in range(5):
+            A = random_matrix(rng, N)
+            K = kernel_mod(A, N)
+            yield A, A, rng.integers(0, N, size=(3, len(K))) @ K, N
+
+
+def test_no_decision_reads_the_block_width(monkeypatch):
+    """A pivot is the first nonzero column whatever the width of the column
+    block read, so every width gives the same kernels, forms and quotients."""
+    outputs = []
+    for width in (1, 1 << 10, 1 << 16):
+        monkeypatch.setattr(intlinalg, "BLOCK", width)
+        out = []
+        for A, dense, relations, N in block_width_cases():
+            K = kernel_mod(A, N)
+            out += [K, *row_reduce_mod(dense, N), *quotient_invariants(K, relations % N, N)]
+        outputs.append(out)
+    for other in outputs[1:]:
+        assert len(other) == len(outputs[0])
+        assert all(np.array_equal(x, y) for x, y in zip(other, outputs[0]))
 
 
 # The pivot normalisation multiplies a row by the inverse of the unit g/d mod

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from oracles import bundle_groupoid, circle_groupoid, crosscap_groupoid, is_valid_holonomy, one_loop_groupoid
+from oracles import bundle_groupoid, circle_groupoid, conj, crosscap_groupoid, is_valid_holonomy, one_loop_groupoid
 
 from dwu.groups import GradedGroup, ResourceBudgetError, build_group, cyclic, split_grading
 from dwu.moduli import (
@@ -67,7 +67,7 @@ def test_klein_carrier_matches_paper_model():
         (g, s)
         for g in gg.even_part
         for s in gg.odd_part()
-        if G.conj(s, G.inverse[g]) == g
+        if conj(G, s, G.inverse[g]) == g
     }
     assert set(pts) == expected
 

@@ -27,6 +27,7 @@ from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
 from dwu.phases import CycField, Phase, cyclotomic_polynomial
 from dwu.reptheory import BlockData, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
+    ConventionError,
     _closed_form_duals,
     _dual_sections,
     _unequal,
@@ -137,6 +138,20 @@ def test_a_phase_mutation_orbifolds():
     F = orbifold(T.with_mutation("product", (1, 2), Phase(1, 3)))
     assert F.dim == 3
     assert not check_unoriented_frobenius(F).ok
+
+
+@pytest.mark.parametrize(
+    "name, cls, key, phase, what",
+    [("C8", 1, (0, 3), Phase(1, 3), "involution"), ("C4", 0, (2, 1), Phase(1, 2), "crosscap")],
+)
+def test_a_mutation_with_a_section_that_is_not_flat_does_not_orbifold(name, cls, key, phase, what):
+    """Two of criterion 6's action mutations on grading 0, one leaving an
+    involution image and one the crosscap section not flat: combinations of
+    flat sections are flat, so the span test alone rejects them."""
+    gg = enumerate_gradings(build_group(name))[0]
+    T = turaev_from_cocycle(gg, cohomology_classes(gg, 2)[0][cls])
+    with pytest.raises(ConventionError, match=f"{what} does not lie in the flat-section span"):
+        orbifold(T.with_mutation("action", key, phase))
 
 
 def test_full_check_reports_degenerate_pairing():
