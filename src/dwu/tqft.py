@@ -19,10 +19,10 @@ the group order once.  Counts are int64 while a bound proves them exact and
 Python ints past it; the tests hold the routes to the brute-force holonomy
 and groupoid sums of tests/oracles.py.
 
-check_unoriented_frobenius and the orbifold's flatness and span tests decide
-equalities of such counts at the primitive L-th roots of unity, where
-products are pointwise, under an a-priori rounding bound; these floats
-decide equalities and never become a value or a record.
+check_unoriented_frobenius and the orbifold's span tests decide equalities
+of such counts at the primitive L-th roots of unity, where products are
+pointwise, under an a-priori rounding bound; these floats decide equalities
+and never become a value or a record.
 """
 
 from __future__ import annotations
