@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwu.cli import _fingerprint, main
+from dwu.cli import _fingerprint, load_manifest, main
 from dwu.cohomology import TwistedCochain
 from dwu.groups import build_group
 
@@ -351,6 +351,18 @@ def test_indicators_output_is_golden(capsys, group):
     assert code == 0
     golden = Path(__file__).parent / "data" / f"indicators_{group}_all.jsonl"
     assert out.encode() == golden.read_bytes()
+
+
+ORDER_32 = ["D16xC2", "Q8xC4", "C2xC2xC2xC2xC2", "D8xC4", "C4xC4xC2"]
+
+
+@pytest.mark.parametrize("group", [*load_manifest()["groups"], *ORDER_32])
+def test_gradings_output_is_golden(capsys, group):
+    """Sign vectors, their order and the split flags match a capture of an
+    earlier release, on the manifest groups and five groups of order 32."""
+    code, out = run(capsys, "gradings", "--group", group)
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / f"gradings_{group}.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize(

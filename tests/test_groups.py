@@ -60,6 +60,19 @@ def test_build_group_examples():
     assert q8.order == 8 and len(center(q8)) == 2
 
 
+def test_quaternion8_is_the_group_of_the_unit_matrices():
+    """Q8's table is the product table of 1, i = diag(i, -i), j = [[0, 1], [-1, 0]],
+    k = ij and their negatives, in the order (1, i, j, k, -1, -i, -j, -k)."""
+    one, i, j = np.eye(2), np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]])
+    units = [one, i, j, i @ j]
+    mats = [*units, *(-u for u in units)]
+
+    def index(m):
+        return next(x for x, a in enumerate(mats) if np.allclose(a, m))
+
+    assert quaternion8().table == tuple(tuple(index(a @ b) for b in mats) for a in mats)
+
+
 def test_symmetric_and_dihedral():
     assert symmetric(3).order == 6
     assert symmetric(4).order == 24
@@ -95,7 +108,7 @@ def brute_force_index2_subgroups(G: FiniteGroup) -> int:
 
 @pytest.mark.parametrize(
     "name",
-    ["C2", "C3", "C4", "C6", "C2xC2", "D8", "Q8", "S3", "C4xC2", "C8", "Q8xC2", "D16"],
+    ["C2", "C3", "C4", "C6", "C2xC2", "D8", "Q8", "S3", "C4xC2", "C8", "Q8xC2", "D16", "C2xC2xC2xC2", "C4xC4"],
 )
 def test_grading_count_matches_subgroup_enumeration(name):
     g = build_group(name)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +32,28 @@ def unused_imports(path: Path) -> list[str]:
 def test_every_imported_name_is_read():
     assert len(MODULES) > 20
     assert [entry for path in MODULES for entry in unused_imports(path)] == []
+
+
+def test_no_subcommand_imports_numpy_ma():
+    """Every subcommand, run once in a fresh interpreter, leaves numpy.ma
+    unimported: it costs about 1 MB of resident memory, and np.unique and
+    np.setdiff1d are among the calls that import it."""
+    script = """
+import contextlib, io, sys
+from dwu.cli import main
+d8 = ["--group", "D8", "--grading", "0"]
+runs = [
+    ["gradings", "--group", "C4xC4"],
+    ["cohomology", *d8, "--degree", "1"],
+    ["cohomology", *d8, "--degree", "2"],
+    ["partition", *d8, "--surfaces", "T2,RP2,K"],
+    ["indicators", *d8],
+    ["verify-axioms", *d8],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
