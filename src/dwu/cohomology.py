@@ -29,7 +29,7 @@ import numpy as np
 
 from dwu.groups import FiniteGroup, GradedGroup, ResourceBudgetError
 from dwu.intlinalg import SparseRows, kernel_mod, quotient_invariants, solve_mod
-from dwu.phases import Phase, lcm_of
+from dwu.phases import Phase
 
 
 def _group_signs(ref) -> tuple[FiniteGroup, tuple]:
@@ -79,7 +79,7 @@ class TwistedCochain:
     def from_dict(cls, ref, degree: int, mapping) -> "TwistedCochain":
         """From {tuple: Phase}; tuples not in the mapping are zero."""
         group, signs = _group_signs(ref)
-        N = lcm_of((p.denominator for p in mapping.values()), 1)
+        N = math.lcm(*(p.denominator for p in mapping.values()))
         _require_denominator(N)  # the reduced denominator, checked before it meets int64
         table = np.zeros((group.order,) * degree, dtype=np.int64)
         for tup, p in mapping.items():

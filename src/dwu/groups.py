@@ -2,7 +2,9 @@
 
 Elements are indices 0..n-1 with 0 the identity; every other module works with
 indices only.  A GradedGroup packages a surjective sign homomorphism to {+1,-1}
-together with the even part as a re-indexed subgroup.
+together with the even part as a re-indexed subgroup.  enumerate_gradings lists
+them in closed form, as the nonzero characters of G/<g^2>: a sign kills every
+square, and every commutator is a product of squares, so no commutator is formed.
 
 Conjugation is one read-only table per group, built once from the
 multiplication table: FiniteGroup.conjugation, and for a graded group the Real
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,13 +82,7 @@ class FiniteGroup:
 
     def __post_init__(self):
         if self.inverse is None:
-            inv = [0] * self.order
-            for g in range(self.order):
-                for h in range(self.order):
-                    if self.table[g][h] == 0:
-                        inv[g] = h
-                        break
-            object.__setattr__(self, "inverse", tuple(inv))
+            object.__setattr__(self, "inverse", tuple(row.index(0) for row in self.table))
 
     @classmethod
     def from_table(cls, table, name: str = "G", cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
@@ -103,36 +98,6 @@ class FiniteGroup:
         out = table[table, np.asarray(self.inverse)[:, None]]
         out.flags.writeable = False
         return out
-
-    def word(self, *els: int) -> int:
-        acc = 0
-        for e in els:
-            acc = self.table[acc][e]
-        return acc
-
-    def subgroup_closure(self, gens) -> set:
-        out = {0}
-        frontier = set(gens) | {0}
-        while frontier:
-            new = set()
-            for a in frontier:
-                for b in out | frontier:
-                    for c in (self.table[a][b], self.table[b][a]):
-                        if c not in out and c not in frontier:
-                            new.add(c)
-            out |= frontier
-            frontier = new
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"name": self.name, "order": self.order, "table": [list(r) for r in self.table]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str, cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
-        data = json.loads(text)
-        return cls.from_table(data["table"], name=data.get("name", "G"), cap=cap)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -189,9 +154,6 @@ class GradedGroup:
         """True iff some odd element squares to the identity."""
         return any(self.group.table[s][s] == 0 for s in self.odd_part())
 
-    def to_json(self) -> str:
-        return json.dumps({"group": self.group.name, "sign": list(self.sign)})
-
     def __repr__(self):
         evens = ",".join(str(g) for g in self.even_part)
         return f"GradedGroup({self.group.name}, even={{{evens}}})"
@@ -222,52 +184,30 @@ def flat_sections(G: FiniteGroup, phase: np.ndarray, L: int) -> list[tuple]:
 def enumerate_gradings(G_hat: FiniteGroup) -> list[GradedGroup]:
     """All surjective sign homomorphisms, ordered lexicographically by sign vector.
 
-    Sign homomorphisms factor through the quotient by squares and commutators,
-    an elementary abelian 2-group, whose characters are enumerated from a basis.
+    A sign homomorphism kills every square, and so every commutator too:
+    aba^-1b^-1 = a^2 (a^-1 b)^2 b^-2.  The gradings are therefore exactly the
+    nonzero characters of the elementary abelian 2-group G^/K, K = <g^2>.
+    K is a boolean closure over the table and each coset gK is labelled by
+    its least element.  In ascending order, a coset outside the span so far
+    doubles it: its products with the span get the codes so far plus
+    len(code).  The character of mask m is g -> (-1)^popcount(code[gK] & m).
     """
-    n = G_hat.order
-    gens = set()
-    for a in range(n):
-        gens.add(G_hat.table[a][a])
-        for b in range(n):
-            gens.add(G_hat.word(a, b, G_hat.inverse[a], G_hat.inverse[b]))
-    K = G_hat.subgroup_closure(gens)
-    rep = [min(G_hat.table[g][k] for k in K) for g in range(n)]
-    quot = sorted(set(rep))
-    if len(quot) == 1:
-        return []
-    qidx = {q: i for i, q in enumerate(quot)}
-    qmul = [[qidx[rep[G_hat.table[a][b]]] for b in quot] for a in quot]
-    basis = []
-    span = {0}
-    for i in range(len(quot)):
-        if i not in span:
-            basis.append(i)
-            span |= {qmul[i][s] for s in span}
-    assert len(span) == len(quot)
-    # decompose each quotient element over the basis
-    decomp = {}
-    for bits in itertools.product([0, 1], repeat=len(basis)):
-        w = 0
-        for b, e in zip(basis, bits):
-            if e:
-                w = qmul[b][w]
-        decomp.setdefault(w, bits)
-    out = []
-    for signs in itertools.product([1, -1], repeat=len(basis)):
-        if all(s == 1 for s in signs):
-            continue
-        vec = []
-        for g in range(n):
-            bits = decomp[qidx[rep[g]]]
-            v = 1
-            for s, e in zip(signs, bits):
-                if e:
-                    v *= s
-            vec.append(v)
-        out.append(vec)
-    out.sort()
-    return [GradedGroup(group=G_hat, sign=tuple(v)) for v in out]
+    table = np.asarray(G_hat.table)
+    K = np.zeros(G_hat.order, bool)
+    K[table.diagonal()] = True
+    # pass p leaves every product of up to 2^p squares; n - 1 reach all of <g^2>
+    for _ in range(G_hat.order.bit_length()):
+        K[table[np.ix_(K, K)]] = True
+    label = table[:, K].min(axis=1).tolist()
+    code = {0: 0}
+    for q in sorted(set(label)):
+        if q not in code:
+            code.update({label[G_hat.table[q][s]]: c + len(code) for s, c in code.items()})
+    r = len(code).bit_length() - 1
+    bits = (np.array([code[q] for q in label])[:, None] >> np.arange(r)) & 1
+    masks = (np.arange(1, len(code))[:, None] >> np.arange(r)) & 1
+    signs = 1 - 2 * (masks @ bits.T % 2)
+    return [GradedGroup(group=G_hat, sign=sign) for sign in sorted(map(tuple, signs.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -301,36 +241,20 @@ def dihedral(order: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def quaternion8() -> FiniteGroup:
-    # elements 1, i, j, k, -1, -i, -j, -k
-    names = ["1", "i", "j", "k", "-1", "-i", "-j", "-k"]
-    base = {
-        ("1", "1"): "1",
-        ("i", "i"): "-1",
-        ("j", "j"): "-1",
-        ("k", "k"): "-1",
-        ("i", "j"): "k",
-        ("j", "k"): "i",
-        ("k", "i"): "j",
-        ("j", "i"): "-k",
-        ("k", "j"): "-i",
-        ("i", "k"): "-j",
-    }
+    """Q8 with the elements 1, i, j, k, -1, -i, -j, -k: index = unit + 4 * sign,
+    for the units 1, i, j, k = 0..3, with u^2 = -1 and ij = k, jk = i, ki = j."""
 
     def mul(a, b):
-        sa, ua = (a[1:], -1) if a.startswith("-") else (a, 1)
-        sb, ub = (b[1:], -1) if b.startswith("-") else (b, 1)
-        if sa == "1":
-            prod, sign = sb, 1
-        elif sb == "1":
-            prod, sign = sa, 1
-        else:
-            prod = base[(sa, sb)]
-            prod, sign = (prod[1:], -1) if prod.startswith("-") else (prod, 1)
-        total = ua * ub * sign
-        return prod if total == 1 else ("-" + prod if prod != "1" else "-1")
+        (sa, u), (sb, v) = divmod(a, 4), divmod(b, 4)
+        if u == 0 or v == 0:
+            w, s = u + v, 0
+        elif u == v:
+            w, s = 0, 1
+        else:  # the third unit, negated unless (u, v) is (i, j), (j, k) or (k, i)
+            w, s = 6 - u - v, int(v != u % 3 + 1)
+        return w + 4 * ((sa + sb + s) % 2)
 
-    table = [[names.index(mul(a, b)) for b in names] for a in names]
-    return FiniteGroup.from_table(table, name="Q8")
+    return FiniteGroup.from_table([[mul(a, b) for b in range(8)] for a in range(8)], name="Q8")
 
 
 def symmetric(n: int) -> FiniteGroup:

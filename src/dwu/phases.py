@@ -184,7 +184,7 @@ class CycNum:
 
     def _combine(self, other: "CycNum", sign: int) -> "CycNum":
         self._check(other)
-        den = lcm_of([other.den], self.den)
+        den = math.lcm(other.den, self.den)
         a, b = den // self.den, sign * (den // other.den)
         return CycNum(self.field, (a * x + b * y for x, y in zip(self.counts, other.counts)), den)
 
@@ -250,11 +250,3 @@ class CycNum:
     def __repr__(self) -> str:
         coeffs, den = self.reduced()
         return f"CycNum(L={self.field.L}, {coeffs}/{den})"
-
-
-def lcm_of(values, base: int = 1) -> int:
-    """lcm of an iterable of positive integers with a base value."""
-    out = base
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out

@@ -28,6 +28,7 @@ and never become a value or a record.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from dwu.cohomology import TwistedCochain
 from dwu.groups import GradedGroup, ResourceBudgetError, flat_sections
 from dwu.moduli import KLEIN, RP2, TORUS, Surface, require_budget, word_value
 from dwu.moduli import holonomy_points  # noqa: F401  (looked up here by perfbench's tracer)
-from dwu.phases import CycField, CycNum, Phase, lcm_of
+from dwu.phases import CycField, CycNum, Phase
 from dwu.reptheory import BlockData
 from dwu.transgression import relator_pairing, require_cocycle, tau_ref
 
@@ -83,7 +84,7 @@ class TuraevAlgebraData:
         kinds = ("product", "action", "crosscap")
         if kind not in kinds:
             raise ValueError(f"unknown mutation kind {kind}")
-        L = self.L if phase is None else lcm_of([phase.denominator], self.L)
+        L = self.L if phase is None else math.lcm(phase.denominator, self.L)
         tables = [t * (L // self.L) for t in (self.mult, self.action, self.crosscap)]
         i, zero = kinds.index(kind), self.zero
         if kind == "crosscap":
@@ -357,10 +358,9 @@ class UnorientedFrobeniusData:
     field: CycField
     mult: np.ndarray  # (n, n) exponents of the ambient algebra
     sections: tuple  # per basis section, {g: exponent} over its class
-    basis_reps: tuple  # one support representative per basis section
+    basis_reps: tuple  # each basis section's least element, ascending: S_0 is the unit
     involution: np.ndarray  # (dim, dim, L): p(basis[j]) = sum_i involution[i, j] basis[i]
     crosscap_coords: np.ndarray  # (dim, L): Q in basis coordinates
-    unit_index: int
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
@@ -440,7 +440,6 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
         basis_reps=reps,
         involution=np.zeros((dim, dim, L), np.int64),
         crosscap_coords=np.zeros((dim, L), np.int64),
-        unit_index=reps.index(0),
     )
     sub_of = np.asarray(GG.even_index)
     # src[w, t]: the even g with w.g = t
@@ -591,8 +590,8 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
     witness = _first(_apart(lhs, rhs.transpose(0, 3, 1, 2, 4)).any(-1))
     entries.append(("associativity", witness is None, witness))
 
-    u, one = F.unit_index, np.eye(dim)  # row j: the coordinates of S_j
-    witness = _first((_apart(C[:, u], one) | _apart(C[:, :, u], one)).any(-1))
+    one = np.eye(dim)  # row j: the coordinates of S_j; S_0 is the identity's section
+    witness = _first((_apart(C[:, 0], one) | _apart(C[:, :, 0], one)).any(-1))
     entries.append(("unit", witness is None, witness))
 
     duals, witness = _closed_form_duals(F)

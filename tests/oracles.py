@@ -445,10 +445,9 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
     witness = _first(_unequal(field, lhs, rhs).any(-1))
     entries.append(("associativity", witness is None, witness))
 
-    u = F.unit_index
     expected = np.zeros((dim, dim, field.L), np.int64)
-    expected[range(dim), range(dim), 0] = 1  # the coordinates of S_j
-    bad = _unequal(field, C[u], expected) | _unequal(field, C[:, u], expected)
+    expected[range(dim), range(dim), 0] = 1  # the coordinates of S_j; S_0 is the identity's section
+    bad = _unequal(field, C[0], expected) | _unequal(field, C[:, 0], expected)
     witness = _first(bad.any(-1))
     entries.append(("unit", witness is None, witness))
 

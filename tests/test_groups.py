@@ -87,12 +87,6 @@ def test_order_cap():
     build_group("C64", cap=64)
 
 
-def test_group_json_roundtrip():
-    g = build_group("D8")
-    g2 = FiniteGroup.from_json(g.to_json())
-    assert g2.table == g.table and g2.name == "D8"
-
-
 def brute_force_index2_subgroups(G: FiniteGroup) -> int:
     n = G.order
     if n % 2:
@@ -167,14 +161,6 @@ def test_odd_square_roots():
 def test_split_grading_is_split():
     assert split_grading(symmetric(3)).is_split()
     assert not parity_graded_cyclic(4).is_split()
-
-
-def test_grading_json():
-    gg = parity_graded_cyclic(4)
-    import json
-
-    data = json.loads(gg.to_json())
-    assert data["sign"] == [1, -1, 1, -1]
 
 
 def manifest_gradings():

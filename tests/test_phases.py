@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dwu.phases import CycField, Phase, cyclotomic_polynomial, lcm_of
+from dwu.phases import CycField, Phase, cyclotomic_polynomial
 
 phases = st.builds(Phase, st.integers(-40, 40), st.integers(1, 24))
 
@@ -117,8 +117,3 @@ def test_reduction_matches_sympy_rem(L):
             assert (a == b) == (hash(a) == hash(b) and a.reduced() == b.reduced())
         assert others[0] == a and others[1] != a
         assert all(b == a for b in others[2:])
-
-
-def test_lcm_of():
-    assert lcm_of([2, 3, 4]) == 12
-    assert lcm_of([], base=5) == 5
