@@ -344,7 +344,7 @@ def test_partition_output_is_golden(capsys, extra, expected_code, golden):
     assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
-@pytest.mark.parametrize("group", ["Q8xC2", "D16", "C2xC2xC2"])
+@pytest.mark.parametrize("group", ["Q8xC2", "D16", "C2xC2xC2", "C4xC4", "D12", "S3xC2", "C12"])
 def test_indicators_output_is_golden(capsys, group):
     """Block order and idempotent fingerprints match a capture of an earlier release."""
     code, out = run(capsys, "indicators", "--group", group)
