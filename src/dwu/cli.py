@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
@@ -42,12 +41,20 @@ def _pair(z: complex) -> list:
     return [_round(z.real), _round(z.imag)]
 
 
+def _sha1_12(payload: bytes) -> str:
+    """The first 12 hex digits of the SHA-1 of payload.  hashlib loads OpenSSL
+    (about 4 MB resident), so it is imported here, by the two subcommands that
+    print fingerprints, and not by every run."""
+    import hashlib
+
+    return hashlib.sha1(payload).hexdigest()[:12]
+
+
 def _fingerprint(cochain) -> str:
     """Hash of the reduced fractions on the tuples without the identity."""
     N, vec = cochain.N, cochain.vector().tolist()
     frac = {k: f"{k // math.gcd(k, N)}/{N // math.gcd(k, N)}" for k in set(vec)}
-    payload = ",".join(map(frac.__getitem__, vec)).encode()
-    return hashlib.sha1(payload).hexdigest()[:12]
+    return _sha1_12(",".join(map(frac.__getitem__, vec)).encode())
 
 
 class Emitter:
@@ -185,9 +192,7 @@ def cmd_indicators(args, emitter: Emitter) -> int:
                         {
                             "dim": b.dimension,
                             "indicator": b.indicator,
-                            "idempotent_fingerprint": hashlib.sha1(
-                                repr(b.fingerprint()).encode()
-                            ).hexdigest()[:12],
+                            "idempotent_fingerprint": _sha1_12(repr(b.fingerprint()).encode()),
                         }
                         for b in bl
                     ],

@@ -92,9 +92,16 @@ class FiniteGroup:
         return cls(order=len(table), table=table, name=name)
 
     @functools.cached_property
+    def table_array(self) -> np.ndarray:
+        """The multiplication table as a read-only array [a, b] = ab."""
+        out = np.array(self.table)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
     def conjugation(self) -> np.ndarray:
         """The read-only table [h, g] = h g h^-1."""
-        table = np.asarray(self.table)
+        table = self.table_array
         out = table[table, np.asarray(self.inverse)[:, None]]
         out.flags.writeable = False
         return out
@@ -117,10 +124,10 @@ class GradedGroup:
         G = self.group
         if self.sign[0] != 1:
             raise ValueError("sign of identity must be +1")
-        for a in range(G.order):
-            for b in range(G.order):
-                if self.sign[G.table[a][b]] != self.sign[a] * self.sign[b]:
-                    raise ValueError(f"sign is not a homomorphism at {(a, b)}")
+        sign = np.asarray(self.sign)
+        bad = sign[G.table_array] != np.outer(sign, sign)
+        if bad.any():  # the witness is the first failing (a, b) in row-major order
+            raise ValueError(f"sign is not a homomorphism at {divmod(int(bad.argmax()), G.order)}")
         if all(s == 1 for s in self.sign):
             raise ValueError("sign must be surjective (nontrivial grading)")
         even = tuple(g for g in range(G.order) if self.sign[g] == 1)
@@ -129,7 +136,7 @@ class GradedGroup:
         for i, g in enumerate(even):
             idx[g] = i
         object.__setattr__(self, "even_index", tuple(idx))
-        sub_table = tuple(tuple(idx[G.table[a][b]] for b in even) for a in even)
+        sub_table = tuple(map(tuple, np.asarray(idx)[G.table_array[np.ix_(even, even)]].tolist()))
         sub = FiniteGroup(order=len(even), table=sub_table, name=G.name + "_even")
         object.__setattr__(self, "even_subgroup", sub)
 
@@ -192,7 +199,7 @@ def enumerate_gradings(G_hat: FiniteGroup) -> list[GradedGroup]:
     doubles it: its products with the span get the codes so far plus
     len(code).  The character of mask m is g -> (-1)^popcount(code[gK] & m).
     """
-    table = np.asarray(G_hat.table)
+    table = G_hat.table_array
     K = np.zeros(G_hat.order, bool)
     K[table.diagonal()] = True
     # pass p leaves every product of up to 2^p squares; n - 1 reach all of <g^2>

@@ -11,8 +11,10 @@ the center is spanned by regular-class sums, the flat sections of
 groups.flat_sections under the conjugation phases lambda(h, g) -
 lambda(h g h^-1, h) read off the cochain table, a random real combination of the
 multiplication operators on the center separates the simultaneous eigenvectors,
-and each eigenvector normalizes to an idempotent.  The draw is fixed
-(default_rng(12345)); the blocks do not depend on it.  Block dimensions come
+and each eigenvector normalizes to an idempotent.  The draw is fixed (the
+standard library's Random(12345), one gauss(0, 1) weight per centre dimension,
+so numpy.random is never imported); the blocks do not depend on it.  Block
+dimensions come
 from the identity coefficient, and twisted Frobenius-Schur indicators come
 from expanding the crosscap element Q = sum_s lambda^(s,s) l_{s^2} over the
 blocks as Q = sum_V nu(V) (|G|/dim V) p_V.
@@ -21,6 +23,7 @@ blocks as Q = sum_V nu(V) (|G|/dim V) p_V.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from random import Random
 
 import numpy as np
 
@@ -94,9 +97,9 @@ def blocks(algebra: TwistedGroupAlgebra) -> list[BlockData]:
     # supports), mats[i][k, j] = c_ijk
     prods = algebra.product(centre[:, None], centre[None, :])
     mats = (prods[:, :, reps] / centre[np.arange(r), reps]).transpose(0, 2, 1)
-    rng = np.random.default_rng(12345)
+    draw = Random(12345)
     for _ in range(8):
-        w = rng.standard_normal(r)
+        w = [draw.gauss(0, 1) for _ in range(r)]
         T = sum(wi * M for wi, M in zip(w, mats))
         evals, evecs = np.linalg.eig(T)
         if np.min(np.abs(evals[:, None] - evals[None, :]) + np.eye(r)) > 1e-6:

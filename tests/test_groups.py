@@ -123,6 +123,26 @@ def test_grading_examples():
     assert len(enumerate_gradings(build_group("C2xC2"))) == 3
 
 
+
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "S3", "D8", "Q8"])
+def test_sign_that_is_not_a_homomorphism_names_its_first_failing_pair(name):
+    """A sign vector that is not a homomorphism is refused, with the first
+    failing (a, b) in row-major order as the witness; the scalar loop over all
+    pairs is the oracle."""
+    g = build_group(name)
+    rng = random.Random(len(name))
+    refused = 0
+    for _ in range(20):
+        sign = (1, *(rng.choice((1, -1)) for _ in range(g.order - 1)))
+        pairs = itertools.product(range(g.order), repeat=2)
+        witness = next(((a, b) for a, b in pairs if sign[g.table[a][b]] != sign[a] * sign[b]), None)
+        if witness is None:
+            continue
+        refused += 1
+        with pytest.raises(ValueError, match=rf"^sign is not a homomorphism at \({witness[0]}, {witness[1]}\)$"):
+            GradedGroup(group=g, sign=sign)
+    assert refused >= 5
+
 def test_real_conjugate():
     gg = parity_graded_cyclic(4)
     assert real_conjugate(gg, 0, 2) == 2

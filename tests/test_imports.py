@@ -35,25 +35,35 @@ def test_every_imported_name_is_read():
 
 
 def test_no_subcommand_imports_numpy_ma():
-    """Every subcommand, run once in a fresh interpreter, leaves numpy.ma
-    unimported: it costs about 1 MB of resident memory, and np.unique and
-    np.setdiff1d are among the calls that import it."""
+    """Every subcommand, run once in a fresh interpreter, leaves numpy.ma and
+    numpy.random unimported, and the subcommands that print no SHA-1
+    fingerprint leave hashlib unimported.  numpy.ma costs about 1 MB of
+    resident memory (np.unique and np.setdiff1d are among the calls that import
+    it); numpy.random costs about 6 MB and imports hashlib, and hashlib loads
+    OpenSSL (about 4 MB)."""
     script = """
 import contextlib, io, sys
 from dwu.cli import main
 d8 = ["--group", "D8", "--grading", "0"]
 runs = [
     ["gradings", "--group", "C4xC4"],
+    ["partition", *d8, "--surfaces", "T2,RP2,K"],
+    ["verify-axioms", *d8],
     ["cohomology", *d8, "--degree", "1"],
     ["cohomology", *d8, "--degree", "2"],
-    ["partition", *d8, "--surfaces", "T2,RP2,K"],
     ["indicators", *d8],
-    ["verify-axioms", *d8],
 ]
+def loaded():
+    return sorted(
+        name for name in sys.modules
+        if name.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"]) or name in ("hashlib", "_hashlib")
+    )
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in runs]
-print(codes, sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+    codes = [main(argv) for argv in runs[:3]]
+    before = loaded()
+    codes += [main(argv) for argv in runs[3:]]
+print(codes, before, [name for name in loaded() if "hash" not in name])
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] [] []"

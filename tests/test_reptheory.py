@@ -1,4 +1,5 @@
 import itertools
+from random import Random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from oracles import duality_phases, real_1d_phases
 
 from dwu.cohomology import TwistedCochain, cohomology_classes, restrict_to_even
 from dwu.groups import GradedGroup, build_group, cyclic, split_grading
+from dwu import reptheory
 from dwu.phases import Phase
 from dwu.reptheory import (
     BlockComputationError,
@@ -98,9 +100,15 @@ def test_blocks_deterministic(monkeypatch):
     for x, y in zip(b1, b2):
         assert np.max(np.abs(x.idempotent - y.idempotent)) < 1e-12
     # a different random draw, same idempotents up to ordering by fingerprint
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: default_rng(999))
+    seeds = []
+
+    def other_draw(seed):
+        seeds.append(seed)
+        return Random(999)
+
+    monkeypatch.setattr(reptheory, "Random", other_draw)
     b3 = blocks(alg)
+    assert seeds == [12345]
     for x, y in zip(b1, b3):
         assert np.max(np.abs(x.idempotent - y.idempotent)) < 1e-8
 
