@@ -43,7 +43,7 @@ def _pair(z: complex) -> list:
 
 def _sha1_12(payload: bytes) -> str:
     """The first 12 hex digits of the SHA-1 of payload.  hashlib loads OpenSSL
-    (about 4 MB resident), so it is imported here, by the two subcommands that
+    (about 3.6 MB resident), so it is imported here, by the two subcommands that
     print fingerprints, and not by every run."""
     import hashlib
 

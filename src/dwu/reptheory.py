@@ -11,13 +11,12 @@ the center is spanned by regular-class sums, the flat sections of
 groups.flat_sections under the conjugation phases lambda(h, g) -
 lambda(h g h^-1, h) read off the cochain table, a random real combination of the
 multiplication operators on the center separates the simultaneous eigenvectors,
-and each eigenvector normalizes to an idempotent.  The draw is fixed (the
+and each eigenvector normalizes to an idempotent.  The draw is fixed: the
 standard library's Random(12345), one gauss(0, 1) weight per centre dimension,
-so numpy.random is never imported); the blocks do not depend on it.  Block
-dimensions come
-from the identity coefficient, and twisted Frobenius-Schur indicators come
-from expanding the crosscap element Q = sum_s lambda^(s,s) l_{s^2} over the
-blocks as Q = sum_V nu(V) (|G|/dim V) p_V.
+so numpy.random (and the OpenSSL it loads) is never imported.  The blocks do
+not depend on it.  Block dimensions come from the identity coefficient, and
+twisted Frobenius-Schur indicators come from expanding the crosscap element
+Q = sum_s lambda^(s,s) l_{s^2} over the blocks as Q = sum_V nu(V) (|G|/dim V) p_V.
 """
 
 from __future__ import annotations

@@ -123,7 +123,6 @@ def test_grading_examples():
     assert len(enumerate_gradings(build_group("C2xC2"))) == 3
 
 
-
 @pytest.mark.parametrize("name", ["C4", "C2xC2", "S3", "D8", "Q8"])
 def test_sign_that_is_not_a_homomorphism_names_its_first_failing_pair(name):
     """A sign vector that is not a homomorphism is refused, with the first
@@ -142,6 +141,7 @@ def test_sign_that_is_not_a_homomorphism_names_its_first_failing_pair(name):
         with pytest.raises(ValueError, match=rf"^sign is not a homomorphism at \({witness[0]}, {witness[1]}\)$"):
             GradedGroup(group=g, sign=sign)
     assert refused >= 5
+
 
 def test_real_conjugate():
     gg = parity_graded_cyclic(4)

@@ -40,7 +40,7 @@ def test_no_subcommand_imports_numpy_ma():
     fingerprint leave hashlib unimported.  numpy.ma costs about 1 MB of
     resident memory (np.unique and np.setdiff1d are among the calls that import
     it); numpy.random costs about 6 MB and imports hashlib, and hashlib loads
-    OpenSSL (about 4 MB)."""
+    OpenSSL (about 3.6 MB)."""
     script = """
 import contextlib, io, sys
 from dwu.cli import main

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from oracles import duality_phases, real_1d_phases
 
+from dwu import reptheory
 from dwu.cohomology import TwistedCochain, cohomology_classes, restrict_to_even
 from dwu.groups import GradedGroup, build_group, cyclic, split_grading
-from dwu import reptheory
 from dwu.phases import Phase
 from dwu.reptheory import (
     BlockComputationError,
