@@ -162,7 +162,7 @@ def _bar_faces(group: FiniteGroup, signs, degree: int, first=None) -> SparseRows
     first = np.arange(1, n) if first is None else np.asarray(first)
     w = np.indices((len(first),) + (n - 1,) * degree).reshape(degree + 1, -1) + 1
     w[0], m = first[w[0] - 1], w.shape[1]
-    mul = np.array(group.table, dtype=np.int64)
+    mul = group.table_array
     inner = ([*w[: j - 1], mul[w[j - 1], w[j]], *w[j + 1 :]] for j in range(1, degree + 1))
     faces = np.array([w[1:], *inner, w[:-1]]).reshape(degree + 2, degree, m)
     strides = (n - 1) ** np.arange(degree - 1, -1, -1)
@@ -184,7 +184,7 @@ def _cocycle_equations(group: FiniteGroup) -> np.ndarray:
     the earlier rows vanish on, and an elimination in row order never pivots
     on it.  The signs enter only as that +-1."""
     x = np.arange(group.order)
-    mul = np.array(group.table, dtype=np.int64)
+    mul = group.table_array
     lower = (mul < x) | (mul[list(group.inverse)] < x)  # [a, x]: a*x or a^-1*x before x
     return x[~(lower & (x[:, None] < x)).any(axis=0)][1:]
 
@@ -197,7 +197,10 @@ def twisted_differential(c: TwistedCochain) -> TwistedCochain:
 
 
 def is_twisted_cocycle(c: TwistedCochain) -> bool:
-    return twisted_differential(c).is_zero()
+    """dc = 0, read on the rows of _bar_faces whose first element
+    _cocycle_equations gives; every other row is a combination of these."""
+    faces = _bar_faces(c.group, c.signs, c.degree, _cocycle_equations(c.group))
+    return not ((c.vector()[faces.idx] * faces.coef).sum(axis=1) % c.N).any()
 
 
 def differential_matrix(group: FiniteGroup, signs, degree: int) -> np.ndarray:

@@ -10,9 +10,13 @@ block holds at most BLOCK gathered entries, rows x columns x faces.  A
 pivot step decides its merges and swaps on the column values alone, then
 forms every row it leaves as x + b*y of two candidate or merged-pivot rows
 in one array step.  The live rows sit in one pool, where a pivot step writes
-the rows it leaves over the ones it consumed.  A kernel stores and
-back-reduces only its own rows, the tail of the form, and one pass over the
-form solves for every right-hand side at once.  Quotient groups ker/im are
+the rows it leaves over the ones it consumed; the identity that starts it
+has the smallest unsigned dtype that holds N (uint8 up to N = 255; not
+N - 1, as the pool is reduced mod N in place), and the candidates are read
+as int64.  Every gather of A's columns, the back substitution's too, is
+bounded by BLOCK entries.  A kernel stores and back-reduces only its own
+rows, the tail of the form, and one pass over the form solves for every
+right-hand side at once.  Quotient groups ker/im are
 invariant factors of an integer Smith reduction in which mod-N row
 reductions are legal (the lattice always contains N*Z^k).
 """
@@ -71,7 +75,7 @@ def _columns(P: np.ndarray, live: np.ndarray, A: SparseRows, c0: int, c1: int, N
     m = len(A.idx)
     if c0 >= m:
         return P[live, c0 - m : c1 - m]
-    X = P[live[:, None, None], A.idx[c0:c1]]
+    X = P[live[:, None, None], A.idx[c0:c1]].astype(np.int64, copy=False)
     if A.idx.shape[1] * (N - 1) ** 2 >= 2**63:
         return _mod((X.astype(object) * A.coef[c0:c1]).sum(axis=-1), N).astype(np.int64)
     return _mod(np.einsum("lwk,wk->lw", X, A.coef[c0:c1]), N)
@@ -113,7 +117,7 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
         # leave a residual with a zero in this column; then a value g makes r
         # the pivot (residual piv - r), and a value k*g leaves r - k*piv.
         # b lies in [0, N), so the sums stay below N^2 < 2^63.
-        cand = pool[slots]
+        cand = pool.take(slots, axis=0).astype(np.int64, copy=False)
         E, rows, G, g, cur, piv = [cand], [], math.gcd(*cv), cv[0], 0, cand[0]
         for j, c in enumerate(cv[1:], 1):
             if g != G:
@@ -136,14 +140,15 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
         rows = [(cur, (inv - 1) % N, cur)] + rows + [(cur, ((N // d) * inv - 1) % N, cur)] * (d > 1)
         i, b, j = np.array(rows).T
         E = np.concatenate(E) if len(E) > 1 else cand
-        rest = E[j]
+        rest = E.take(j, axis=0)
         rest *= b[:, None]
-        rest += E[i]
+        rest += E.take(i, axis=0)
         rest -= rest // N * N
         if col >= first:
             done.append((col, d, rest[0].copy()))  # a copy keeps no step's rows alive
         # the rows left go to the consumed slots, then to free ones; fewer
-        # than the consumed and live rows together, so one doubling fits them
+        # than the consumed and live rows together, so one doubling fits them.
+        # Their entries lie in [0, N), so the pool's dtype holds them
         rest, slots = rest[1:][rest[1:].any(axis=1)], np.concatenate([slots, free])
         if len(rest) > len(slots):
             slots = np.concatenate([slots, np.arange(len(pool), 2 * len(pool))])
@@ -172,15 +177,18 @@ def _reduce_transposed(A, N: int):
     """Howell form of [A^T | I] as (T, pivots, A): its row i is
     (A @ T[i] | T[i]), the combination T[i] of columns of A and its value."""
     A = _sparse(A, N)
-    return (*_howell(np.eye(A.cols, dtype=np.int64), A, N), A)
+    return (*_howell(np.eye(A.cols, dtype=np.min_scalar_type(N)), A, N), A)
 
 
 def _back_substitute(T: np.ndarray, pivots, A: SparseRows, B: np.ndarray, N: int):
     """(X, ok) with A @ X[j] = B[j] mod N where ok[j]: one pass over the rows
     whose left half A @ t is nonzero reduces every row of B.  A remainder
     left in a pivot column stays, as the rows below are zero there."""
-    left = np.array([i for i, c in enumerate(pivots) if c < len(A.idx)], dtype=np.int64)
-    L = _columns(T, left, A, 0, len(A.idx), N)
+    m = len(A.idx)
+    left = np.array([i for i, c in enumerate(pivots) if c < m], dtype=np.int64)
+    L, step = np.zeros((len(left), m), dtype=np.int64), max(1, BLOCK // max(1, len(left) * A.idx.shape[1]))
+    for c in range(0, m, step):
+        L[:, c : c + step] = _columns(T, left, A, c, min(c + step, m), N)
     R = np.asarray(B, dtype=np.int64) % N
     X = np.zeros((len(R), T.shape[1]), dtype=np.int64)
     for i, row in zip(left.tolist(), L):
@@ -193,7 +201,7 @@ def kernel_mod(A, N: int) -> np.ndarray:
     """Generators (rows) of {x in (Z/N)^n : A @ x = 0 mod N}; A dense or SparseRows."""
     # rows pivoting right of A's rows have zero left half: kernel generators
     A = _sparse(A, N)
-    return row_reduce_mod(_howell(np.eye(A.cols, dtype=np.int64), A, N, len(A.idx))[0], N)[0]
+    return row_reduce_mod(_howell(np.eye(A.cols, dtype=np.min_scalar_type(N)), A, N, len(A.idx))[0], N)[0]
 
 
 def solve_mod(A, b: np.ndarray, N: int):

@@ -129,7 +129,7 @@ def parse_surface(spec: str) -> Surface:
 def word_value(group: FiniteGroup, word, holonomy, prefix=0):
     """The product prefix * word at this holonomy; the holonomy entries and
     prefix may be integer arrays, which broadcast."""
-    table, inv = np.asarray(group.table), np.asarray(group.inverse)
+    table, inv = group.table_array, np.asarray(group.inverse)
     for gen, exp in word:
         prefix = table[prefix, holonomy[gen] if exp == 1 else inv[holonomy[gen]]]
     return prefix

@@ -62,7 +62,7 @@ class TwistedGroupAlgebra:
         require_cocycle(lam)
         self.lam = lam
         self.dim = self.group.order
-        self.table = np.array(self.group.table, dtype=np.intp)
+        self.table = self.group.table_array
         self.phase = np.array([[root_of_unity(k, lam.N) for k in row] for row in lam.rows])
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -155,8 +155,8 @@ def check_turaev_axioms(T: TuraevAlgebraData) -> CheckReport:
     GG, L = T.GG, T.L
     G = GG.group
     n, odd = GG.even_subgroup.order, np.asarray(GG.odd_part())
-    Gt, Ginv = np.asarray(G.table), np.asarray(G.inverse)
-    St, Sinv = np.asarray(GG.even_subgroup.table), np.asarray(GG.even_subgroup.inverse)
+    Gt, Ginv = G.table_array, np.asarray(G.inverse)
+    St, Sinv = GG.even_subgroup.table_array, np.asarray(GG.even_subgroup.inverse)
     hat, sub_of = np.asarray(GG.even_part), np.asarray(GG.even_index)
     rc = sub_of[GG.real_conjugation]  # rc[w, g]: the even index of w.g
     conj = G.conjugation  # conj[h, x] = h x h^-1
@@ -373,7 +373,7 @@ class UnorientedFrobeniusData:
     def _factors(self):
         """h[g, k] = g^-1 k, so that l_g l_h lands on l_k, and shift[g, k] = mult[g, h]."""
         sub = self.GG.even_subgroup
-        h = np.asarray(sub.table)[np.asarray(sub.inverse)[:, None], np.arange(sub.order)]
+        h = sub.table_array[np.asarray(sub.inverse)[:, None], np.arange(sub.order)]
         return h, np.take_along_axis(self.mult, h, axis=1)
 
     @functools.cached_property
@@ -454,7 +454,7 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
 
     # crosscap section: g -> sum over odd s with s^2 = g of Q_s
     cc = np.zeros((n, L), np.int64)
-    np.add.at(cc, (sub_of[np.asarray(G.table)[odd, odd]], T.crosscap), 1)
+    np.add.at(cc, (sub_of[G.table_array[odd, odd]], T.crosscap), 1)
     cc_coords = _coords_or_error(F, cc, "crosscap")
 
     # involution: restriction of the odd action to sections, one matrix per

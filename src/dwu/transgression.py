@@ -67,7 +67,7 @@ class LoopCocycle:
         GG = self.graded_group
         even = list(GG.even_part)
         t = self.table
-        lhs = t[np.asarray(GG.group.table)][:, :, even]  # [w2, w1, g]
+        lhs = t[GG.group.table_array][:, :, even]  # [w2, w1, g]
         rhs = t[:, GG.real_conjugation] + t[:, even]
         return not ((lhs - rhs) % self.N).any()
 
@@ -103,7 +103,7 @@ def relator_pairing(cochain: TwistedCochain, surface: Surface, holonomy, prefix=
     The fan starts at prefix: with prefix p the value is that of the relator
     word read after a word of product p, one piece of a longer relator.  The
     holonomy entries and prefix may be integer arrays, which broadcast."""
-    table, inv = np.asarray(cochain.group.table), np.asarray(cochain.group.inverse)
+    table, inv = cochain.group.table_array, np.asarray(cochain.group.inverse)
     lam = cochain.table
     acc = 0
     for gen, exp in surface.relator():

@@ -636,6 +636,7 @@ UNREACHED_BY_THE_CLI = {
     "groupoids.orbits",  # the components of the groupoid double_real_loop builds
     # kept for the restriction map H^2(BG^; U(1)_pi) -> H^2(BG; U(1))
     "cohomology.is_twisted_coboundary",
+    "cohomology.twisted_differential",  # is_twisted_coboundary checks its witness with it
     "intlinalg.solve_mod",
     "cohomology.cochain_to_json",  # writes the format --cocycle-file reads
     "groups.split_grading",  # the public constructor of the split grading G x C2

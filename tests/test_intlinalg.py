@@ -24,7 +24,7 @@ from dwu.intlinalg import (
     solve_mod,
 )
 
-MODULI = [2, 4, 6, 8, 9, 12, 16, 24, 30, 32]
+MODULI = [2, 4, 6, 8, 9, 12, 16, 24, 30, 32, 255, 256, 257, 65535, 65536, 65537]  # 255..65537: each pool dtype's edge
 
 
 def random_matrix(rng, N):
