@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -330,6 +331,9 @@ def main(argv=None) -> int:
     if getattr(args, "degree", 2) not in (1, 2):
         print("usage error: --degree must be 1 or 2", file=sys.stderr)
         return EXIT_USAGE
+    paths = [args.out, getattr(args, "cocycle_file", None)]
+    if all(paths) and all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+        parser.error("--out names the --cocycle-file, which it would overwrite")
     try:
         if args.budget is None:
             args.budget = enumeration_budget()

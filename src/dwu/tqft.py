@@ -377,6 +377,11 @@ class UnorientedFrobeniusData:
         return h, np.take_along_axis(self.mult, h, axis=1)
 
     @functools.cached_property
+    def duals(self) -> tuple:
+        """_closed_form_duals of this algebra: (duals, None) or (None, i)."""
+        return _closed_form_duals(self)
+
+    @functools.cached_property
     def powers(self) -> dict:
         """{(surface kind, e): H^e or Q^e}, filled by partition_tqft."""
         return {}
@@ -504,16 +509,12 @@ def _closed_form_duals(F: UnorientedFrobeniusData):
     return np.array(duals), None
 
 
-def _dual_sections(F: UnorientedFrobeniusData):
-    duals, _ = _closed_form_duals(F)
-    if duals is None:
-        raise ConventionError("degenerate orbifold trace pairing")
-    return duals
-
-
 def handle_element(F: UnorientedFrobeniusData):
     """H = sum_i S_i S^i; the genus-adding operator is multiplication by H."""
-    return sum(F.vec_product(vec, dual) for vec, dual in zip(F.basis, _dual_sections(F)))
+    duals, _ = F.duals
+    if duals is None:
+        raise ConventionError("degenerate orbifold trace pairing")
+    return sum(F.vec_product(vec, dual) for vec, dual in zip(F.basis, duals))
 
 
 def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
@@ -594,7 +595,7 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
     witness = _first((_apart(C[:, 0], one) | _apart(C[:, :, 0], one)).any(-1))
     entries.append(("unit", witness is None, witness))
 
-    duals, witness = _closed_form_duals(F)
+    duals, witness = F.duals
     entries.append(("trace-nondegenerate", witness is None, witness))
     if duals is None:
         return CheckReport(entries=tuple(entries))
@@ -799,14 +800,15 @@ def consistency_report(
     """Every compared identity of one class, as IdentityRows.
 
     rows: per surface, the direct sum against cut-and-paste and Verlinde;
-    then "one-loop-identity", (Z(T2) + Z(K))/2 against the KR rank, and
-    "crosscap-trace", Z(RP2) against counit(Q).  max_delta is the largest row
-    delta; ok means max_delta < tol and the unoriented Frobenius checks pass
-    (axioms_ok); blocks lists (dimension, indicator).  flip_tau_debug flips the
-    sign of the odd-sector KR integrand, a deliberate convention fault for
-    exercising failure reporting.  Every surface's Verlinde value is formed
-    first, so a surface beyond the float range raises OverflowError before
-    any exact route (or its budget check) runs.
+    then "one-loop-identity", one_loop against the KR rank, and
+    "crosscap-trace", Z(RP2) against counit(Q).  Exact values lie in the
+    orbifold's field, the direct ones read from partition_direct's walk cache.
+    max_delta is the largest row delta; ok means max_delta < tol and the
+    unoriented Frobenius checks pass (axioms_ok); blocks lists (dimension,
+    indicator).  flip_tau_debug flips the sign of the odd-sector KR integrand,
+    a deliberate convention fault for exercising failure reporting.  Every
+    Verlinde value is formed first, so a surface beyond the float range
+    raises OverflowError before any exact route (or its budget check) runs.
     """
     from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 
@@ -814,26 +816,18 @@ def consistency_report(
     alg = algebra_from_graded(GG, lambda_hat)
     bl = fs_indicators(blocks(alg), crosscap_element(GG, lambda_hat), alg)
     verlinde = [partition_verlinde(bl, s) for s in surfaces]
-    field = CycField(lambda_hat.N)
-    # each surface is enumerated once per report
-    direct_value = functools.cache(
-        lambda surface: partition_direct(GG, lambda_hat, surface, field=field, budget=budget)
-    )
     T = turaev_from_cocycle(GG, lambda_hat)
     F = orbifold(T)
     frob_report = check_unoriented_frobenius(F)
 
-    rows = [
-        IdentityRow(s.name, direct_value(s), partition_tqft(F, s), v)
-        for s, v in zip(surfaces, verlinde)
-    ]
+    direct = functools.partial(partition_direct, GG, lambda_hat, field=F.field, budget=budget)
+    rows = [IdentityRow(s.name, direct(s), partition_tqft(F, s), v) for s, v in zip(surfaces, verlinde)]
     if flip_tau_debug:
-        kr = _kr_integral(GG, lambda_hat, field, flip=True)
+        kr = _kr_integral(GG, lambda_hat, F.field, flip=True)
     else:
-        kr = kr_rank(GG, lambda_hat, field=field)
-    loop = (direct_value(TORUS) + direct_value(KLEIN)) / 2  # one_loop
-    rows.append(IdentityRow("one-loop-identity", loop, kr))
-    rows.append(IdentityRow("crosscap-trace", direct_value(RP2), partition_tqft(F, RP2)))
+        kr = kr_rank(GG, lambda_hat, field=F.field)
+    rows.append(IdentityRow("one-loop-identity", one_loop(GG, lambda_hat, field=F.field, budget=budget), kr))
+    rows.append(IdentityRow("crosscap-trace", direct(RP2), partition_tqft(F, RP2)))
     max_delta = max(row.max_delta for row in rows)
     return {
         "rows": rows,

@@ -236,6 +236,10 @@ def _count_calls(monkeypatch, name, modules, key=lambda *args, **kwargs: None):
 
 
 def test_partition_enumerates_each_surface_once_per_class(capsys, monkeypatch):
+    """Per class, the direct route is asked for each requested surface, then
+    by one_loop for T2 and K and by the crosscap trace for RP2; the walk
+    partition_direct keeps on the cochain answers the repeats without a
+    step (one transfer table per piece: see the test below)."""
     calls = _count_calls(
         monkeypatch, "partition_direct", ["dwu.tqft"], lambda gg, lam, surface, **kw: surface.name
     )
@@ -243,7 +247,7 @@ def test_partition_enumerates_each_surface_once_per_class(capsys, monkeypatch):
     assert code == 0
     classes = len({(r["grading"], r["class"]) for r in jsonl(out)})
     assert classes >= 2
-    assert sorted(calls) == sorted(["T2", "RP2", "K", "N_k=3"] * classes)
+    assert sorted(calls) == sorted(["T2", "RP2", "K", "N_k=3", "T2", "K", "RP2"] * classes)
 
 
 def test_partition_shares_each_class_work_across_its_surfaces(capsys):
@@ -489,6 +493,20 @@ def test_cocycle_file_naming_a_directory_is_usage_error(tmp_path, capsys):
     assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["partition", "indicators", "verify-axioms"])
+def test_out_naming_the_cocycle_file_is_refused_before_it_is_opened(tmp_path, capsys, command):
+    path = tmp_path / "cocycle.json"
+    path.write_text('{"degree": 2, "denominator": 2, "values": {"1,1": 1}}')
+    before = path.read_bytes()
+    same = str(tmp_path / "." / "cocycle.json")  # another spelling of the same file
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--group", "C2", "--grading", "0", "--cocycle-file", str(path), "--out", same])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "field, code", [(', "group": "C2"', 0), ("", 0), (', "group": "C4"', 2)], ids=["C2", "absent", "C4"]
 )
@@ -631,7 +649,6 @@ def test_fingerprint_matches_the_per_entry_formula(N):
 UNREACHED_BY_THE_CLI = {
     # looked up by name in the WRAPS table of perfbench/tracing.py
     "moduli.holonomy_points",
-    "tqft.one_loop",
     "groupoids.double_real_loop",
     "groupoids.orbits",  # the components of the groupoid double_real_loop builds
     # kept for the restriction map H^2(BG^; U(1)_pi) -> H^2(BG; U(1))

@@ -29,7 +29,6 @@ from dwu.reptheory import BlockData, algebra_from_graded, blocks, crosscap_eleme
 from dwu.tqft import (
     ConventionError,
     _closed_form_duals,
-    _dual_sections,
     _unequal,
     check_turaev_axioms,
     check_unoriented_frobenius,
@@ -229,7 +228,7 @@ def test_closed_form_duals_are_dual(name):
     for gg in enumerate_gradings(build_group(name)):
         for lam in cohomology_classes(gg, 2)[0]:
             F = orbifold(turaev_from_cocycle(gg, lam))
-            duals = _dual_sections(F)
+            duals, _ = F.duals
             for i, vec in enumerate(F.basis):
                 for j, dual in enumerate(duals):
                     expected = F.field.one if i == j else F.field.zero
@@ -614,6 +613,30 @@ def test_consistency_report_ok_and_debug_flip():
     flipped = consistency_report(gg, lam, SURFACES, flip_tau_debug=True)
     assert not flipped["ok"]
     assert identity_row(flipped, "one-loop-identity").max_delta > 0.5
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8xC2"])
+def test_consistency_report_computes_each_value_once(name):
+    """One report forms the closed-form duals once, builds one field (the
+    orbifold's) and takes its one-loop row from one_loop."""
+    import sys
+
+    gg = enumerate_gradings(build_group(name))[0]
+    lam = cohomology_classes(gg, 2)[0][-1]
+    entered = dict.fromkeys([_closed_form_duals.__code__, CycField.__init__.__code__, one_loop.__code__], 0)
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code in entered:
+            entered[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        rep = consistency_report(gg, lam, SURFACES)
+    finally:
+        sys.setprofile(previous)
+    assert rep["ok"]
+    assert list(entered.values()) == [1, 1, 1]
 
 
 def test_consistency_report_empty_surfaces():
