@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -619,8 +620,6 @@ def test_consistency_report_ok_and_debug_flip():
 def test_consistency_report_computes_each_value_once(name):
     """One report forms the closed-form duals once, builds one field (the
     orbifold's) and takes its one-loop row from one_loop."""
-    import sys
-
     gg = enumerate_gradings(build_group(name))[0]
     lam = cohomology_classes(gg, 2)[0][-1]
     entered = dict.fromkeys([_closed_form_duals.__code__, CycField.__init__.__code__, one_loop.__code__], 0)
