@@ -6,13 +6,15 @@ reduction in `tests/oracles.py` stores every row in full; both must give the
 same echelon form and pivots, entry for entry.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from oracles import row_reduce_mod as dense_row_reduce_mod
 
 from dwu import intlinalg
 from dwu.cli import load_manifest
-from dwu.cohomology import _bar_faces, differential_matrix
+from dwu.cohomology import _bar_faces, _cocycle_equations, differential_matrix
 from dwu.groups import build_group, enumerate_gradings
 from dwu.intlinalg import (
     SparseRows,
@@ -347,3 +349,37 @@ def test_face_operator_and_differential_matrix_give_one_kernel(gg, degree):
     N = gg.group.order
     K = kernel_mod(_bar_faces(gg.group, gg.sign, degree), N)
     assert np.array_equal(K, kernel_mod(differential_matrix(gg.group, gg.sign, degree), N))
+
+
+def elimination_cases():
+    """(T, A, N, first) for _howell: the grading-0 and grading-1 H^2 kernels
+    of the manifest groups of order at most 16 and of S4, then the seeded
+    matrices of test_row_reduce_matches_the_dense_elimination, each reduced
+    alone and as [A^T | I]."""
+    names = [n for n in load_manifest()["groups"] if build_group(n).order <= 16] + ["S4"]
+    for name in names:
+        group = build_group(name)
+        for gg in enumerate_gradings(group)[:2]:
+            A = _bar_faces(group, gg.sign, 2, _cocycle_equations(group))
+            yield np.eye(A.cols, dtype=np.int64), A, group.order, len(A.idx)
+    for N in MODULI:
+        rng = np.random.default_rng(N)
+        for _ in range(40):
+            A = random_matrix(rng, N)
+            yield A.copy(), intlinalg._sparse(np.zeros((0, A.shape[1])), N), N, 0
+            yield np.eye(A.shape[1], dtype=np.int64), intlinalg._sparse(A, N), N, 0
+
+
+# SHA-1 of every (R, pivots) of elimination_cases, recorded before the pivot
+# step's arithmetic moved to the narrowest exact integer dtype: the same rows
+# in the same order, bit for bit, not only the same kernels.
+ELIMINATION_SHA1 = "ad62166801b53e88519c70955e424d3d96a82bf7"
+
+
+def test_the_elimination_rows_are_pinned():
+    digest = hashlib.sha1()
+    for T, A, N, first in elimination_cases():
+        R, pivots = intlinalg._howell(T, A, N, first)
+        digest.update(np.ascontiguousarray(R, dtype=np.int64).tobytes())
+        digest.update(repr((R.shape, list(pivots))).encode())
+    assert digest.hexdigest() == ELIMINATION_SHA1
