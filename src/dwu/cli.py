@@ -58,16 +58,23 @@ def _fingerprint(cochain) -> str:
 
 
 class Emitter:
-    """Single collector: JSONL streams per record, CSV buffers for one header."""
+    """Single collector: JSONL streams per record, CSV buffers for one header.
+    --out is opened at the first record, or at a clean end without records,
+    so a run that fails before its first record leaves the file as it was."""
 
     def __init__(self, fmt: str, out_path: str | None):
         self.fmt = fmt
         self.records = []
         self.out_path = out_path
-        try:
-            self._fh = open(out_path, "w") if out_path else sys.stdout
-        except OSError as exc:  # a missing directory, a directory, no permission
-            raise ValueError(str(exc)) from exc
+        self._fh = None if out_path else sys.stdout
+
+    def _out(self):
+        if self._fh is None:
+            try:
+                self._fh = open(self.out_path, "w")
+            except OSError as exc:  # a missing directory, a directory, no permission
+                raise ValueError(str(exc)) from exc
+        return self._fh
 
     @staticmethod
     def _flatten(record: dict) -> dict:
@@ -84,24 +91,26 @@ class Emitter:
         if self.fmt == "csv":
             self.records.append(record)
         else:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._out().write(json.dumps(record, sort_keys=True) + "\n")
             self._fh.flush()
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        self.close(clean=exc_type is None)
 
-    def close(self):
+    def close(self, clean: bool = True):
         if self.fmt == "csv" and self.records:
             rows = [self._flatten(r) for r in self.records]
             fields = sorted({k for row in rows for k in row})
-            writer = csv.DictWriter(self._fh, fieldnames=fields)
+            writer = csv.DictWriter(self._out(), fieldnames=fields)
             writer.writeheader()
             writer.writerows(rows)
             self._fh.flush()
-        if self.out_path:
+        elif clean:
+            self._out()
+        if self.out_path and self._fh is not None:
             self._fh.close()
 
 

@@ -5,20 +5,19 @@ reduction below is a Howell-style echelon form (pivots divide N, annihilator
 rows N/gcd * row are folded back in) which makes span membership and kernel
 computations exact for composite N.  Kernels and solutions reduce [A^T | I]
 as coefficient rows t alone (a row is (A @ t | t)), with A a sparse operator
-(its padded nonzeros per row) whose zero columns are skipped in blocks; a
-block holds at most BLOCK gathered entries, rows x columns x faces.  A
-pivot step decides its merges and swaps on the column values alone, then
-forms every row it leaves as x + b*y of two candidate or merged-pivot rows
-in one array step.  The live rows sit in one pool, where a pivot step writes
-the rows it leaves over the ones it consumed; the identity that starts it
-has the smallest unsigned dtype that holds N (uint8 up to N = 255; not
-N - 1, as the pool is reduced mod N in place), and the candidates are read
-as int64.  Every gather of A's columns, the back substitution's too, is
-bounded by BLOCK entries.  A kernel stores and back-reduces only its own
+(its k padded nonzeros per row).  A pivot step decides its merges and swaps
+on the column values alone, then forms every row it leaves as x + b*y of two
+candidate or merged-pivot rows in one array step.  The live rows sit in one
+pool, where a pivot step writes the rows it leaves over the ones it consumed;
+the pool and each step use the narrowest signed integer type from int16 up
+that holds k*(N-1)^2 and 2*(N-1)^2, their widest sums.  Beside each t the
+pool keeps a window of A @ t, gathered once per window and carried along by
+the linear steps.  Every gather of A's columns, the back substitution's too,
+is bounded by BLOCK entries.  A kernel stores and back-reduces only its own
 rows, the tail of the form, and one pass over the form solves for every
-right-hand side at once.  Quotient groups ker/im are
-invariant factors of an integer Smith reduction in which mod-N row
-reductions are legal (the lattice always contains N*Z^k).
+right-hand side at once.  Quotient groups ker/im are invariant factors of an
+integer Smith reduction in which mod-N row reductions are legal (the lattice
+always contains N*Z^k).
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def _columns(P: np.ndarray, live: np.ndarray, A: SparseRows, c0: int, c1: int, N
     m = len(A.idx)
     if c0 >= m:
         return P[live, c0 - m : c1 - m]
-    X = P[live[:, None, None], A.idx[c0:c1]].astype(np.int64, copy=False)
+    X = P[live[:, None, None], A.idx[c0:c1]]
     if A.idx.shape[1] * (N - 1) ** 2 >= 2**63:
         return _mod((X.astype(object) * A.coef[c0:c1]).sum(axis=-1), N).astype(np.int64)
     return _mod(np.einsum("lwk,wk->lw", X, A.coef[c0:c1]), N)
@@ -87,49 +86,52 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
 
     Row i of the form is (A @ R[i] | R[i]) mod N; its pivot column counts A's
     rows first, divides N and reduces the entries above it.  Every step is
-    Z/N-linear, so only coefficient rows are kept, in a pool (T, reduced in
-    place) read in the order of the live rows, and a pivot row left of first
-    is not stored.  A block of columns doubles while it is zero and halves
-    after a pivot, within BLOCK gathered entries; the pivot is the first
-    nonzero column whatever the width, so no decision reads it."""
-    m, end = len(A.idx), len(A.idx) + T.shape[1]
-    pool = np.remainder(T, N, out=T)
-    live = pool.any(axis=1)
+    Z/N-linear, so only coefficient rows are kept, in a pool read in the
+    order of the live rows, and a pivot row left of first is not stored.
+    Past its n columns t the pool holds A's columns w0..w1 of every live
+    row, gathered within BLOCK entries, rows x columns x faces.  The pivot is
+    the first nonzero column whatever the window, so no decision reads it."""
+    n, m, k = T.shape[1], len(A.idx), max(1, A.idx.shape[1])
+    # the step's widest sum: k*(N-1)^2 in a left column, u*piv + v*r of an
+    # egcd merge (|u|, |v| < N), or x + b*y; all exact in the step dtype
+    dt = next((t for t in (np.int16, np.int32) if max(k, 2) * (N - 1) ** 2 <= np.iinfo(t).max), np.int64)
+    A = A._replace(coef=A.coef.astype(dt))  # past int64, _columns sums Python ints
+    w = min(m, max(1, BLOCK // (max(1, len(T)) * k)))
+    pool = np.concatenate([T % N, np.empty((len(T), w), dt)], axis=1, dtype=dt)
+    live = pool[:, :n].any(axis=1)
     order, free = np.flatnonzero(live), np.flatnonzero(~live)
-    done = []
-    col, width = 0, 1
-    while col < end and len(order):
-        gathered = len(order) * (max(1, A.idx.shape[1]) if col < m else 1)  # per column
-        stop = min(col + max(1, min(width, BLOCK // gathered)), m if col < m else end)
-        block = _columns(pool, order, A, col, stop, N)
-        hit = block.any(axis=0)
-        h = int(hit.argmax())
-        if not hit[h]:
-            col, width = stop, 2 * width
+    done, col, w0, w1 = [], 0, 0, 0
+    while col < m + n and len(order):
+        if col == w1 < m:  # the next window of A's columns
+            w0, w1 = col, min(m, col + w, col + max(1, BLOCK // (len(order) * k)))
+            pool[order, n : n + w1 - w0] = _columns(pool, order, A, w0, w1, N)
+        off, stop = (n + col - w0, w1) if col < m else (col - m, m + n)
+        vals = pool[order, off]
+        if not vals.any():  # scan on for the first nonzero column
+            span = min(stop - col, max(1, BLOCK // len(order)))
+            hit = pool[:, off : off + span][order].any(axis=0)
+            col += int(hit.argmax()) if hit.any() else span
             continue
-        col, width = col + h, max(1, width // 2)
-        vals = block[:, h]
         nz = vals != 0
         slots, cv = order[nz], vals[nz].tolist()
         # every row the step leaves is E[i] + b*E[j] mod N, E the candidates
-        # and then the pivots merged from them.  Until its value g is the gcd
-        # of the column, the pivot merges with the next candidate r, and both
-        # leave a residual with a zero in this column; then a value g makes r
-        # the pivot (residual piv - r), and a value k*g leaves r - k*piv.
-        # b lies in [0, N), so the sums stay below N^2 < 2^63.
-        cand = pool.take(slots, axis=0).astype(np.int64, copy=False)
+        # and then the pivots merged from them.  A value c dividing the
+        # pivot's g makes r the pivot (residual piv - (g/c)*r; a merge would
+        # copy r); else, until g is the column's gcd, the pivot merges with r,
+        # both leaving a residual, and past it a value k*g leaves r - k*piv.
+        cand = pool.take(slots, axis=0)
         E, rows, G, g, cur, piv = [cand], [], math.gcd(*cv), cv[0], 0, cand[0]
         for j, c in enumerate(cv[1:], 1):
-            if g != G:
+            if g % c == 0:
+                rows.append((cur, N - g // c, j))
+                cur, g, piv = j, c, cand[j]
+            elif g != G:
                 g_new, u, v = _egcd(g, c)
-                piv = (u * piv + v * cand[j]) % N
+                piv = _mod(u * piv + v * cand[j], N)
                 E.append(piv[None])
                 new = len(cv) + len(E) - 2
                 rows += [(cur, N - g // g_new, new), (j, N - c // g_new, new)]
                 cur, g = new, g_new
-            elif c == g:
-                rows.append((cur, N - 1, j))
-                cur = j
             else:
                 rows.append((j, N - c // g, cur))
         # normalize the pivot to d = gcd(g, N): invert the unit g/d mod N/d;
@@ -141,14 +143,12 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
         i, b, j = np.array(rows).T
         E = np.concatenate(E) if len(E) > 1 else cand
         rest = E.take(j, axis=0)
-        rest *= b[:, None]
+        rest *= b.astype(dt)[:, None]
         rest += E.take(i, axis=0)
         rest -= rest // N * N
-        if col >= first:
-            done.append((col, d, rest[0].copy()))  # a copy keeps no step's rows alive
+        done += [(col, d, rest[0, :n].copy())] * (col >= first)  # a copy keeps no step's rows alive
         # the rows left go to the consumed slots, then to free ones; fewer
-        # than the consumed and live rows together, so one doubling fits them.
-        # Their entries lie in [0, N), so the pool's dtype holds them
+        # than the consumed and live rows together, so one doubling fits them
         rest, slots = rest[1:][rest[1:].any(axis=1)], np.concatenate([slots, free])
         if len(rest) > len(slots):
             slots = np.concatenate([slots, np.arange(len(pool), 2 * len(pool))])
@@ -157,7 +157,7 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
         order, free = np.concatenate([order[~nz], slots[: len(rest)]]), slots[len(rest) :]
         col += 1
     pivots, values = [c for c, _, _ in done], [d for _, d, _ in done]
-    R = np.array([r for _, _, r in done], dtype=np.int64).reshape(len(done), T.shape[1])
+    R = np.array([r for _, _, r in done], dtype=np.int64).reshape(len(done), n)
     # reduce entries above pivots; a row changes only through rows below it
     for i in range(len(R) - 1, 0, -1):
         q = _columns(R, np.arange(i), A, pivots[i], pivots[i] + 1, N)[:, 0] // values[i]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwu.cli import _fingerprint, load_manifest, main
+from dwu.cli import Emitter, _fingerprint, load_manifest, main
 from dwu.cohomology import TwistedCochain
 from dwu.groups import build_group
 
@@ -484,6 +484,34 @@ def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("usage error:") and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["indicators", "--group", "C4", "--grading", "0", "--cocycle-file", "c.json"], 2),
+        (["cohomology", "--group", "C99"], 3),
+    ],
+    ids=["not-a-cocycle", "past-the-cap"],
+)
+def test_a_run_failing_before_its_first_record_keeps_the_out_file(tmp_path, capsys, monkeypatch, argv, code):
+    """--out is opened at the first record: a run refused on its input leaves
+    earlier results byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text('{"degree": 2, "denominator": 4, "values": {"1,1": 1}}')
+    out = tmp_path / "d.json"
+    out.write_bytes(b'{"earlier": "results"}\n')
+    assert main([*argv, "--out", "d.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+    assert out.read_bytes() == b'{"earlier": "results"}\n'
+
+
+def test_a_clean_run_without_records_still_writes_the_out_file(tmp_path):
+    path = tmp_path / "d.json"
+    with Emitter("json", str(path)):
+        pass
+    assert path.read_bytes() == b""
 
 
 def test_cocycle_file_naming_a_directory_is_usage_error(tmp_path, capsys):

@@ -255,10 +255,11 @@ def test_kernel_generators_are_cocycles():
 def test_h2_of_s4_peaks_below_2_mib():
     """H^2 reads the degree-2 differential as four faces per row (the dense
     12167x529 int64 matrix alone would take 49 MiB), builds only the leading
-    rows, stores only the pivot rows its kernel returns, keeps its 529x529
-    coefficient pool in uint8 and bounds every gather by BLOCK entries, the
-    back substitution's too.  The peak stays below 2 MiB (1.77 MiB on
-    numpy 2.4; with an int64 pool and one gather of all left halves, 3.45)."""
+    rows, stores only the pivot rows its kernel returns, keeps its 529-row
+    coefficient pool and every pivot step in int16 and bounds every gather by
+    BLOCK entries, the back substitution's too.  The peak stays below 2 MiB
+    (1.47 MiB on numpy 2.4; 1.77 with a uint8 pool and int64 steps, 3.45 with
+    an int64 pool and one gather of all left halves)."""
     gg = enumerate_gradings(build_group("S4"))[0]
     tracemalloc.start()
     try:

@@ -7,6 +7,7 @@ same echelon form and pivots, entry for entry.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -156,6 +157,83 @@ def test_products_past_int64_are_exact():
         y = solve_mod(A, b, N)
         assert y is not None
         assert [sum(int(a) * int(v) for a, v in zip(row, y)) % N for row in A] == b.tolist()
+
+
+def dtype_edges(k, widths=(15, 31, 63)):
+    """The N on each side of every edge of the pivot step's integer type for
+    k nonzeros per row: the largest N with max(k, 2)*(N-1)^2 inside int16,
+    int32 and int64 (past int64 the left columns are Python ints), and N + 1."""
+    for bits in widths:
+        N = math.isqrt((2**bits - 1) // max(k, 2)) + 1
+        yield from (N, N + 1)
+
+
+def in_row_span(H, pivots, b, N):
+    """b reduced by the rows of a Howell form, pivot by pivot, is zero."""
+    r = np.array([int(x) % N for x in b], dtype=object)
+    for row, c in zip(H.astype(object), pivots):
+        r = (r - r[c] // row[c] * row) % N
+    return not r.any()
+
+
+def assert_solves_like_the_dense_form(A, N, operator, rng):
+    """solve_mod finds a solution exactly when b lies in the dense form's
+    span of A's columns, and what it finds solves A @ x = b in integers."""
+    H, pivots = dense_row_reduce_mod(A.T, N)
+    for b in (A @ rng.integers(0, N, size=A.shape[1]).astype(object) % N, rng.integers(0, N, size=len(A))):
+        x = solve_mod(operator, np.asarray(b, dtype=np.int64), N)
+        assert (x is not None) == in_row_span(H, pivots, b, N)
+        assert x is None or ((A.astype(object) @ x.astype(object) - b) % N == 0).all()
+
+
+def assert_the_widest_sums_are_exact(N, k):
+    """Rows of entries near N - 1 against k faces of coefficient N - 1 (-1, as
+    in the bar differential): the first row's left columns sum to exactly
+    k*(N-1)^2, the widest sum the step's type must hold."""
+    rng = np.random.default_rng(k)
+    op = SparseRows(np.add.outer(np.arange(k + 1), np.arange(k)) % (k + 1), np.full((k + 1, k), N - 1), k + 1)
+    T = rng.integers(N - 3, N, size=(4, k + 1))
+    T[0] = N - 1
+    dense = np.zeros((k + 1, k + 1), dtype=object)
+    np.add.at(dense, (np.arange(k + 1)[:, None], op.idx), op.coef.astype(object))
+    R, pivots = intlinalg._howell(T.copy(), op, N)
+    full = np.hstack([(R.astype(object) @ dense.T % N).astype(np.int64), R])
+    assert_same_form((full, pivots), dense_row_reduce_mod(np.hstack([(T.astype(object) @ dense.T % N), T]), N))
+
+
+@pytest.mark.parametrize("N", list(dtype_edges(4)))
+def test_bar_face_operators_at_every_dtype_edge(N):
+    """Four faces per row, as the bar differential has."""
+    rng = np.random.default_rng(N % 2**32)
+    for _ in range(6):
+        op, A = random_operator(rng, N)
+        assert_same_form(full_form(A, N, op), dense_transposed(A, N))
+        assert np.array_equal(kernel_mod(op, N), dense_kernel(A, N))
+        assert_solves_like_the_dense_form(A, N, op, rng)
+    assert_the_widest_sums_are_exact(N, 4)
+
+
+@pytest.mark.parametrize("N", list(dtype_edges(8)))
+def test_dense_rows_at_every_dtype_edge(N):
+    """Eight nonzeros in the first row, rows scaled by divisors or zero below."""
+    rng = np.random.default_rng(N % 2**32)
+    for _ in range(6):
+        A = rng.integers(1, N, size=(int(rng.integers(2, 9)), 8))
+        A[1:] *= rng.choice([0, 1, 2, N // 2], size=(len(A) - 1, 1))
+        assert_same_form(full_form(A, N), dense_transposed(A, N))
+        assert np.array_equal(kernel_mod(A, N), dense_kernel(A, N))
+        assert_solves_like_the_dense_form(A, N, A, rng)
+    assert_the_widest_sums_are_exact(N, 8)
+
+
+@pytest.mark.parametrize("N", list(dtype_edges(0, widths=(15, 31))))
+def test_row_reduce_at_every_dtype_edge(N):
+    """row_reduce_mod reads no operator, so only the merges bound its type."""
+    rng = np.random.default_rng(N)
+    for _ in range(10):
+        A = rng.integers(1, N, size=(int(rng.integers(2, 9)), int(rng.integers(1, 9))))
+        A[1:] *= rng.choice([0, 1, 2, N // 2], size=(len(A) - 1, 1))
+        assert_same_form(row_reduce_mod(A, N), dense_row_reduce_mod(A, N))
 
 
 def assert_all_forms_match(A, N, operator=None):
