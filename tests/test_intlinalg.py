@@ -228,7 +228,8 @@ def test_dense_rows_at_every_dtype_edge(N):
 
 @pytest.mark.parametrize("N", list(dtype_edges(0, widths=(15, 31))))
 def test_row_reduce_at_every_dtype_edge(N):
-    """row_reduce_mod reads no operator, so only the merges bound its type."""
+    """row_reduce_mod reads no operator, so only the merges bound its type,
+    by 2*(N-1)^2; the int64 edge, N = 2^31, is past the moduli it takes."""
     rng = np.random.default_rng(N)
     for _ in range(10):
         A = rng.integers(1, N, size=(int(rng.integers(2, 9)), int(rng.integers(1, 9))))
