@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from oracles import row_reduce_mod as dense_row_reduce_mod
 
-from dwu import intlinalg
+from dwu import cohomology, intlinalg
 from dwu.cli import load_manifest
 from dwu.cohomology import _bar_faces, _cocycle_equations, differential_matrix
 from dwu.groups import build_group, enumerate_gradings
@@ -462,3 +462,47 @@ def test_the_elimination_rows_are_pinned():
         digest.update(np.ascontiguousarray(R, dtype=np.int64).tobytes())
         digest.update(repr((R.shape, list(pivots))).encode())
     assert digest.hexdigest() == ELIMINATION_SHA1
+
+
+def solved_side_cases():
+    """(name, output) of the solved side: quotient_invariants as H^2 of every
+    manifest grading and of C3xS3, C6xC3, D18, C10xC2 and S4 calls it, then
+    solve_mod on the seeded matrices of test_solve_mod_returns_only_solutions."""
+    calls = []
+
+    def recording(Z, relations, N):
+        calls.append(quotient_invariants(Z, relations, N))
+        return calls[-1]
+
+    names = list(load_manifest()["groups"]) + ["C3xS3", "C6xC3", "D18", "C10xC2", "S4"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "quotient_invariants", recording)
+        for name in names:
+            for gg in enumerate_gradings(build_group(name)):
+                cohomology.cohomology_classes(gg, 2)
+                yield calls.pop()
+    for N in MODULI:
+        rng = np.random.default_rng(100 + N)
+        for _ in range(20):
+            A = random_matrix(rng, N)
+            for b in (A @ rng.integers(0, N, size=A.shape[1]) % N, rng.integers(0, N, size=len(A))):
+                yield solve_mod(A, b, N)
+
+
+# SHA-1 of every solved_side_cases output, recorded before the back
+# substitution updated only the rows its quotient moves.
+SOLVED_SIDE_SHA1 = "5bfe04a25e082b1b3f0f68826fafd1ac3af9fce5"
+
+
+def test_the_solved_side_is_pinned():
+    digest = hashlib.sha1()
+    for out in solved_side_cases():
+        if out is None:
+            digest.update(b"none")
+        elif isinstance(out, tuple):
+            factors, basis = out
+            digest.update(repr((factors, basis.shape)).encode())
+            digest.update(np.ascontiguousarray(basis, dtype=np.int64).tobytes())
+        else:
+            digest.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == SOLVED_SIDE_SHA1
