@@ -11,13 +11,14 @@ candidate or merged-pivot rows in one array step.  The live rows sit in one
 pool, where a pivot step writes the rows it leaves over the ones it consumed;
 the pool and each step use the narrowest signed integer type from int16 up
 that holds k*(N-1)^2 and 2*(N-1)^2, their widest sums.  Beside each t the
-pool keeps a window of A @ t, gathered once per window and carried along by
-the linear steps.  Every gather of A's columns, the back substitution's too,
-is bounded by BLOCK entries.  A kernel stores and back-reduces only its own
-rows, the tail of the form, and one pass over the form solves for every
-right-hand side at once.  Quotient groups ker/im are invariant factors of an
-integer Smith reduction in which mod-N row reductions are legal (the lattice
-always contains N*Z^k).
+pool keeps a window of A @ t, carried along by the linear steps and gathered
+once per window: one take of each face's columns and one of the live rows,
+the smaller copy first, then one sum over the faces.  Every gather of A's
+columns, the back substitution's too, is bounded by BLOCK entries.  A kernel stores and
+back-reduces only its own rows, the tail of the form, and one pass over the
+form solves for every right-hand side at once.  Quotient groups ker/im are
+invariant factors of an integer Smith reduction in which mod-N row
+reductions are legal (the lattice always contains N*Z^k).
 """
 
 from __future__ import annotations
@@ -71,13 +72,20 @@ def _sparse(A, N: int) -> SparseRows:
 
 def _columns(P: np.ndarray, live: np.ndarray, A: SparseRows, c0: int, c1: int, N: int) -> np.ndarray:
     """Columns c0..c1 of the rows (A @ r | r), r in P[live], all left or all right of A's rows."""
-    m = len(A.idx)
+    m, k, w = len(A.idx), A.idx.shape[1], c1 - c0
     if c0 >= m:
         return P[live, c0 - m : c1 - m]
-    X = P[live[:, None, None], A.idx[c0:c1]]
-    if A.idx.shape[1] * (N - 1) ** 2 >= 2**63:
-        return _mod((X.astype(object) * A.coef[c0:c1]).sum(axis=-1), N).astype(np.int64)
-    return _mod(np.einsum("lwk,wk->lw", X, A.coef[c0:c1]), N)
+    cols, coef = A.idx[c0:c1].T.ravel(), A.coef[c0:c1].T  # face by face
+    if w == 1:
+        X = P[live[:, None], cols]
+    elif len(live) * P.shape[1] < len(P) * len(cols):  # copy the smaller table first
+        X = P.take(live, axis=0).take(cols, axis=1)
+    else:
+        X = P.take(cols, axis=1).take(live, axis=0)
+    X = X.reshape(len(live), k, w)
+    if k * (N - 1) ** 2 >= 2**63:
+        return _mod((X.astype(object) * coef).sum(axis=1), N).astype(np.int64)
+    return _mod(np.einsum("lkw,kw->lw", X, coef), N)
 
 
 def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
@@ -89,8 +97,8 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
     Z/N-linear, so only coefficient rows are kept, in a pool read in the
     order of the live rows, and a pivot row left of first is not stored.
     Past its n columns t the pool holds A's columns w0..w1 of every live
-    row, gathered within BLOCK entries, rows x columns x faces.  The pivot is
-    the first nonzero column whatever the window, so no decision reads it."""
+    row, gathered within BLOCK entries, live rows x faces x columns.  The
+    pivot is the first nonzero column whatever the window."""
     n, m, k = T.shape[1], len(A.idx), max(1, A.idx.shape[1])
     # the step's widest sum: k*(N-1)^2 in a left column, u*piv + v*r of an
     # egcd merge (|u|, |v| < N), or x + b*y; all exact in the step dtype
@@ -103,50 +111,50 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
     done, col, w0, w1 = [], 0, 0, 0
     while col < m + n and len(order):
         if col == w1 < m:  # the next window of A's columns
-            w0, w1 = col, min(m, col + w, col + max(1, BLOCK // (len(order) * k)))
+            w0, w1 = col, min(m, col + max(1, BLOCK // (len(pool) * k)))
             pool[order, n : n + w1 - w0] = _columns(pool, order, A, w0, w1, N)
         off, stop = (n + col - w0, w1) if col < m else (col - m, m + n)
-        vals = pool[order, off]
-        if not vals.any():  # scan on for the first nonzero column
+        nz = pool[order, off] != 0
+        slots = order[nz]
+        if not len(slots):  # scan on for the first nonzero column
             span = min(stop - col, max(1, BLOCK // len(order)))
             hit = pool[:, off : off + span][order].any(axis=0)
             col += int(hit.argmax()) if hit.any() else span
             continue
-        nz = vals != 0
-        slots, cv = order[nz], vals[nz].tolist()
         # every row the step leaves is E[i] + b*E[j] mod N, E the candidates
         # and then the pivots merged from them.  A value c dividing the
         # pivot's g makes r the pivot (residual piv - (g/c)*r; a merge would
         # copy r); else, until g is the column's gcd, the pivot merges with r,
         # both leaving a residual, and past it a value k*g leaves r - k*piv.
         cand = pool.take(slots, axis=0)
+        cv = cand[:, off].tolist()
         E, rows, G, g, cur, piv = [cand], [], math.gcd(*cv), cv[0], 0, cand[0]
         for j, c in enumerate(cv[1:], 1):
             if g % c == 0:
-                rows.append((cur, N - g // c, j))
+                rows += (cur, N - g // c, j)
                 cur, g, piv = j, c, cand[j]
             elif g != G:
                 g_new, u, v = _egcd(g, c)
                 piv = _mod(u * piv + v * cand[j], N)
                 E.append(piv[None])
                 new = len(cv) + len(E) - 2
-                rows += [(cur, N - g // g_new, new), (j, N - c // g_new, new)]
+                rows += (cur, N - g // g_new, new, j, N - c // g_new, new)
                 cur, g = new, g_new
             else:
-                rows.append((j, N - c // g, cur))
+                rows += (j, N - c // g, cur)
         # normalize the pivot to d = gcd(g, N): invert the unit g/d mod N/d;
         # the annihilator row (N/d)*piv kills the pivot and may reveal lower
         # entries (it is zero for d = 1).  u*piv is piv + (u - 1)*piv.
         d = math.gcd(g, N)
-        inv = _egcd((g // d) % (N // d), N // d)[1] % (N // d)
-        rows = [(cur, (inv - 1) % N, cur)] + rows + [(cur, ((N // d) * inv - 1) % N, cur)] * (d > 1)
-        i, b, j = np.array(rows).T
+        inv = pow(g // d, -1, N // d)
+        rows = [cur, (inv - 1) % N, cur] + rows + [cur, ((N // d) * inv - 1) % N, cur] * (d > 1)
+        i, b, j = np.array(rows).reshape(-1, 3).T
         E = np.concatenate(E) if len(E) > 1 else cand
         rest = E.take(j, axis=0)
         rest *= b.astype(dt)[:, None]
         rest += E.take(i, axis=0)
         rest -= rest // N * N
-        done += [(col, d, rest[0, :n].copy())] * (col >= first)  # a copy keeps no step's rows alive
+        done += [(col, d, rest[0, :n].copy())] if col >= first else []  # a copy keeps no step's rows alive
         # the rows left go to the consumed slots, then to free ones; fewer
         # than the consumed and live rows together, so one doubling fits them
         rest, slots = rest[1:][rest[1:].any(axis=1)], np.concatenate([slots, free])
@@ -158,7 +166,8 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
         col += 1
     pivots, values = [c for c, _, _ in done], [d for _, d, _ in done]
     R = np.array([r for _, _, r in done], dtype=np.int64).reshape(len(done), n)
-    # reduce entries above pivots; a row changes only through rows below it
+    # reduce entries above pivots, bottom up; not canonical, as a row's remainder
+    # in a later pivot column comes along and can unreduce the rows it reduces
     for i in range(len(R) - 1, 0, -1):
         q = _columns(R, np.arange(i), A, pivots[i], pivots[i] + 1, N)[:, 0] // values[i]
         hit = np.flatnonzero(q)
@@ -186,14 +195,15 @@ def _back_substitute(T: np.ndarray, pivots, A: SparseRows, B: np.ndarray, N: int
     left in a pivot column stays, as the rows below are zero there."""
     m = len(A.idx)
     left = np.array([i for i, c in enumerate(pivots) if c < m], dtype=np.int64)
-    L, step = np.zeros((len(left), m), dtype=np.int64), max(1, BLOCK // max(1, len(left) * A.idx.shape[1]))
+    L, step = np.zeros((len(left), m), dtype=np.int64), max(1, BLOCK // max(1, len(T) * A.idx.shape[1]))
     for c in range(0, m, step):
         L[:, c : c + step] = _columns(T, left, A, c, min(c + step, m), N)
     R = np.asarray(B, dtype=np.int64) % N
     X = np.zeros((len(R), T.shape[1]), dtype=np.int64)
     for i, row in zip(left.tolist(), L):
-        q = R[:, pivots[i] : pivots[i] + 1] // row[pivots[i]]
-        R, X = (R - q * row) % N, (X + q * T[i]) % N
+        hit = np.flatnonzero(R[:, pivots[i]] >= row[pivots[i]])
+        q = R[hit, pivots[i], None] // row[pivots[i]]
+        R[hit], X[hit] = _mod(R[hit] - q * row, N), _mod(X[hit] + q * T[i], N)
     return X, ~R.any(axis=1)
 
 

@@ -44,7 +44,8 @@ witnesses.
 
 Howell elimination.  `dwu.intlinalg` keeps only the coefficient rows of the
 matrices it reduces; `row_reduce_mod` here stores and reduces every row in
-full, one at a time.
+full, one at a time.  `columns` reads a window of A's columns with one
+broadcast gather of the live rows' faces.
 """
 
 from __future__ import annotations
@@ -545,3 +546,17 @@ def row_reduce_mod(A, N):
                 result_rows[j] = (result_rows[j] - q * result_rows[i]) % N
     H = np.array(result_rows, dtype=np.int64) if result_rows else np.zeros((0, m_cols), dtype=np.int64)
     return H, pivots
+
+
+def columns(P, live, A, c0, c1, N):
+    """Columns c0..c1 of the rows (A @ r | r), r in P[live], for `A` a
+    `dwu.intlinalg.SparseRows`: one broadcast gather of every live row's
+    faces and one einsum over them, the window read `dwu.intlinalg._columns`
+    ran before it gathered face by face."""
+    m = len(A.idx)
+    if c0 >= m:
+        return P[live, c0 - m : c1 - m]
+    X = P[live[:, None, None], A.idx[c0:c1]]
+    if A.idx.shape[1] * (N - 1) ** 2 >= 2**63:
+        return ((X.astype(object) * A.coef[c0:c1]).sum(axis=-1) % N).astype(np.int64)
+    return np.einsum("lwk,wk->lw", X, A.coef[c0:c1]) % N
