@@ -14,11 +14,11 @@ that holds k*(N-1)^2 and 2*(N-1)^2, their widest sums.  Beside each t the
 pool keeps a window of A @ t, carried along by the linear steps and gathered
 once per window: one take of each face's columns and one of the live rows,
 the smaller copy first, then one sum over the faces.  Every gather of A's
-columns, the back substitution's too, is bounded by BLOCK entries.  A kernel stores and
-back-reduces only its own rows, the tail of the form, and one pass over the
-form solves for every right-hand side at once.  Quotient groups ker/im are
-invariant factors of an integer Smith reduction in which mod-N row
-reductions are legal (the lattice always contains N*Z^k).
+columns, the back substitution's too, is bounded by BLOCK entries.  A
+kernel stores and back-reduces only its own rows, the tail of the form, and
+one pass over the form solves for every right-hand side at once.  Quotient
+groups ker/im are invariant factors of an integer Smith reduction in which
+mod-N row reductions are legal (the lattice always contains N*Z^k).
 """
 
 from __future__ import annotations

@@ -385,16 +385,18 @@ def gather_cases():
 
 @pytest.mark.parametrize("k, dt, N", gather_cases())
 def test_window_gather_matches_the_broadcast_gather(k, dt, N):
-    """_columns gathers a window face by face from every pool row, then
-    keeps the live rows; the one broadcast gather of the live rows' faces
-    must give the same values in the same type.  The live rows skip pool
-    rows and come in any order, free rows hold the type's extremes, and the
-    windows are one or several columns wide, left or right of A's rows."""
+    """_columns takes a window's face columns and live rows, the smaller
+    copy first, and sums the faces; the one broadcast gather of the live
+    rows' faces must give the same values in the same type.  Pools are
+    narrow or wide (past their n columns t sit window columns), so both
+    orders occur; the live rows skip pool rows and come in any order, free
+    rows hold the type's extremes, and the windows are one or several
+    columns wide, left or right of A's rows."""
     rng = np.random.default_rng(k * 7 + np.iinfo(dt).bits + N % 1000)
     n, m = 11, 30
-    for _ in range(4):
+    for width in (6, 200, 6, 200):
         rows = int(rng.integers(2, 40))
-        P = np.full((rows, n + 6), np.iinfo(dt).max, dtype=dt)
+        P = np.full((rows, n + width), np.iinfo(dt).max, dtype=dt)
         P[::3] = np.iinfo(dt).min
         live = rng.permutation(rows)[: int(rng.integers(1, rows))]
         P[live, :n] = rng.integers(0, N, size=(len(live), n))
@@ -510,7 +512,7 @@ def test_the_elimination_rows_are_pinned():
 
 
 def solved_side_cases():
-    """(name, output) of the solved side: quotient_invariants as H^2 of every
+    """Every output of the solved side: quotient_invariants as H^2 of every
     manifest grading and of C3xS3, C6xC3, D18, C10xC2 and S4 calls it, then
     solve_mod on the seeded matrices of test_solve_mod_returns_only_solutions."""
     calls = []
