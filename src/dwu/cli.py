@@ -250,14 +250,7 @@ def cmd_partition(args, emitter: Emitter) -> int:
     for name in names:
         for gi, gg in _resolve_gradings(name, args.grading, args.cap):
             for ci, lam in _resolve_classes(gg, args):
-                rep = consistency_report(
-                    gg,
-                    lam,
-                    surfaces,
-                    tol=args.tol,
-                    budget=args.budget,
-                    flip_tau_debug=args.debug_flip_tau,
-                )
+                rep = consistency_report(gg, lam, surfaces, tol=args.tol, budget=args.budget)
                 for row in rep["rows"]:
                     direct, tqft, verlinde = row.as_complex
                     record = {"group": name, "grading": gi, "class": ci, "surface": row.surface}
@@ -316,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="partition functions by all routes")
     common(p, group_help="catalog name, e.g. C4, D8, Q8xC2, or 'all' for the sweep manifest")
     p.add_argument("--surfaces", default=DEFAULT_SURFACES)
-    p.add_argument("--debug-flip-tau", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("indicators", help="block dimensions and FS indicators")

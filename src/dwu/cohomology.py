@@ -216,7 +216,8 @@ def is_twisted_coboundary(c: TwistedCochain, denominator: int | None = None):
 
     If c = d(nu) over U(1), then c.N * nu is a cocycle; its class is
     |G|-torsion, so a change of nu by a coboundary gives c.N * nu an order
-    dividing |G|.  The default N = c.N * |G| holds a witness whenever one exists."""
+    dividing |G|.  The default N = c.N * |G| holds a witness whenever one exists.
+    An N past 2**31 raises OverflowError, as the Z/N elimination does."""
     group, signs = c.group, c.signs
     N = denominator or c.N * group.order
     if c.degree == 0 or N % c.N:
@@ -315,8 +316,8 @@ def cochain_from_json(text: str, ref) -> TwistedCochain:
         raise ValueError(f"the cochain file is for group {data['group']!r}, not {group.name}")
     try:
         degree, N = _json_int(data["degree"]), _json_int(data["denominator"])
-        if degree < 0 or N < 1:
-            raise ValueError(f"need degree >= 0 and denominator >= 1, got {degree} and {N}")
+        if not 0 <= degree <= 2 or N < 1:
+            raise ValueError(f"need 0 <= degree <= 2 and denominator >= 1, got {degree} and {N}")
         mapping = {
             _json_key(key): Phase(_json_int(k), N) for key, k in data.get("values", {}).items()
         }

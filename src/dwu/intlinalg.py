@@ -103,6 +103,8 @@ def _howell(T: np.ndarray, A: SparseRows, N: int, first: int = 0):
     # the step's widest sum: k*(N-1)^2 in a left column, u*piv + v*r of an
     # egcd merge (|u|, |v| < N), or x + b*y; all exact in the step dtype
     dt = next((t for t in (np.int16, np.int32) if max(k, 2) * (N - 1) ** 2 <= np.iinfo(t).max), np.int64)
+    if 2 * (N - 1) ** 2 > np.iinfo(np.int64).max:
+        raise OverflowError(f"Z/{N} elimination needs N <= 2**31: its merges pass int64")
     A = A._replace(coef=A.coef.astype(dt))  # past int64, _columns sums Python ints
     w = min(m, max(1, BLOCK // (max(1, len(T)) * k)))
     pool = np.concatenate([T % N, np.empty((len(T), w), dt)], axis=1, dtype=dt)

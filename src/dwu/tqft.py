@@ -731,27 +731,15 @@ def partition_verlinde(block_list: list[BlockData], surface: Surface) -> complex
 
 
 def kr_rank(GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField | None = None) -> CycNum:
-    """Groupoid integral of the transgressed function over the double loop."""
-    require_cocycle(lambda_hat)
-    return _kr_integral(GG, lambda_hat, field or CycField(lambda_hat.N))
-
-
-def _kr_integral(
-    GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField, flip: bool = False
-) -> CycNum:
     """Integral of tau_ref over the double real loop: its roots counted over
-    the carrier and divided by |G^| once (a component weighs orbit size/|G^|).
-    flip adds 1/2 on odd w (in Q(zeta_2L) when L is odd)."""
+    the carrier and divided by |G^| once (a component weighs orbit size/|G^|)."""
+    require_cocycle(lambda_hat)
+    field = field or CycField(lambda_hat.N)
     # the double loop carrier: the pairs (g, w), g even, with w.g = g
     even = np.asarray(GG.even_part)
     w, i = np.nonzero(GG.real_conjugation == even)
-    g = even[i]
-    k, M = tau_ref(lambda_hat, GG).table[w, g], lambda_hat.N  # the root zeta_M^k per point
-    if flip:
-        k, M = 2 * k + M * (np.asarray(GG.sign)[w] == -1), 2 * M
-        if field.L % 2:
-            field = CycField(2 * field.L)
-    counts = np.bincount(k * field.L // M % field.L, minlength=field.L)
+    k = tau_ref(lambda_hat, GG).table[w, even[i]]  # the root zeta_N^k per point
+    counts = np.bincount(k * field.L // lambda_hat.N % field.L, minlength=field.L)
     return field.from_counts(counts, GG.group.order)
 
 
@@ -795,7 +783,6 @@ def consistency_report(
     surfaces: list[Surface],
     tol: float = 1e-6,
     budget: int | None = None,
-    flip_tau_debug: bool = False,
 ) -> dict:
     """Every compared identity of one class, as IdentityRows.
 
@@ -805,10 +792,9 @@ def consistency_report(
     orbifold's field, the direct ones read from partition_direct's walk cache.
     max_delta is the largest row delta; ok means max_delta < tol and the
     unoriented Frobenius checks pass (axioms_ok); blocks lists (dimension,
-    indicator).  flip_tau_debug flips the sign of the odd-sector KR integrand,
-    a deliberate convention fault for exercising failure reporting.  Every
-    Verlinde value is formed first, so a surface beyond the float range
-    raises OverflowError before any exact route (or its budget check) runs.
+    indicator).  Every Verlinde value is formed first, so a surface beyond
+    the float range raises OverflowError before any exact route (or its
+    budget check) runs.
     """
     from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 
@@ -822,10 +808,7 @@ def consistency_report(
 
     direct = functools.partial(partition_direct, GG, lambda_hat, field=F.field, budget=budget)
     rows = [IdentityRow(s.name, direct(s), partition_tqft(F, s), v) for s, v in zip(surfaces, verlinde)]
-    if flip_tau_debug:
-        kr = _kr_integral(GG, lambda_hat, F.field, flip=True)
-    else:
-        kr = kr_rank(GG, lambda_hat, field=F.field)
+    kr = kr_rank(GG, lambda_hat, field=F.field)
     rows.append(IdentityRow("one-loop-identity", one_loop(GG, lambda_hat, field=F.field, budget=budget), kr))
     rows.append(IdentityRow("crosscap-trace", direct(RP2), partition_tqft(F, RP2)))
     max_delta = max(row.max_delta for row in rows)

@@ -2,13 +2,14 @@
 constructions of the paper's groupoids and phase data.
 
 Direct route and KR integral.  `dwu.tqft.partition_direct` walks the relator
-one handle or crosscap at a time and `dwu.tqft._kr_integral` counts roots over
-the double-loop carrier.  The tests hold them to the same sums in their
+one handle or crosscap at a time and `dwu.tqft.kr_rank` counts roots over the
+double-loop carrier.  The tests hold them to the same sums in their
 brute-force forms: every holonomy point of the surface's presentation paired
 with the fundamental chain, the same points grouped into orbits of the even
 part's conjugation and weighted by orbit size, and the KR integrand integrated
 over the double real loop as an action groupoid.  Each divides by the group
-order once.
+order once.  The flipped KR integral, substituted for `dwu.tqft.kr_rank`, is
+the convention fault the failure-reporting tests inject.
 
 Groupoid constructions.  The moduli Bun^or(Sigma) of a surface as holonomy
 points under even conjugation, the circle, crosscap and one-loop groupoids,
@@ -116,6 +117,12 @@ def kr_groupoid_integrals(GG, lambda_hat, field):
         return flip_field.root(t[w][g], N)
 
     return gpd.integrate(f), gpd.integrate(flipped)
+
+
+def flipped_kr_rank(GG, lambda_hat, field=None):
+    """A stand-in for `dwu.tqft.kr_rank` that returns the flipped integral:
+    the one-loop identity then fails, and so does the class report."""
+    return kr_groupoid_integrals(GG, lambda_hat, field or CycField(lambda_hat.N))[1]
 
 
 # ---------------------------------------------------------------------------

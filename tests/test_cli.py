@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import flipped_kr_rank
 
 from dwu.cli import Emitter, _fingerprint, load_manifest, main
 from dwu.cohomology import TwistedCochain
@@ -79,20 +80,15 @@ def test_partition_c2_all_routes_agree(capsys):
     assert "one-loop-identity" in by_surface and "crosscap-trace" in by_surface
 
 
-def test_partition_debug_flip_fails(capsys):
-    code, out = run(
-        capsys,
-        "partition",
-        "--group",
-        "C2xC2",
-        "--grading",
-        "0",
-        "--class",
-        "0",
-        "--surfaces",
-        "T2,K",
-        "--debug-flip-tau",
-    )
+def test_partition_debug_flip_fails(capsys, monkeypatch):
+    """With the flipped KR integral substituted, the report fails with exit 1;
+    the removed --debug-flip-tau switch is a usage error."""
+    argv = ["partition", "--group", "C2xC2", "--grading", "0", "--class", "0", "--surfaces", "T2,K"]
+    with pytest.raises(SystemExit, match="2"):
+        main([*argv, "--debug-flip-tau"])
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --debug-flip-tau\n"
+    monkeypatch.setattr("dwu.tqft.kr_rank", flipped_kr_rank)
+    code, out = run(capsys, *argv)
     assert code == 1
     recs = jsonl(out)
     loop = [r for r in recs if r["surface"] == "one-loop-identity"][0]
@@ -336,13 +332,16 @@ def test_malformed_cocycle_file_is_usage_error(tmp_path, capsys, text):
 GOLDEN = [
     ([], 0, "partition_D8_g0_all.jsonl"),
     (["--format", "csv"], 0, "partition_D8_g0_all.csv"),
-    (["--debug-flip-tau"], 1, "partition_D8_g0_all_flip_tau.jsonl"),
+    ([], 1, "partition_D8_g0_all_flip_tau.jsonl"),
 ]
 
 
 @pytest.mark.parametrize("extra, expected_code, golden", GOLDEN)
-def test_partition_output_is_golden(capsys, extra, expected_code, golden):
-    """stdout is byte-identical to a capture of an earlier release (tests/data)."""
+def test_partition_output_is_golden(capsys, monkeypatch, extra, expected_code, golden):
+    """stdout is byte-identical to a capture of an earlier release (tests/data);
+    the flip golden is the failing report under the flipped KR integral."""
+    if golden.endswith("_flip_tau.jsonl"):
+        monkeypatch.setattr("dwu.tqft.kr_rank", flipped_kr_rank)
     code, out = run(capsys, "partition", "--group", "D8", "--grading", "0", "--class", "all", *extra)
     assert code == expected_code
     assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
@@ -408,8 +407,20 @@ def test_cohomology_of_order_32_and_of_degree_1_is_golden(capsys, args, golden):
 def test_partition_enumerates_no_points_and_builds_no_groupoid(
     capsys, monkeypatch, extra, expected_code, golden
 ):
-    """The golden output without holonomy enumeration, orbits or action groupoids."""
+    """The golden output without holonomy enumeration, orbits or action groupoids.
+    The flip golden's KR values come from the groupoid oracle, formed first."""
+    from dwu.cohomology import cohomology_classes
     from dwu.groupoids import ActionGroupoid
+    from dwu.groups import enumerate_gradings
+    from dwu.tqft import orbifold, turaev_from_cocycle
+
+    if golden.endswith("_flip_tau.jsonl"):
+        gg = enumerate_gradings(build_group("D8"))[0]
+        flipped = {
+            lam.vector().tobytes(): flipped_kr_rank(gg, lam, orbifold(turaev_from_cocycle(gg, lam)).field)
+            for lam in cohomology_classes(gg, 2)[0]
+        }
+        monkeypatch.setattr("dwu.tqft.kr_rank", lambda GG, lam, field=None: flipped[lam.vector().tobytes()])
 
     def refuse(*args, **kwargs):
         raise AssertionError("the CLI path enumerated points or built a groupoid")
@@ -622,6 +633,25 @@ def test_cocycle_file_past_a_parser_or_int64_limit_is_one_usage_error(tmp_path, 
     assert captured.err == f"usage error: {message}\n"
 
 
+def test_cocycle_file_of_a_degree_above_2_is_refused_before_its_table(tmp_path, capsys):
+    """A degree-4 file on C32 would ask for two 32^4 int64 tables (16 MiB)
+    before the degree check; it is refused while reading the file."""
+    import tracemalloc
+
+    path = tmp_path / "cocycle.json"
+    path.write_text('{"degree": 4, "denominator": 2, "values": {}}')
+    tracemalloc.start()
+    try:
+        code = main(["partition", "--group", "C32", "--grading", "0", "--cocycle-file", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error:") and len(captured.err.splitlines()) == 1
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("budget", [[], ["--budget", "1"]], ids=["default-budget", "budget-1"])
 def test_float_range_is_refused_before_the_exact_routes(capsys, budget):
     """S3's Verlinde scale on Sigma_40000 is beyond the float range, and the
@@ -706,7 +736,6 @@ def test_the_cli_enters_every_module_function_but_the_listed_ones(tmp_path, caps
         ["cohomology", *d8, "--degree", "2"],
         ["partition", *d8],
         ["partition", *d8, "--format", "csv"],
-        ["partition", *d8, "--debug-flip-tau"],
         ["partition", *d8, "--cocycle-file", str(path)],
         # the manifest, and through it S3xC2, Q8 and the products
         ["partition", "--group", "all", "--grading", "0", "--class", "0", "--surfaces", ""],
@@ -730,7 +759,7 @@ def test_the_cli_enters_every_module_function_but_the_listed_ones(tmp_path, caps
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    assert codes == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+    assert codes == [0] * len(runs)
 
     unentered = set()
     for module in modules:

@@ -27,6 +27,7 @@ from dwu.intlinalg import (
     row_reduce_mod,
     solve_mod,
 )
+from dwu.phases import Phase
 
 MODULI = [2, 4, 6, 8, 9, 12, 16, 24, 30, 32, 255, 256, 257, 65535, 65536, 65537]  # 255..65537: each pool dtype's edge
 
@@ -158,6 +159,20 @@ def test_products_past_int64_are_exact():
         y = solve_mod(A, b, N)
         assert y is not None
         assert [sum(int(a) * int(v) for a, v in zip(row, y)) % N for row in A] == b.tolist()
+
+
+def test_moduli_past_2_31_are_refused():
+    """Past N = 2^31 an egcd merge's sum 2*(N-1)^2 passes int64, so the
+    elimination raises rather than wrap: in a solve, in a kernel, and in the
+    coboundary search, whose modulus c.N * |G| passes 2^31 here."""
+    N = 2**32 + 1
+    with pytest.raises(OverflowError):
+        solve_mod([[3, 5], [7, 11]], [N - 2, N - 3], N)
+    with pytest.raises(OverflowError):
+        kernel_mod([[3, 5, 7]], N)
+    nu = cohomology.TwistedCochain.from_dict(enumerate_gradings(build_group("C4"))[0], 1, {(1,): Phase(1, 2**30 + 3)})
+    with pytest.raises(OverflowError):
+        cohomology.is_twisted_coboundary(cohomology.twisted_differential(nu))
 
 
 def dtype_edges(k, widths=(15, 31, 63)):

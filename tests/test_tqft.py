@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import check_unoriented_frobenius as integer_check
-from oracles import random_cochain
+from oracles import flipped_kr_rank, random_cochain
 
 from dwu.cohomology import (
     TwistedCochain,
@@ -21,10 +21,11 @@ from dwu.groups import (
     ResourceBudgetError,
     build_group,
     cyclic,
+    direct_product,
     enumerate_gradings,
     split_grading,
 )
-from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface
+from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface, word_value
 from dwu.phases import CycField, Phase, cyclotomic_polynomial
 from dwu.reptheory import BlockData, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
@@ -602,7 +603,7 @@ def identity_row(rep, surface):
     return next(row for row in rep["rows"] if row.surface == surface)
 
 
-def test_consistency_report_ok_and_debug_flip():
+def test_consistency_report_ok_and_debug_flip(monkeypatch):
     gg = split_grading(cyclic(2))
     lam = TwistedCochain.zero(gg, 2)
     rep = consistency_report(gg, lam, SURFACES)
@@ -611,7 +612,8 @@ def test_consistency_report_ok_and_debug_flip():
     assert loop.direct == loop.tqft
     rp2_direct, crosscap_trace, _ = identity_row(rep, "crosscap-trace").as_complex
     assert abs(crosscap_trace - rp2_direct) == 0.0
-    flipped = consistency_report(gg, lam, SURFACES, flip_tau_debug=True)
+    monkeypatch.setattr("dwu.tqft.kr_rank", flipped_kr_rank)
+    flipped = consistency_report(gg, lam, SURFACES)
     assert not flipped["ok"]
     assert identity_row(flipped, "one-loop-identity").max_delta > 0.5
 
@@ -656,3 +658,36 @@ def test_orbifold_p_independence_is_enforced():
     # the constructor compares all odd elements; passing means independence
     for gg, lam in small_cases():
         orbifold(turaev_from_cocycle(gg, lam))
+
+
+PRODUCT_SURFACES = [TORUS, RP2, KLEIN, parse_surface("N_k=3"), parse_surface("Sigma_g=2")]
+
+
+def ungraded_invariant(H, surface):
+    """|Hom(pi_1 S, H)|/|H|, every generator tuple of H counted by its relator."""
+    n = len(surface.generator_characters())
+    holonomy = np.indices((H.order,) * n).reshape(n, -1)
+    return Fraction(int((word_value(H, surface.relator(), holonomy) == 0).sum()), H.order)
+
+
+@pytest.mark.parametrize(
+    "h_name, g_name",
+    [("C3", g) for g in ["C2", "C4", "C2xC2", "D8", "Q8"]] + [("S3", g) for g in ["C2", "C4"]],
+)
+def test_a_product_with_an_ungraded_group_multiplies_the_invariant(h_name, g_name):
+    """Grade H x G^ by G^'s sign and pull each class back along the projection
+    b (index mod |G^|): then Z_{HxG^}(S; pr*lam) = Z_H(S) Z_G^(S; lam), exactly,
+    by the direct and the cut-and-paste route of the product."""
+    H, G_hat = build_group(h_name), build_group(g_name)
+    HG = direct_product(H, G_hat)
+    b = np.arange(HG.order) % G_hat.order
+    for gg in enumerate_gradings(G_hat):
+        prod = GradedGroup(HG, tuple(np.asarray(gg.sign)[b].tolist()))
+        for lam in cohomology_classes(gg, 2)[0]:
+            pulled = TwistedCochain(HG, prod.sign, 2, lam.N, lam.table[np.ix_(b, b)])
+            F = orbifold(turaev_from_cocycle(prod, pulled))
+            for surface in PRODUCT_SURFACES:
+                expected = partition_direct(gg, lam, surface, field=F.field).scale(ungraded_invariant(H, surface))
+                case = (gg, lam.vector().tolist(), surface.name)
+                assert partition_direct(prod, pulled, surface, field=F.field) == expected, case
+                assert partition_tqft(F, surface) == expected, case
