@@ -403,6 +403,41 @@ def test_cohomology_of_order_32_and_of_degree_1_is_golden(capsys, args, golden):
     assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
+# SHA-1 of stdout followed by b"exit <code>", captured at b8d0254
+MANIFEST_SHA1 = {
+    "partition --group all": "2a735b4c0e6a3eef57fa4cc84b2d8c26621f2722",
+    "partition --group all --format csv": "603c3f7a150de61034a9157bb3aa90d0b5c51a85",
+    "verify-axioms --group C2": "705123d6cced3550f03932991d975991b4fc872a",
+    "verify-axioms --group C4": "ac0fb849b0a58ef4d979a0f48012b6fc536ed135",
+    "verify-axioms --group C2xC2": "91d3fb2f5d7953425a31a37037d79f7a961099f5",
+    "verify-axioms --group C6": "e4feb49667099ae2e6bf1d78e9049fc449a9065a",
+    "verify-axioms --group C8": "51548c9a0acfb75e5a17c91727a9898961ae98b2",
+    "verify-axioms --group C4xC2": "a5e2c8f6ae947a57f439f1c51438d4b87a061eed",
+    "verify-axioms --group C2xC2xC2": "5f818e444aec5c6e76560d409f419315a7981adf",
+    "verify-axioms --group D8": "0d634c75e0392d6e766293e77a17a0fd114a9571",
+    "verify-axioms --group Q8": "be3ecdfa5eee0535d91b3c4ca52e9f6e0e5ccda9",
+    "verify-axioms --group D10": "6057e813ca21ad97ccf4be322bddbc8af86cb1d2",
+    "verify-axioms --group D12": "8b6a04b7a826311e69f55c17cc2a36c9b7838b78",
+    "verify-axioms --group C12": "60e86a0cc645a7ea7405bad8b79a86c376ddc361",
+    "verify-axioms --group S3xC2": "dfb0d7f976d39863ffb6e702bfdd7b265ae0ca95",
+    "verify-axioms --group Q8xC2": "346df91793dbbb6b6220dff5d161053df47ab151",
+    "verify-axioms --group D16": "292c3644a01c7bfa4281006227792ea481241a67",
+    "verify-axioms --group C4xC4": "d3379ec56586b376cd1a6829bf758eedd29100bc",
+}
+
+
+@pytest.mark.parametrize("argv", list(MANIFEST_SHA1))
+def test_the_manifest_output_is_pinned(capsys, argv):
+    """stdout and the exit code of the sweep (plain and CSV) and of verify-axioms
+    on each manifest group are byte-identical to an earlier capture."""
+    code, out = run(capsys, *argv.split())
+    assert hashlib.sha1(out.encode() + b"exit %d" % code).hexdigest() == MANIFEST_SHA1[argv]
+
+
+def test_the_pins_cover_the_manifest():
+    assert [argv.split()[-1] for argv in MANIFEST_SHA1 if "verify" in argv] == load_manifest()["groups"]
+
+
 @pytest.mark.parametrize("extra, expected_code, golden", GOLDEN)
 def test_partition_enumerates_no_points_and_builds_no_groupoid(
     capsys, monkeypatch, extra, expected_code, golden
