@@ -2,7 +2,8 @@
 
 Reports stream as JSON Lines (or CSV) so long sweeps survive interruption.
 Exit codes: 0 all checks pass, 1 numerical/consistency failure, 2 usage error,
-3 resource/budget exhaustion.
+3 resource/budget exhaustion or records that cannot be written (a closed pipe,
+a full device; stdout then goes to os.devnull, so that no later flush fails).
 """
 
 from __future__ import annotations
@@ -349,6 +350,11 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # inputs raise theirs as ValueError, so only the records' writes reach here
+        if args.out is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"resource error: cannot write the records: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -166,9 +166,10 @@ class GradedGroup:
         return f"GradedGroup({self.group.name}, even={{{evens}}})"
 
 
-def flat_sections(G: FiniteGroup, phase: np.ndarray, L: int) -> list[tuple]:
-    """(representative, {g: exponent mod L}) per conjugacy class of G carrying
-    a flat section, in the order of the representatives (the least elements).
+def flat_sections(G: FiniteGroup, phase: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(section, exponent): section[g] numbers g's conjugacy class among the
+    classes carrying a flat section, in the order of their least elements, or
+    is -1 where the class carries none; the section is zeta_L^exponent[g] at g.
 
     phase[k, g] is the transport exponent along the conjugation g -> k g k^-1.
     The section is phase[k, rep] at k rep k^-1, and a class carries it when
@@ -180,12 +181,9 @@ def flat_sections(G: FiniteGroup, phase: np.ndarray, L: int) -> list[tuple]:
     k = (conj[:, least] == np.arange(G.order)).argmax(axis=0)  # the first k with k rep k^-1 = g
     e = phase[k, least] % L
     broken = ((e[conj] - e - phase) % L).any(axis=0)  # an edge leaving g breaks transport
-    sections: dict[int, dict] = {}
-    for g, rep, value in zip(range(G.order), least.tolist(), e.tolist()):
-        sections.setdefault(rep, {})[g] = value
-    for rep in least[broken].tolist():
-        sections.pop(rep, None)
-    return list(sections.items())
+    flat = np.bincount(least, broken, G.order)[least] == 0  # no edge of g's class breaks it
+    number = np.cumsum(flat & (least == np.arange(G.order))) - 1  # flat representatives up to g, less 1
+    return np.where(flat, number[least], -1), e
 
 
 def enumerate_gradings(G_hat: FiniteGroup) -> list[GradedGroup]:

@@ -77,10 +77,10 @@ class TwistedGroupAlgebra:
         lam, N = self.lam.table, self.lam.N
         # transport along g -> h g h^-1 by lambda(h, g) - lambda(h g h^-1, h)
         phase = lam - lam[self.group.conjugation, np.arange(self.dim)[:, None]]
-        sections = flat_sections(self.group, phase, N)
-        Z = np.zeros((len(sections), self.dim), dtype=complex)
-        for row, (_, exponents) in zip(Z, sections):
-            row[list(exponents)] = [root_of_unity(k, N) for k in exponents.values()]
+        section, exponent = flat_sections(self.group, phase, N)
+        held = np.flatnonzero(section >= 0)
+        Z = np.zeros((section.max() + 1, self.dim), dtype=complex)
+        Z[section[held], held] = [root_of_unity(k, N) for k in exponent[held].tolist()]
         return Z
 
 

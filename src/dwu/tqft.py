@@ -13,16 +13,18 @@ The equivariant algebra has one-dimensional graded pieces A_g = C l_g, so all
 of its structure constants are single roots of unity, held as exponent tables.
 Every exact value is a count of roots zeta_L^k over one denominator (an
 element of Z[Z/L], see dwu.phases): the orbifold algebra is the span of flat
-sections inside the twisted group algebra, its vectors are integer count
-arrays, and the direct route and the KR integral count roots and divide by
-the group order once.  Counts are int64 while a bound proves them exact and
-Python ints past it; the tests hold the routes to the brute-force holonomy
-and groupoid sums of tests/oracles.py.
+sections inside the twisted group algebra, each one root on each element of
+a class, so a product of two is a class sum of roots read off the exponent
+tables.  Its vectors are integer count arrays, and the direct route and the
+KR integral count roots and divide by the group order once.  Counts are
+int64 while a bound proves them exact and Python ints past it; the tests
+hold the routes to the brute-force holonomy and groupoid sums of
+tests/oracles.py.
 
-check_unoriented_frobenius and the orbifold's span tests decide equalities
-of such counts at the primitive L-th roots of unity, where products are
-pointwise, under an a-priori rounding bound; these floats decide equalities
-and never become a value or a record.
+check_unoriented_frobenius (on coordinates in the flat basis) and the
+orbifold's span tests decide equalities of such counts at the primitive
+L-th roots of unity under an a-priori rounding bound; these floats decide
+equalities and never become a value or a record.
 """
 
 from __future__ import annotations
@@ -340,33 +342,52 @@ class UnorientedFrobeniusData:
 
     A vector over the even subgroup is an (n, L) integer array whose entry
     [g, k] counts the roots zeta_L^k in the coefficient of l_g; leading axes
-    batch vectors.  A flat section is one root on each element of its class
-    support, held as {g: exponent mod L} in sections and as the vectors basis.
-    Coordinates in the flat basis are (dim, L) count arrays, and involution is
-    the (dim, dim, L) array of the involution's matrix.  The product is the
-    convolution of the ambient twisted group algebra, whose constants are the
-    exponents mult; the counit reads off the identity coefficient over |G|.
+    batch vectors.  The basis section S_i is zeta^exponent[g] on each g with
+    section[g] = i and 0 elsewhere (groups.flat_sections), 1 at its least
+    element; S_0 is the unit.  Coordinates in the flat basis are (dim, L)
+    count arrays, and involution is the (dim, dim, L) array of the
+    involution's matrix.  The product is the convolution of the ambient
+    twisted group algebra, whose constants are the exponents mult; products
+    holds S_i S_j in closed form.  The counit reads off the identity
+    coefficient over |G|.
 
     The arrays are int64: the orbifold of a group of order n has entries of
     size at most n^4 (a product of two crosscap vectors), far from 2^63;
-    check_unoriented_frobenius forms its sums of products of structure
-    constants at the roots of unity, not in these arrays.  partition_tqft's
-    powers move to Python ints once their sums reach 2^63.
+    check_unoriented_frobenius evaluates coordinates at the roots of unity,
+    not in these arrays.  partition_tqft's powers move to Python ints once
+    their sums reach 2^63.
     """
 
     GG: GradedGroup
     field: CycField
     mult: np.ndarray  # (n, n) exponents of the ambient algebra
-    sections: tuple  # per basis section, {g: exponent} over its class
-    basis_reps: tuple  # each basis section's least element, ascending: S_0 is the unit
+    section: np.ndarray  # (n,) the basis section holding g, or -1
+    exponent: np.ndarray  # (n,) that section is zeta^exponent[g] at g
     involution: np.ndarray  # (dim, dim, L): p(basis[j]) = sum_i involution[i, j] basis[i]
     crosscap_coords: np.ndarray  # (dim, L): Q in basis coordinates
 
+    @property
+    def dim(self) -> int:
+        return int(self.section.max()) + 1
+
     @functools.cached_property
-    def basis(self) -> np.ndarray:
-        out = np.zeros((len(self.sections), len(self.mult), self.field.L), np.int64)
-        for i, section in enumerate(self.sections):
-            out[i, list(section), list(section.values())] = 1
+    def reps(self) -> np.ndarray:
+        """Each basis section's first element, its least, where it is 1."""
+        return (self.section[:, None] == np.arange(self.dim)).argmax(0)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:  # S_i has the coordinates 1 at i
+        return self.from_coords(np.eye(self.dim, dtype=np.int64)[..., None] * (np.arange(self.field.L) == 0))
+
+    @functools.cached_property
+    def products(self) -> np.ndarray:
+        """(dim, dim, n, L): S_i S_j, one root zeta^(e(g) + e(h) + mult[g, h])
+        at gh for each g held by S_i and h held by S_j."""
+        held = np.flatnonzero(self.section >= 0)
+        g, h, s, e = held[:, None], held, self.section, self.exponent
+        out = np.zeros((self.dim, self.dim, len(self.mult), self.field.L), np.int64)
+        gh = self.GG.even_subgroup.table_array[g, h]
+        np.add.at(out, (s[g], s[h], gh, (e[g] + e[h] + self.mult[g, h]) % self.field.L), 1)
         return out
 
     @functools.cached_property
@@ -386,10 +407,6 @@ class UnorientedFrobeniusData:
         """{(surface kind, e): H^e or Q^e}, filled by partition_tqft."""
         return {}
 
-    @property
-    def dim(self) -> int:
-        return len(self.sections)
-
     def vec_product(self, u, v):
         """u v in the ambient algebra for every pair of vectors batched in u and
         v; the result has the axes u[..., :-2], v[..., :-2], (n, L)."""
@@ -403,17 +420,14 @@ class UnorientedFrobeniusData:
         return self.field.from_counts(v[0], self.GG.even_subgroup.order)
 
     def coords(self, v):
-        """Coordinates of section vectors in the flat basis (disjoint supports,
-        each basis section 1 at its representative)."""
-        return v[..., list(self.basis_reps), :]
+        """Coordinates of section vectors in the flat basis: their values at reps."""
+        return v[..., self.reps, :]
 
     def from_coords(self, coords):
-        """sum_i coords[..., i] S_i: S_i is one root zeta^e on each g of its
-        support, so the coefficient of l_g is the coordinate of g's section
-        turned by e, and 0 where no section holds g."""
-        L, held = self.field.L, self.basis.any((0, 2))
-        i, e = np.divmod(self.basis.transpose(1, 0, 2).reshape(len(held), -1).argmax(-1), L)
-        return coords[..., i[:, None], (np.arange(L) - e[:, None]) % L] * held[:, None]
+        """sum_i coords[..., i] S_i: the coefficient of l_g is the coordinate of
+        g's section turned by zeta^exponent[g], and 0 where no section holds g."""
+        L, s = self.field.L, self.section
+        return coords[..., s[:, None], (np.arange(L) - self.exponent[:, None]) % L] * (s >= 0)[:, None]
 
     def unit_vector(self):
         out = np.zeros((len(self.mult), self.field.L), np.int64)
@@ -432,17 +446,16 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
     G, hat, odd = GG.group, list(GG.even_part), list(GG.odd_part())
     n = GG.even_subgroup.order
     field = CycField(L)
-    found = flat_sections(GG.even_subgroup, T.action[hat], L)
-    reps = tuple(rep for rep, _ in found)
-    if 0 not in reps:
+    section, exponent = flat_sections(GG.even_subgroup, T.action[hat], L)
+    if section[0] < 0:
         raise ConventionError("identity class is not flat")
-    dim = len(reps)
+    dim = int(section.max()) + 1
     F = UnorientedFrobeniusData(
         GG=GG,
         field=field,
         mult=T.mult,
-        sections=tuple(section for _, section in found),
-        basis_reps=reps,
+        section=section,
+        exponent=exponent,
         involution=np.zeros((dim, dim, L), np.int64),
         crosscap_coords=np.zeros((dim, L), np.int64),
     )
@@ -489,32 +502,28 @@ def _closed_form_duals(F: UnorientedFrobeniusData):
     of the product over |G|, a sum over g in C of the roots
     S_C(g) S_{C^-1}(g^-1) mult(g, g^-1).  When they are one root zeta^e, the
     pairing is (|C|/|G|) zeta^e and the dual of S_C is (|G|/|C|) zeta^-e
-    S_{C^-1}; basis i is reported when C^-1 carries no section or the terms
-    differ.
+    S_{C^-1}; the least i is reported whose C^-1 has no section or whose
+    terms differ.
     """
-    sub = F.GG.even_subgroup
-    L, inv = F.field.L, sub.inverse
-    index = {rep: j for j, rep in enumerate(F.basis_reps)}
-    class_rep = sub.conjugation.min(axis=0).tolist()  # the least element of g's class
-    duals = []
-    for i, (section, rep) in enumerate(zip(F.sections, F.basis_reps)):
-        j = index.get(class_rep[inv[rep]])
-        if j is None:
-            return None, i
-        partner = F.sections[j]
-        terms = {(e + partner[inv[g]] + int(F.mult[g, inv[g]])) % L for g, e in section.items()}
-        if len(terms) != 1:
-            return None, i
-        duals.append(np.roll(F.basis[j], -terms.pop(), axis=-1) * (sub.order // len(section)))
-    return np.array(duals), None
+    n, L, s, reps = len(F.mult), F.field.L, F.section, F.reps
+    inv = np.asarray(F.GG.even_subgroup.inverse)
+    term = (F.exponent + F.exponent[inv] + F.mult[np.arange(n), inv]) % L  # g's term
+    bad = (s >= 0) & ((s[inv] < 0) | (term != term[reps][s]))
+    if bad.any():
+        return None, int(s[bad].min())
+    coords = np.zeros((F.dim, F.dim, L), np.int64)
+    coords[np.arange(F.dim), s[inv[reps]], -term[reps] % L] = n // np.bincount(s[s >= 0])
+    return F.from_coords(coords), None
 
 
 def handle_element(F: UnorientedFrobeniusData):
-    """H = sum_i S_i S^i; the genus-adding operator is multiplication by H."""
+    """H = sum_i S_i S^i = sum_ij d_ij S_i S_j for the duals S^i = sum_j d_ij S_j;
+    the genus-adding operator is multiplication by H."""
     duals, _ = F.duals
     if duals is None:
         raise ConventionError("degenerate orbifold trace pairing")
-    return sum(F.vec_product(vec, dual) for vec, dual in zip(F.basis, duals))
+    n, L = len(F.mult), F.field.L
+    return _convolve(F.products.transpose(2, 0, 1, 3).reshape(n, -1, L), F.coords(duals).reshape(-1, L))
 
 
 def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
@@ -523,10 +532,12 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
 
     Each condition is one array equation over the basis indices; the witness
     is the first failing index tuple in the order of the nested loops over
-    them.  The basis, the closed-form duals, the involution, the crosscap
-    and the unit are evaluated once at the primitive roots of
-    field.embeddings, so every product runs one embedding at a time, an
-    n x n twisted product or a dim x dim contraction.
+    them.  Closure is decided on the exact products (_span_misses); the later
+    conditions compare coordinates in the flat basis, which decide equality
+    in the span (sections have disjoint supports and are 1 at their least
+    elements).  C (the products' coordinates), the involution's rows p, Q's
+    coordinates q and the duals' rows d are evaluated once at the primitive
+    roots of field.embeddings; the counit is coordinate 0.
 
     Exactness.  Each side of an equation a = b is an element of Z[zeta_L].
     A nonzero d in Z[zeta_L] has a norm, the product of |sigma_j(d)|^2 over
@@ -534,51 +545,39 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
     |sigma_j(d)| is at least 1.  With a rounding error below 1/2, a = b
     exactly when every computed |sigma_j(a - b)| is below 1/2 (_apart).
 
-    Rounding bound.  With n = |G^| (the even part), iota the largest row or
-    column sum of the involution's count norms |p_ij|_1, and kappa the
-    largest |crosscap coordinate|_1 (each at least 1), the absolute terms of
-    every compared value sum to at most n max(n, iota, kappa)^2: n^3 for the
-    associativity sums, n iota^2 for p(S_i) p(S_j), n kappa^2 for Q Q, and
-    so on; a difference doubles that.  Each term takes at most 6L + 8n + 128
-    roundings (roots counted as in _require_exact): L per evaluated count
-    vector, n per ambient product, dim per change of coordinates, and the
-    longest chain, p(S_i) p(S_j), multiplies six evaluated inputs.  A check
-    whose bound reaches 1/2 raises ResourceBudgetError before any verdict.
+    Rounding bound.  Let n = |G^| (the even part), iota the largest row or
+    column sum of the involution's count norms |p_ij|_1 and kappa the
+    largest |q_a|_1, each at least 1.  |C[i, j, x]|_1 counts the (g, h) in
+    C_i x C_j with gh = x: at most |C_j|, and at most n summed over i, j or
+    both.  So the absolute terms of a compared difference sum to at most
+    2n max(n, iota, kappa)^2: 2n^2 for associativity, n iota + n iota^2 for
+    the morphism, n kappa iota + n kappa for p(Q S_j) = Q S_j, and
+    n dim iota + n kappa^2 for sum_i p(S_i) S^i = Q Q (|d_i|_1 = n/|C_i^-1|).
+    A term takes at most 3L + 2 dim + 27 roundings (roots counted as in
+    _require_exact): L + 8 per evaluated input, one per product, dim per sum
+    over the basis (a dual row has one nonzero entry; zero terms add
+    exactly), one for the difference, and a chain has at most three inputs,
+    two products and two sums.  A check whose bound reaches 1/2 raises
+    ResourceBudgetError before any verdict.
     """
-    field, E = F.field, F.field.embeddings
-    dim, n, L = F.dim, len(F.mult), field.L
+    E, dim, n, L = F.field.embeddings, F.dim, len(F.mult), F.field.L
     m = E.shape[1]
     norms = np.abs(F.involution).sum(-1)
     iota = max(1, int(norms.sum(0).max()), int(norms.sum(1).max()))
     kappa = max(1, int(np.abs(F.crosscap_coords).sum(-1).max()))
-    _require_exact(2 * n * max(n, iota, kappa) ** 2, 6 * L + 8 * n + 128)
+    _require_exact(2 * n * max(n, iota, kappa) ** 2, 3 * L + 2 * dim + 27)
 
     def at_roots(counts):  # (..., L) counts -> (m, ...) values
         return np.moveaxis(counts @ E, -1, 0)
 
-    h, shift = F._factors
-    W = np.moveaxis(E[shift], -1, 0)  # W[t, g, k] = sigma_t(zeta^shift[g, k])
-    B = at_roots(F.basis)  # (m, dim, n)
-    reps = list(F.basis_reps)
-
-    def product(u, v):
-        """u v for every pair of vectors u[:, a] and v[:, b]: (m, a, b, n)."""
-        y = (v[:, :, h] * W[:, None]).transpose(0, 2, 1, 3)  # [t, g, b, k] = v_b[g^-1 k] sigma(shift)
-        return (u @ y.reshape(m, n, -1)).reshape(m, u.shape[1], v.shape[1], n)
-
-    def span(coords):
-        """sum_i coords[..., i] S_i"""
-        return (coords.reshape(m, -1, dim) @ B).reshape(coords.shape[:-1] + (n,))
-
     entries = []
 
     # products of basis sections stay in the section span (and are flat)
-    P = product(B, B)
-    C = P[..., reps]  # S_i S_j = sum_x C[i, j, x] S_x
-    witness = _first(_apart(span(C), P).any(-1))
+    witness = _first(_span_misses(F, F.products))
     entries.append(("closure", witness is None, witness))
     if witness is not None:
         return CheckReport(entries=tuple(entries))
+    C = at_roots(F.coords(F.products))  # S_i S_j = sum_x C[i, j, x] S_x
 
     witness = _first(_apart(C, C.transpose(0, 2, 1, 3)).any(-1))
     entries.append(("commutativity", witness is None, witness))
@@ -601,34 +600,30 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
         return CheckReport(entries=tuple(entries))
 
     # involution laws: p^2 = id, algebra morphism, counit preserved
-    p_rows = at_roots(F.involution).transpose(0, 2, 1)  # [t, j, i]: p(S_j) = sum_i [t, j, i] S_i
-
-    def p(v):
-        coords = v[..., reps]
-        return span((coords.reshape(m, -1, dim) @ p_rows).reshape(coords.shape))
-
-    pB = p(B)
-    witness = _first(_apart(p(pB), B).any(-1))
+    p = at_roots(F.involution).transpose(0, 2, 1)  # p(S_j) = sum_i p[j, i] S_i
+    witness = _first(_apart(p @ p, one).any(-1))
     entries.append(("involution-squares-to-id", witness is None, witness))
 
-    witness = _first(_apart(p(P), product(pB, pB)).any(-1))
+    # p(S_i S_j) = sum_x C[i, j, x] p(S_x) against p(S_i) p(S_j) = sum_b p[j, b] pS[i, b]
+    pS = (p @ C.reshape(m, dim, -1)).reshape(C.shape)  # pS[i, b]: the coordinates of p(S_i) S_b
+    witness = _first(_apart(C @ p[:, None], p[:, None] @ pS).any(-1))
     entries.append(("involution-algebra-morphism", witness is None, witness))
 
-    witness = _first(_apart(pB[..., 0], B[..., 0]))
-    unit = at_roots(F.unit_vector())[:, None]
-    if witness is None and _apart(p(unit), unit).any():
+    witness = _first(_apart(p[..., 0], one[:, 0]))
+    if witness is None and _apart(p[:, 0], one[0]).any():  # p(unit) = unit
         witness = ("unit",)
     entries.append(("involution-counit-preserving", witness is None, witness))
 
     # crosscap constraint: Q x = p(Q x)
-    Q = span(at_roots(F.crosscap_coords)[:, None])  # (m, 1, n)
-    qx = product(Q, B)[:, 0]
-    witness = _first(_apart(p(qx), qx).any(-1))
+    q = at_roots(F.crosscap_coords)
+    qS = (q[:, None] @ C.reshape(m, dim, -1)).reshape(m, dim, dim)  # qS[j]: the coordinates of Q S_j
+    witness = _first(_apart(qS @ p, qS).any(-1))
     entries.append(("crosscap-linear-constraint", witness is None, witness))
 
     # second crosscap diagram: sum_i p(S_i) S^i = Q Q
-    lhs = np.einsum("tiik->tk", product(pB, at_roots(duals)))
-    ok = not _apart(lhs, product(Q, Q)[:, 0, 0]).any()
+    d = at_roots(F.coords(duals))  # S^i = sum_b d[i, b] S_b
+    lhs = d.reshape(m, 1, -1) @ pS.reshape(m, -1, dim)
+    ok = not _apart(lhs, q[:, None] @ qS).any()
     entries.append(("crosscap-comultiplication", ok, None))
 
     return CheckReport(entries=tuple(entries))

@@ -4,8 +4,10 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -523,6 +525,37 @@ def test_cyclic_order_zero_is_named(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "usage error: cyclic group order must be at least 1, got 0\n"
+
+
+def run_process(argv, stdout):
+    """The CLI in a fresh interpreter writing to stdout: (exit code, stderr)."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cmd = [sys.executable, "-m", "dwu.cli", *argv]
+    proc = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def test_a_closed_pipe_is_one_resource_error():
+    """A reader gone before the first record (as in `dwu partition | head -1`
+    after its line): one line and exit 3, with no traceback and no message
+    from the interpreter's last flush."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        code, err = run_process(["partition", "--group", "D8"], w)
+    finally:
+        os.close(w)
+    assert (code, err) == (3, "resource error: cannot write the records: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("extra, to_stdout", [([], True), (["--format", "csv"], True), (["--out", "/dev/full"], False)])
+def test_a_full_device_is_one_resource_error(extra, to_stdout):
+    """A write, flush or close that fails with ENOSPC, on stdout or --out."""
+    with open("/dev/full", "w") as full:
+        code, err = run_process(["gradings", "--group", "C4", *extra], full if to_stdout else subprocess.DEVNULL)
+    assert (code, err) == (3, "resource error: cannot write the records: [Errno 28] No space left on device\n")
 
 
 def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):

@@ -203,9 +203,16 @@ def test_conjugation_tables_match_the_scalar_conjugations():
 
 def assert_flat_sections_match_the_walk(G, phase, L):
     """The closed form against the breadth-first transport walk, and the
-    sections it returns; returns them."""
+    sections it returns, converted to the walk's (representative, {g: exponent})
+    per section; returns them."""
     step = phase.tolist()
-    found = flat_sections(G, phase, L)
+    section, exponent = flat_sections(G, phase, L)
+    by_section = {}
+    for g, (i, e) in enumerate(zip(section.tolist(), exponent.tolist())):
+        if i >= 0:
+            by_section.setdefault(i, {})[g] = e
+    assert sorted(by_section) == list(range(len(by_section)))
+    found = [(min(values), values) for _, values in sorted(by_section.items())]
     assert found == bfs_flat_sections(G, 0, lambda k, g, e: (e + step[k][g]) % L)
     return found
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from dwu.cohomology import (
     twisted_differential,
 )
 from dwu.groups import (
+    FiniteGroup,
     GradedGroup,
     ResourceBudgetError,
     build_group,
@@ -31,6 +33,7 @@ from dwu.reptheory import BlockData, algebra_from_graded, blocks, crosscap_eleme
 from dwu.tqft import (
     ConventionError,
     _closed_form_duals,
+    _turaev_data,
     _unequal,
     check_turaev_axioms,
     check_unoriented_frobenius,
@@ -264,8 +267,8 @@ def test_closed_form_duals_report_unequal_class_terms():
     gg = split_grading(build_group("Q8"))
     F = orbifold(turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2)))
     assert _closed_form_duals(F)[1] is None
-    i, section = next((i, s) for i, s in enumerate(F.sections) if len(s) > 1)
-    g = max(section)  # not the class representative
+    i = int(np.argmax(np.bincount(F.section[F.section >= 0]) > 1))  # the first class of two or more
+    g = int(np.flatnonzero(F.section == i).max())  # not the class representative
     bad = F.mult * 2  # the same algebra over Q(zeta_2)
     bad[g, gg.even_subgroup.inverse[g]] += 1  # one term of <S_i, S_i^-1> becomes -1
     assert _closed_form_duals(replace(F, field=CycField(2), mult=bad)) == (None, i)
@@ -292,18 +295,18 @@ def test_frobenius_mutations_fail():
 
 
 def test_frobenius_check_rounding_bound_on_each_side():
-    """The bound 2 n max(n, iota, kappa)^2 (6L + 8n + 128) 2^-50 of the check's
-    docstring: split untwisted S3 has n = 6, L = 1, iota = 1 and kappa = 4, so
-    an involution scaled by s >= 6 has iota = s, and the bound is below 1/2
-    for 2184 s^2 < 2^49.  Just below, the check decides as the integer check
-    does; just above, it refuses before any verdict."""
+    """The bound 2 n max(n, iota, kappa)^2 (3L + 2 dim + 27) 2^-50 of the
+    check's docstring: split untwisted S3 has n = 6, L = 1, dim = 3, iota = 1
+    and kappa = 4, so an involution scaled by s >= 6 has iota = s, and the
+    bound is below 1/2 for 432 s^2 < 2^49.  Just below, the check decides as
+    the integer check does; just above, it refuses before any verdict."""
     from dataclasses import replace
 
     gg = split_grading(build_group("S3"))
     F = orbifold(turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2)))
-    assert (F.field.L, len(F.mult), int(abs(F.crosscap_coords).sum(-1).max())) == (1, 6, 4)
-    s = math.isqrt((2**49 - 1) // 2184)
-    assert 2184 * s**2 < 2**49 <= 2184 * (s + 1) ** 2
+    assert (F.field.L, len(F.mult), F.dim, int(abs(F.crosscap_coords).sum(-1).max())) == (1, 6, 3, 4)
+    s = math.isqrt((2**49 - 1) // 432)
+    assert 432 * s**2 < 2**49 <= 432 * (s + 1) ** 2
     below = replace(F, involution=s * F.involution)
     report = check_unoriented_frobenius(below)
     assert report == integer_check(below) and not report.ok
@@ -691,3 +694,45 @@ def test_a_product_with_an_ungraded_group_multiplies_the_invariant(h_name, g_nam
                 case = (gg, lam.vector().tolist(), surface.name)
                 assert partition_direct(prod, pulled, surface, field=F.field) == expected, case
                 assert partition_tqft(F, surface) == expected, case
+
+
+def relabelled(G, pi):
+    """The table of G with every element a renamed pi[a]."""
+    table = [[0] * G.order for _ in range(G.order)]
+    for a, b in itertools.product(range(G.order), repeat=2):
+        table[pi[a]][pi[b]] = pi[G.table[a][b]]
+    return FiniteGroup.from_table(table, name=G.name)
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8", "C4xC2"])
+def test_a_relabelled_table_gives_the_same_invariants(name):
+    """Relabel a 2-group's table by a seeded permutation fixing 0 and transport
+    each grading.  Per grading, H^1 and H^2 have the same invariant factors,
+    the classes' exact direct and cut-and-paste values on every surface form
+    the same multiset, and the verify-axioms checks give the same verdicts.
+    Relabelling moves the classes' least elements, so the flat sections are
+    numbered anew.  (Orders that are not prime powers wait on ROADMAP item 0.)"""
+    G = build_group(name)
+    pi = [0, *random.Random(26).sample(range(1, G.order), G.order - 1)]
+    R = relabelled(G, pi)
+    moved = [GradedGroup(R, tuple(gg.sign[pi.index(a)] for a in range(G.order))) for gg in enumerate_gradings(G)]
+    assert sorted(gg.sign for gg in moved) == [gg.sign for gg in enumerate_gradings(R)]
+    assert pi != list(range(G.order))
+    field = CycField(G.order)  # a class's L divides |G|
+
+    def exact(z):
+        return field.from_counts(z.counts, z.den)
+
+    for pair in zip(enumerate_gradings(G), moved):
+        found = []
+        for gg in pair:
+            values, verdicts = Counter(), Counter()
+            for lam in cohomology_classes(gg, 2)[0]:
+                T = _turaev_data(gg, lam)
+                F = orbifold(T)
+                direct = [exact(partition_direct(gg, lam, s, field=F.field)) for s in SURFACES]
+                values[tuple(zip(direct, (exact(partition_tqft(F, s)) for s in SURFACES)))] += 1
+                reports = check_turaev_axioms(T).entries + check_unoriented_frobenius(F).entries
+                verdicts[tuple((condition, ok) for condition, ok, _ in reports)] += 1
+            found.append(([cohomology_classes(gg, d)[1] for d in (1, 2)], values, verdicts))
+        assert found[0] == found[1], pair[0]
