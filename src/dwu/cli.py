@@ -11,6 +11,7 @@ from __future__ import annotations
 import _sha1
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -251,7 +252,7 @@ def cmd_partition(args, emitter: Emitter) -> int:
     for name in names:
         for gi, gg in _resolve_gradings(name, args.grading, args.cap):
             for ci, lam in _resolve_classes(gg, args):
-                rep = consistency_report(gg, lam, surfaces, tol=args.tol, budget=args.budget)
+                rep = consistency_report(gg, lam, surfaces, budget=args.budget)
                 for row in rep["rows"]:
                     direct, tqft, verlinde = row.as_complex
                     record = {"group": name, "grading": gi, "class": ci, "surface": row.surface}
@@ -275,6 +276,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dwu",
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="cocycle class index or 'all'",
             )
             p.add_argument("--cocycle-file", default=None, help="JSON cocycle file overriding --class")
-        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--tol", type=float, default=1e-6, help="accepted; has no effect")
         p.add_argument("--seed", type=int, default=12345, help="accepted; has no effect")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -129,15 +129,6 @@ class TwistedCochain:
     def __sub__(self, other: "TwistedCochain") -> "TwistedCochain":
         return self._combine(other, -1)
 
-    def _key(self) -> tuple:
-        return (self.group, self.signs, self.degree, self.N, self.table.tobytes())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwistedCochain) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def is_zero(self) -> bool:
         return not self.table.any()
 

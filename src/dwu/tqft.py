@@ -6,8 +6,8 @@ Routes:
             one handle or crosscap at a time on counts per prefix (exact)
   tqft      cut-and-paste on the orbifold Frobenius algebra: counit of
             Handle^g(unit) or of Q^k (exact, same cyclotomic field)
-  verlinde  |G|^(-chi) sum over blocks of (nu dim)^chi (floating, via the
-            block eigenproblem)
+  verlinde  |G|^(-chi) sum over blocks of (nu dim)^chi (exact, from the
+            blocks' integer (dim, nu); the eigenproblem only finds the blocks)
 
 The equivariant algebra has one-dimensional graded pieces A_g = C l_g, so all
 of its structure constants are single roots of unity, held as exponent tables.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -705,24 +706,25 @@ def partition_tqft(F: UnorientedFrobeniusData, surface: Surface) -> CycNum:
     return F.vec_counit(powers[kind, surface.param])
 
 
-def partition_verlinde(block_list: list[BlockData], surface: Surface) -> complex:
-    """|G|^(-chi) sum over blocks of (nu dim)^chi, dims-only when orientable."""
+def partition_verlinde(block_list: list[BlockData], surface: Surface) -> Fraction:
+    """|G|^(-chi) sum over blocks of (nu dim)^chi, dims-only when orientable,
+    exactly.  A value past the float range raises OverflowError, as does a
+    genus so large that |G|^chi underflows; that is decided before any power
+    is formed."""
     n = sum(b.dimension**2 for b in block_list)
     chi = surface.euler_characteristic
-    total = 0.0
-    for b in block_list:
-        if surface.orientable:
-            total += float(b.dimension) ** chi
-        else:
-            if b.indicator is None:
-                raise ValueError("blocks need indicators for nonorientable surfaces")
-            if b.indicator == 0:
-                continue  # 0^0 := 0 at chi = 0; zero for every other chi too
-            total += float(b.indicator * b.dimension) ** chi
-    scale = float(n) ** chi
-    if not scale or abs(total / scale) == float("inf"):
-        raise OverflowError(f"|G|^-chi = {n}^{-chi} is beyond the float range")
-    return complex(total / scale)
+    if not surface.orientable and any(b.indicator is None for b in block_list):
+        raise ValueError("blocks need indicators for nonorientable surfaces")
+    past = f"|G|^-chi = {n}^{-chi} is beyond the float range"
+    if not float(n) ** chi:
+        raise OverflowError(past)
+    weights = (b.dimension if surface.orientable else b.indicator * b.dimension for b in block_list)
+    total = sum((Fraction(w, n) ** chi for w in weights if w), Fraction(0))  # 0^0 := 0 at chi = 0
+    try:
+        float(total)
+    except OverflowError:
+        raise OverflowError(past) from None
+    return total
 
 
 def kr_rank(GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField | None = None) -> CycNum:
@@ -754,29 +756,35 @@ def one_loop(
 @dataclass(frozen=True)
 class IdentityRow:
     """One compared identity: an exact direct value against an exact value by
-    another route, and the floating Verlinde value where the surface has one."""
+    another route, and the exact Verlinde value where the surface has one."""
 
     surface: str  # a surface name, "one-loop-identity" or "crosscap-trace"
     direct: CycNum
     tqft: CycNum
-    verlinde: complex | None = None
+    verlinde: Fraction | None = None
 
     @functools.cached_property
     def as_complex(self) -> tuple:
         """(direct, tqft, verlinde) as complex numbers, each converted once."""
-        return self.direct.to_complex(), self.tqft.to_complex(), self.verlinde
+        v = None if self.verlinde is None else complex(self.verlinde)
+        return self.direct.to_complex(), self.tqft.to_complex(), v
 
     @property
     def max_delta(self) -> float:
         d, t, v = self.as_complex
         return abs(d - t) if v is None else max(abs(d - t), abs(d - v))
 
+    @property
+    def agrees(self) -> bool:
+        """direct == tqft, and == Verlinde where there is one, exactly."""
+        v = self.verlinde
+        return self.direct == self.tqft and (v is None or self.direct == self.direct.field.from_rational(v))
+
 
 def consistency_report(
     GG: GradedGroup,
     lambda_hat: TwistedCochain,
     surfaces: list[Surface],
-    tol: float = 1e-6,
     budget: int | None = None,
 ) -> dict:
     """Every compared identity of one class, as IdentityRows.
@@ -785,11 +793,11 @@ def consistency_report(
     then "one-loop-identity", one_loop against the KR rank, and
     "crosscap-trace", Z(RP2) against counit(Q).  Exact values lie in the
     orbifold's field, the direct ones read from partition_direct's walk cache.
-    max_delta is the largest row delta; ok means max_delta < tol and the
-    unoriented Frobenius checks pass (axioms_ok); blocks lists (dimension,
-    indicator).  Every Verlinde value is formed first, so a surface beyond
-    the float range raises OverflowError before any exact route (or its
-    budget check) runs.
+    ok means every row agrees exactly and the unoriented Frobenius checks
+    pass (axioms_ok); max_delta, the largest row delta as floats, is only
+    printed; blocks lists (dimension, indicator).  Every Verlinde value is
+    formed first, so a surface beyond the float range raises OverflowError
+    before any exact route (or its budget check) runs.
     """
     from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 
@@ -806,11 +814,10 @@ def consistency_report(
     kr = kr_rank(GG, lambda_hat, field=F.field)
     rows.append(IdentityRow("one-loop-identity", one_loop(GG, lambda_hat, field=F.field, budget=budget), kr))
     rows.append(IdentityRow("crosscap-trace", direct(RP2), partition_tqft(F, RP2)))
-    max_delta = max(row.max_delta for row in rows)
     return {
         "rows": rows,
         "blocks": [(b.dimension, b.indicator) for b in bl],
         "axioms_ok": frob_report.ok,
-        "max_delta": max_delta,
-        "ok": max_delta < tol and frob_report.ok,
+        "max_delta": max(row.max_delta for row in rows),
+        "ok": frob_report.ok and all(row.agrees for row in rows),
     }

@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -9,10 +11,13 @@ import pkgutil
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import flipped_kr_rank
 
 from dwu.cli import Emitter, _fingerprint, load_manifest, main
@@ -347,6 +352,35 @@ def test_partition_output_is_golden(capsys, monkeypatch, extra, expected_code, g
     code, out = run(capsys, "partition", "--group", "D8", "--grading", "0", "--class", "all", *extra)
     assert code == expected_code
     assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
+
+
+@pytest.mark.parametrize("route", ["partition_tqft", "partition_verlinde"])
+def test_a_shift_below_the_float_spacing_fails(capsys, monkeypatch, route):
+    """|Z(Sigma_10)| is about 8.0e19 for untwisted S4, so a shift of 1/24^10
+    vanishes in floats (max_delta stays 0.0); the exact verdict still fails."""
+    import dwu.tqft
+
+    shift, route_fn = Fraction(1, 24**10), getattr(dwu.tqft, route)
+
+    def shifted(*args):
+        z = route_fn(*args)
+        return z + (shift if route == "partition_verlinde" else z.field.from_rational(shift))
+
+    argv = ["partition", "--group", "S4", "--grading", "0", "--class", "0", "--surfaces", "Sigma_g=10"]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(f"dwu.tqft.{route}", shifted)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert jsonl(out)[0]["max_delta"] == 0.0
+
+
+@pytest.mark.parametrize("golden", ["partition_D8_g0_all.jsonl", "partition_D8_g0_all_flip_tau.jsonl"])
+@pytest.mark.parametrize("tol", ["1e300", "1e-300"])
+def test_tol_has_no_effect(capsys, monkeypatch, golden, tol):
+    if golden.endswith("_flip_tau.jsonl"):
+        monkeypatch.setattr("dwu.tqft.kr_rank", flipped_kr_rank)
+    argv = ["partition", "--group", "D8", "--grading", "0", "--class", "all"]
+    assert run(capsys, *argv, "--tol", tol) == run(capsys, *argv)
 
 
 @pytest.mark.parametrize("group", ["Q8xC2", "D16", "C2xC2xC2", "C4xC4", "D12", "S3xC2", "C12"])
@@ -840,3 +874,76 @@ def test_the_cli_enters_every_module_function_but_the_listed_ones(tmp_path, caps
     namespace = {}
     exec("from dwu import *", namespace)
     assert set(dwu.__all__) <= namespace.keys()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+COCHAIN = st.fixed_dictionaries(
+    {"degree": st.integers(-1, 3) | JSON, "denominator": st.sampled_from([1, 2, 4, 2**31, 2**40]) | JSON},
+    optional={
+        "group": st.sampled_from(["D8", "C4", 8]),
+        "values": st.dictionaries(st.sampled_from(["", "0", "1", "1,2", "01", "1,,2", "3,5", "99,1"]), JSON, max_size=4),
+    },
+)
+VALID_GROUPS = st.sampled_from(load_manifest()["groups"] + ["S3", "D6", "C3", "C1", "C2xC2xC3"])
+GROUPS = VALID_GROUPS | VALID_GROUPS | st.sampled_from(
+    ["C2x", "x", "D0", "S5", "C0", "C17", "D18", "C4xC8", "S4xC2", "Q8xQ8", "C100000", "", "D7"]
+)
+INDICES = st.sampled_from(["all", "x", "", "-1"]) | st.integers(0, 40).map(str)
+SURFACE = st.sampled_from(["S2", "T2", "RP2", "K", "N_k=0", "Sigma_g=", "N_k=", " ", "", "P"]) | st.builds(
+    "{}={}".format, st.sampled_from(["Sigma_g", "N_k"]), st.integers(0, 8)
+)
+NUMBERS = st.sampled_from(["1", "2", "1e-6", "1e300"]) | st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "abc"])
+FLAGS = {
+    "--grading": INDICES,
+    "--class": INDICES,
+    "--surfaces": st.lists(SURFACE, max_size=4).map(",".join),
+    "--degree": NUMBERS,
+    "--tol": NUMBERS,
+    "--cap": st.sampled_from(["16", "12"]) | st.integers(-1, 16).map(str),
+    "--budget": st.integers(-1, 200_000).map(str),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--cocycle-file": st.just("cocycle"),
+}
+COMMAND_FLAGS = {
+    "gradings": ["--tol", "--budget", "--format"],
+    "cohomology": ["--grading", "--degree", "--tol", "--budget", "--format"],
+    "partition": ["--grading", "--class", "--surfaces", "--tol", "--budget", "--format", "--cocycle-file"],
+    "indicators": ["--grading", "--class", "--tol", "--budget", "--cocycle-file"],
+    "verify-axioms": ["--grading", "--class", "--budget", "--cocycle-file"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command, "--group", draw(GROUPS), "--cap", draw(FLAGS["--cap"])]  # the default cap is 32
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), unique=True)):
+        argv += [flag, draw(FLAGS[flag])]
+    return argv, draw(COCHAIN | JSON)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_every_cli_argv_exits_with_a_documented_code(tmp_path_factory, drawn):
+    """Any argv of the grammar exits 0-3 without a traceback (an exception
+    escaping main fails the test); exits 2 and 3 write exactly one stderr
+    line with their prefix."""
+    argv, cochain = drawn
+    path = tmp_path_factory.getbasetemp() / "cocycle.json"
+    path.write_text(json.dumps(cochain))
+    argv = [str(path) if arg == "cocycle" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (2, 3):
+        prefix = {2: "usage error:", 3: "resource error:"}[code]
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), (argv, err.getvalue())
