@@ -159,8 +159,8 @@ def cmd_gradings(args, emitter: Emitter) -> int:
             {
                 "group": args.group,
                 "grading": i,
-                "sign": list(gg.sign),
-                "even_part": list(gg.even_part),
+                "sign": gg.sign.tolist(),
+                "even_part": gg.even_part.tolist(),
                 "split": gg.is_split(),
             }
         )

@@ -32,13 +32,14 @@ from dwu.intlinalg import SparseRows, kernel_mod, quotient_invariants, solve_mod
 from dwu.phases import Phase
 
 
-def _group_signs(ref) -> tuple[FiniteGroup, tuple]:
+def _group_signs(ref) -> tuple[FiniteGroup, np.ndarray]:
+    """(group, signs): the grading's signs, or all ones for an ungraded group."""
     if isinstance(ref, tuple):
         return ref
     if isinstance(ref, GradedGroup):
         return ref.group, ref.sign
     if isinstance(ref, FiniteGroup):
-        return ref, (1,) * ref.order
+        return ref, np.broadcast_to(np.int64(1), ref.order)  # a read-only view
     raise TypeError(f"expected FiniteGroup or GradedGroup, got {type(ref)}")
 
 
@@ -59,7 +60,7 @@ class TwistedCochain:
     the lcm of the reduced denominators."""
 
     group: FiniteGroup
-    signs: tuple
+    signs: np.ndarray  # read-only +-1 per element of group
     degree: int
     N: int
     table: np.ndarray  # int64, shape (|G^|,)*degree, entries in [0, N)
@@ -116,8 +117,8 @@ class TwistedCochain:
         return Phase(int(self.table[tuple(tup)]), self.N)
 
     def _combine(self, other: "TwistedCochain", sign: int) -> "TwistedCochain":
-        base = (self.degree, self.group.table, self.signs)
-        if base != (other.degree, other.group.table, other.signs):
+        same = np.array_equal(self.group.table, other.group.table) and np.array_equal(self.signs, other.signs)
+        if self.degree != other.degree or not same:
             raise ValueError("cochains live on different graded groups or degrees")
         N = math.lcm(self.N, other.N)
         table = self.table * (N // self.N) + sign * other.table * (N // other.N)
@@ -153,12 +154,12 @@ def _bar_faces(group: FiniteGroup, signs, degree: int, first=None) -> SparseRows
     first = np.arange(1, n) if first is None else np.asarray(first)
     w = np.indices((len(first),) + (n - 1,) * degree).reshape(degree + 1, -1) + 1
     w[0], m = first[w[0] - 1], w.shape[1]
-    mul = group.table_array
+    mul = group.table
     inner = ([*w[: j - 1], mul[w[j - 1], w[j]], *w[j + 1 :]] for j in range(1, degree + 1))
     faces = np.array([w[1:], *inner, w[:-1]]).reshape(degree + 2, degree, m)
     strides = (n - 1) ** np.arange(degree - 1, -1, -1)
     idx = (np.maximum(faces - 1, 0) * strides[:, None]).sum(axis=1).T
-    sign = [np.asarray(signs, dtype=np.int64)[w[0]], *(-1) ** np.arange(1, degree + 2)[:, None]]
+    sign = [signs[w[0]], *(-1) ** np.arange(1, degree + 2)[:, None]]
     coef = np.stack(np.broadcast_arrays(*sign), axis=1) * (faces > 0).all(axis=1).T
     return SparseRows(idx, coef, (n - 1) ** degree)
 
@@ -175,8 +176,8 @@ def _cocycle_equations(group: FiniteGroup) -> np.ndarray:
     the earlier rows vanish on, and an elimination in row order never pivots
     on it.  The signs enter only as that +-1."""
     x = np.arange(group.order)
-    mul = group.table_array
-    lower = (mul < x) | (mul[list(group.inverse)] < x)  # [a, x]: a*x or a^-1*x before x
+    mul = group.table
+    lower = (mul < x) | (mul[group.inverse] < x)  # [a, x]: a*x or a^-1*x before x
     return x[~(lower & (x[:, None] < x)).any(axis=0)][1:]
 
 
@@ -274,9 +275,8 @@ def _invariant_factor_chain(factors) -> list[int]:
 def restrict_to_even(c: TwistedCochain, GG: GradedGroup) -> TwistedCochain:
     """Restriction to the even subgroup; the twist disappears there.  d
     commutes with restriction, so a checked cocycle restricts to one."""
-    sub = GG.even_subgroup
     table = c.table[np.ix_(*[GG.even_part] * c.degree)]
-    out = TwistedCochain(sub, (1,) * sub.order, c.degree, c.N, table)
+    out = TwistedCochain(*_group_signs(GG.even_subgroup), c.degree, c.N, table)
     if getattr(c, "_is_cocycle", False):  # set by transgression.require_cocycle
         object.__setattr__(out, "_is_cocycle", True)
     return out

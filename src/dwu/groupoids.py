@@ -27,14 +27,14 @@ class ActionGroupoid:
     _index: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        H = self.acting_group
+        H, table = self.acting_group, self.acting_group.table.tolist()
         for x in self.carrier:
             if self.action[(0, x)] != x:
                 raise ValueError(f"identity does not fix {x}")
         for h1 in range(H.order):
             for h2 in range(H.order):
                 for x in self.carrier:
-                    if self.action[(h2, self.action[(h1, x)])] != self.action[(H.table[h2][h1], x)]:
+                    if self.action[(h2, self.action[(h1, x)])] != self.action[(table[h2][h1], x)]:
                         raise ValueError(f"action law fails at {(h2, h1, x)}")
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.carrier)})
 
@@ -96,7 +96,7 @@ def orbits(points, group_order: int, act) -> list[tuple]:
 def double_real_loop(GG: GradedGroup) -> ActionGroupoid:
     """The pairs (g, w), g even, with w g^{sign w} w^-1 = g, the whole group
     acting by Real conjugation on g and conjugation on w."""
-    G, even, sub_of = GG.group, GG.even_part, GG.even_index
+    G, even, sub_of = GG.group, GG.even_part.tolist(), GG.even_index.tolist()
     rc, conj = GG.real_conjugation.tolist(), G.conjugation.tolist()
     carrier = [(g, w) for i, g in enumerate(even) for w in range(G.order) if rc[w][i] == g]
 

@@ -1,7 +1,9 @@
 """Finite groups as dense multiplication tables, Z2-gradings, and a small catalog.
 
 Elements are indices 0..n-1 with 0 the identity; every other module works with
-indices only.  A GradedGroup packages a surjective sign homomorphism to {+1,-1}
+indices only, read from read-only int64 arrays: a group's table and a grading's
+sign, even part, even index and odd part.  Groups and gradings compare and hash
+by identity.  A GradedGroup packages a surjective sign homomorphism to {+1,-1}
 together with the even part as a re-indexed subgroup.  enumerate_gradings lists
 them in closed form, as the nonzero characters of G/<g^2>: a sign kills every
 square, and every commutator is a product of squares, so no commutator is formed.
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_ORDER_CAP = 32
+SLAB = 1 << 20  # entries per temporary of the associativity check
 
 
 class GroupAxiomError(ValueError):
@@ -43,101 +46,109 @@ def require_order(order: int, cap: int) -> None:
         raise ResourceBudgetError(f"group order {order} exceeds cap {cap}")
 
 
+def _read_only(a) -> np.ndarray:
+    out = np.array(a, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def verify_group_axioms(table) -> None:
-    """Raise GroupAxiomError unless table is a group with identity at index 0."""
+    """Raise GroupAxiomError unless table is a group with identity at index 0.
+    The witness is the first failure in the order of the scalar checks."""
     n = len(table)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise GroupAxiomError("shape", (i, len(row)))
-        for v in row:
-            if not (0 <= v < n):
-                raise GroupAxiomError("closure", (i, v))
-    for g in range(n):
-        if table[0][g] != g or table[g][0] != g:
-            raise GroupAxiomError("identity", (g,))
-    for g in range(n):
-        row = set(table[g])
-        col = {table[h][g] for h in range(n)}
-        if len(row) != n or len(col) != n:
-            raise GroupAxiomError("cancellation", (g,))
-    for g in range(n):
-        if all(table[g][h] != 0 for h in range(n)):
-            raise GroupAxiomError("inverses", (g,))
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise GroupAxiomError("associativity", (a, b, c))
+    ragged = [i for i, row in enumerate(table) if len(row) != n]
+    rows = ragged[0] if ragged else n  # shape and closure run row by row
+    t = np.array(table[:rows], dtype=np.int64).reshape(rows, n)
+    outside = (t < 0) | (t >= n)
+    if outside.any():
+        i, j = divmod(int(outside.argmax()), n)
+        raise GroupAxiomError("closure", (i, int(t[i, j])))
+    if ragged:
+        raise GroupAxiomError("shape", (rows, len(table[rows])))
+    x = np.arange(n)
+    for axiom, bad in (
+        ("identity", (t[0] != x) | (t[:, 0] != x)),
+        # a row or column is a permutation when it sorts to 0..n-1
+        ("cancellation", (np.sort(t, 1) != x).any(1) | (np.sort(t, 0) != x[:, None]).any(0)),
+        ("inverses", ~(t == 0).any(axis=1)),
+    ):
+        if bad.any():
+            raise GroupAxiomError(axiom, (int(bad.argmax()),))
+    step = max(1, SLAB // max(n * n, 1))
+    for a0 in range(0, n, step):
+        bad = t[t[a0 : a0 + step]] != t[x[a0 : a0 + step, None, None], t]  # [a, b, c]: (ab)c != a(bc)
+        if bad.any():
+            a, b, c = np.unravel_index(int(bad.argmax()), bad.shape)
+            raise GroupAxiomError("associativity", (a0 + int(a), int(b), int(c)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite group given by its multiplication table; identity is index 0."""
+    """A finite group given by its multiplication table [a, b] = ab, a
+    read-only int64 array; identity is index 0."""
 
     order: int
-    table: tuple
+    table: np.ndarray
     name: str = "G"
-    inverse: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.inverse is None:
-            object.__setattr__(self, "inverse", tuple(row.index(0) for row in self.table))
+        object.__setattr__(self, "table", _read_only(self.table))
 
     @classmethod
     def from_table(cls, table, name: str = "G", cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
         require_order(len(table), cap)
-        table = tuple(tuple(int(v) for v in row) for row in table)
         verify_group_axioms(table)
         return cls(order=len(table), table=table, name=name)
 
     @functools.cached_property
-    def table_array(self) -> np.ndarray:
-        """The multiplication table as a read-only array [a, b] = ab."""
-        out = np.array(self.table)
-        out.flags.writeable = False
-        return out
+    def inverse(self) -> np.ndarray:
+        """The read-only array [g] = g^-1, the column of row g's least entry 0."""
+        return _read_only(self.table.argmin(axis=1))
 
     @functools.cached_property
     def conjugation(self) -> np.ndarray:
         """The read-only table [h, g] = h g h^-1."""
-        table = self.table_array
-        out = table[table, np.asarray(self.inverse)[:, None]]
-        out.flags.writeable = False
-        return out
+        return _read_only(self.table[self.table, self.inverse[:, None]])
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedGroup:
-    """A finite group with a surjective sign homomorphism to {+1, -1}."""
+    """A finite group with a surjective sign homomorphism to {+1, -1}.  The
+    sign, the even part, the even index (hat index -> even index or -1) and
+    the odd part are read-only int64 arrays, derived once."""
 
     group: FiniteGroup
-    sign: tuple  # per-element +1/-1
-    even_part: tuple = field(default=None, compare=False)
-    even_subgroup: FiniteGroup = field(default=None, compare=False)
-    even_index: tuple = field(default=None, compare=False)  # hat index -> even index or -1
+    sign: np.ndarray  # per-element +1/-1
+    even_part: np.ndarray = field(init=False)
+    even_index: np.ndarray = field(init=False)
+    even_subgroup: FiniteGroup = field(init=False)
+    _odd: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        G = self.group
-        if self.sign[0] != 1:
+        G, given = self.group, np.asarray(self.sign)
+        if given.shape != (G.order,):
+            raise ValueError(f"sign needs {G.order} entries, one per element of {G.name}; got shape {given.shape}")
+        bad = (given != 1) & (given != -1)
+        if bad.any():
+            g = int(bad.argmax())
+            raise ValueError(f"sign entries must be +1 or -1, got {given[g].item()!r} at element {g}")
+        sign = _read_only(given)
+        if sign[0] != 1:
             raise ValueError("sign of identity must be +1")
-        sign = np.asarray(self.sign)
-        bad = sign[G.table_array] != np.outer(sign, sign)
+        bad = sign[G.table] != np.outer(sign, sign)
         if bad.any():  # the witness is the first failing (a, b) in row-major order
             raise ValueError(f"sign is not a homomorphism at {divmod(int(bad.argmax()), G.order)}")
-        if all(s == 1 for s in self.sign):
+        if (sign == 1).all():
             raise ValueError("sign must be surjective (nontrivial grading)")
-        even = tuple(g for g in range(G.order) if self.sign[g] == 1)
-        object.__setattr__(self, "even_part", even)
-        idx = [-1] * G.order
-        for i, g in enumerate(even):
-            idx[g] = i
-        object.__setattr__(self, "even_index", tuple(idx))
-        sub_table = tuple(map(tuple, np.asarray(idx)[G.table_array[np.ix_(even, even)]].tolist()))
-        sub = FiniteGroup(order=len(even), table=sub_table, name=G.name + "_even")
+        even, index = np.flatnonzero(sign == 1), np.full(G.order, -1)
+        index[even] = np.arange(len(even))
+        sub = FiniteGroup(order=len(even), table=index[G.table[np.ix_(even, even)]], name=G.name + "_even")
+        derived = {"sign": sign, "even_part": even, "even_index": index, "_odd": np.flatnonzero(sign == -1)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, _read_only(value))
         object.__setattr__(self, "even_subgroup", sub)
 
     @property
@@ -148,21 +159,19 @@ class GradedGroup:
     def real_conjugation(self) -> np.ndarray:
         """The read-only table [w, i] = w g_i^{sign w} w^-1 (an element of the
         ambient group) for the i-th even element g_i."""
-        G, even = self.group, np.asarray(self.even_part)
-        g = np.where(np.asarray(self.sign)[:, None] == 1, even, np.asarray(G.inverse)[even])
-        out = G.conjugation[np.arange(G.order)[:, None], g]
-        out.flags.writeable = False
-        return out
+        G, even = self.group, self.even_part
+        g = np.where(self.sign[:, None] == 1, even, G.inverse[even])
+        return _read_only(G.conjugation[np.arange(G.order)[:, None], g])
 
-    def odd_part(self) -> tuple:
-        return tuple(g for g in range(self.group.order) if self.sign[g] == -1)
+    def odd_part(self) -> np.ndarray:
+        return self._odd
 
     def is_split(self) -> bool:
         """True iff some odd element squares to the identity."""
-        return any(self.group.table[s][s] == 0 for s in self.odd_part())
+        return bool((self.group.table[self._odd, self._odd] == 0).any())
 
     def __repr__(self):
-        evens = ",".join(str(g) for g in self.even_part)
+        evens = ",".join(map(str, self.even_part.tolist()))
         return f"GradedGroup({self.group.name}, even={{{evens}}})"
 
 
@@ -197,7 +206,7 @@ def enumerate_gradings(G_hat: FiniteGroup) -> list[GradedGroup]:
     doubles it: its products with the span get the codes so far plus
     len(code).  The character of mask m is g -> (-1)^popcount(code[gK] & m).
     """
-    table = G_hat.table_array
+    table = G_hat.table
     K = np.zeros(G_hat.order, bool)
     K[table.diagonal()] = True
     # pass p leaves every product of up to 2^p squares; n - 1 reach all of <g^2>
@@ -207,12 +216,13 @@ def enumerate_gradings(G_hat: FiniteGroup) -> list[GradedGroup]:
     code = {0: 0}
     for q in sorted(set(label)):
         if q not in code:
-            code.update({label[G_hat.table[q][s]]: c + len(code) for s, c in code.items()})
+            code.update({label[table[q, s]]: c + len(code) for s, c in code.items()})
     r = len(code).bit_length() - 1
     bits = (np.array([code[q] for q in label])[:, None] >> np.arange(r)) & 1
     masks = (np.arange(1, len(code))[:, None] >> np.arange(r)) & 1
     signs = 1 - 2 * (masks @ bits.T % 2)
-    return [GradedGroup(group=G_hat, sign=sign) for sign in sorted(map(tuple, signs.tolist()))]
+    signs = signs[np.lexsort(signs.T[::-1])]  # rows in lexicographic order
+    return [GradedGroup(group=G_hat, sign=sign) for sign in signs]
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +233,19 @@ def cyclic(n: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic group order must be at least 1, got {n}")
     require_order(n, cap)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup.from_table(table, name=f"C{n}", cap=cap)
+    x = np.arange(n)
+    return FiniteGroup.from_table((x[:, None] + x) % n, name=f"C{n}", cap=cap)
 
 
 def dihedral(order: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Dihedral group of the given (even) order; r^i s^j with j in {0,1}."""
+    """Dihedral group of the given (even) order; r^i s^j is index i + n j, j in {0,1}."""
     if order % 2 or order < 2:
         raise ValueError("dihedral order must be even and >= 2")
     require_order(order, cap)
     n = order // 2
-
-    def idx(i, j):
-        return i + n * j
-
-    table = [[0] * order for _ in range(order)]
-    for i1, j1, i2, j2 in itertools.product(range(n), (0, 1), range(n), (0, 1)):
-        # (r^i1 s^j1)(r^i2 s^j2) = r^(i1 + (-1)^j1 i2) s^(j1+j2)
-        i = (i1 + (i2 if j1 == 0 else -i2)) % n
-        table[idx(i1, j1)][idx(i2, j2)] = idx(i, (j1 + j2) % 2)
+    j, i = np.divmod(np.arange(order), n)
+    # (r^i1 s^j1)(r^i2 s^j2) = r^(i1 + (-1)^j1 i2) s^(j1+j2)
+    table = (i[:, None] + (1 - 2 * j)[:, None] * i) % n + n * ((j[:, None] + j) % 2)
     return FiniteGroup.from_table(table, name=f"D{order}", cap=cap)
 
 
@@ -266,26 +270,16 @@ def symmetric(n: int) -> FiniteGroup:
     if n > 4:
         raise ValueError("symmetric group capped at n=4")
     perms = sorted(itertools.permutations(range(n)))
-
-    def compose(p, q):  # (p*q)(x) = p(q(x))
-        return tuple(p[q[x]] for x in range(n))
-
-    table = [[perms.index(compose(p, q)) for q in perms] for p in perms]
+    # (p*q)(x) = p(q(x))
+    table = [[perms.index(tuple(p[x] for x in q)) for q in perms] for p in perms]
     return FiniteGroup.from_table(table, name=f"S{n}")
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     n, m = A.order, B.order
     require_order(n * m, cap)
-
-    def idx(a, b):
-        return a * m + b
-
-    table = [
-        [idx(A.table[a1][a2], B.table[b1][b2]) for a2 in range(n) for b2 in range(m)]
-        for a1 in range(n)
-        for b1 in range(m)
-    ]
+    # [(a1, b1), (a2, b2)] = (a1 a2, b1 b2), each pair (a, b) at index a m + b
+    table = (A.table[:, None, :, None] * m + B.table[None, :, None, :]).reshape(n * m, n * m)
     return FiniteGroup.from_table(table, name=f"{A.name}x{B.name}", cap=cap)
 
 
@@ -315,5 +309,4 @@ def build_group(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def split_grading(G: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> GradedGroup:
     """The split structure G x C2 graded by the second factor."""
     prod = direct_product(G, cyclic(2), cap=cap)
-    sign = tuple(1 if b % 2 == 0 else -1 for a in range(G.order) for b in range(2))
-    return GradedGroup(group=prod, sign=sign)
+    return GradedGroup(group=prod, sign=np.tile([1, -1], G.order))

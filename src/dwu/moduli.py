@@ -129,18 +129,14 @@ def parse_surface(spec: str) -> Surface:
 def word_value(group: FiniteGroup, word, holonomy, prefix=0):
     """The product prefix * word at this holonomy; the holonomy entries and
     prefix may be integer arrays, which broadcast."""
-    table, inv = group.table_array, np.asarray(group.inverse)
     for gen, exp in word:
-        prefix = table[prefix, holonomy[gen] if exp == 1 else inv[holonomy[gen]]]
+        prefix = group.table[prefix, holonomy[gen] if exp == 1 else group.inverse[holonomy[gen]]]
     return prefix
 
 
 def holonomy_points(surface: Surface, GG: GradedGroup, budget: int | None = None) -> list[tuple]:
     """All generator tuples satisfying the relator and orientation characters."""
-    pools = [
-        [g for g in range(GG.group.order) if GG.sign[g] == c]
-        for c in surface.generator_characters()
-    ]
+    pools = [np.flatnonzero(GG.sign == c).tolist() for c in surface.generator_characters()]
     require_budget("holonomy enumeration", math.prod(map(len, pools)), budget)
     tuples, out = itertools.product(*pools), []
     while chunk := list(itertools.islice(tuples, 1 << 16)):  # bounded memory

@@ -57,12 +57,12 @@ class TwistedGroupAlgebra:
 
     def __init__(self, GG: GradedGroup, lam: TwistedCochain):
         self.group = GG.even_subgroup
-        if lam.group.table != self.group.table or any(s != 1 for s in lam.signs):
+        if not np.array_equal(lam.group.table, self.group.table) or (lam.signs != 1).any():
             raise ValueError("lambda must be an untwisted cochain on the even subgroup")
         require_cocycle(lam)
         self.lam = lam
         self.dim = self.group.order
-        self.table = self.group.table_array
+        self.table = self.group.table
         self.phase = np.array([[root_of_unity(k, lam.N) for k in row] for row in lam.rows])
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -140,9 +140,9 @@ def crosscap_phase_table(GG: GradedGroup, lambda_hat: TwistedCochain) -> dict:
     """Exact Q data: even-subgroup index of s^2 -> list of the exponents of
     lambda^(s,s) mod lambda_hat.N."""
     require_cocycle(lambda_hat)
-    table: dict[int, list[int]] = {}
-    for s in GG.odd_part():
-        table.setdefault(GG.even_index[GG.group.table[s][s]], []).append(lambda_hat.rows[s][s])
+    odd, table = GG.odd_part(), {}
+    for g, k in zip(GG.even_index[GG.group.table[odd, odd]].tolist(), lambda_hat.table[odd, odd].tolist()):
+        table.setdefault(g, []).append(k)
     return table
 
 

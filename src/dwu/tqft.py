@@ -91,7 +91,7 @@ class TuraevAlgebraData:
         tables = [t * (L // self.L) for t in (self.mult, self.action, self.crosscap)]
         i, zero = kinds.index(kind), self.zero
         if kind == "crosscap":
-            key = self.GG.odd_part().index(key)
+            key = int(np.flatnonzero(self.GG.odd_part() == key)[0])
         if phase is None:
             zero = [np.array(z) for z in zero or [np.zeros(t.shape, bool) for t in tables]]
             zero[i][key] = True
@@ -120,7 +120,7 @@ def _turaev_data(GG: GradedGroup, lambda_hat: TwistedCochain) -> TuraevAlgebraDa
     counit instead)."""
     require_cocycle(lambda_hat)
     N, lam = lambda_hat.N, lambda_hat.table
-    even, odd = np.asarray(GG.even_part), np.asarray(GG.odd_part())
+    even, odd = GG.even_part, GG.odd_part()
     return TuraevAlgebraData(
         GG=GG,
         L=N,
@@ -156,11 +156,8 @@ def check_turaev_axioms(T: TuraevAlgebraData) -> CheckReport:
     indices named in the witness.
     """
     GG, L = T.GG, T.L
-    G = GG.group
-    n, odd = GG.even_subgroup.order, np.asarray(GG.odd_part())
-    Gt, Ginv = G.table_array, np.asarray(G.inverse)
-    St, Sinv = GG.even_subgroup.table_array, np.asarray(GG.even_subgroup.inverse)
-    hat, sub_of = np.asarray(GG.even_part), np.asarray(GG.even_index)
+    G, S, odd, hat, sub_of = GG.group, GG.even_subgroup, GG.odd_part(), GG.even_part, GG.even_index
+    n, Gt, Ginv, St, Sinv = S.order, G.table, G.inverse, S.table, S.inverse
     rc = sub_of[GG.real_conjugation]  # rc[w, g]: the even index of w.g
     conj = G.conjugation  # conj[h, x] = h x h^-1
 
@@ -231,7 +228,7 @@ def check_turaev_axioms(T: TuraevAlgebraData) -> CheckReport:
     def cond_viii():
         s = odd[None, :]
         s2 = sub_of[Gt[s, s]]
-        sprime = np.where(np.asarray(GG.sign)[w] == 1, conj[w, s], conj[w, Ginv[s]])
+        sprime = np.where(GG.sign[w] == 1, conj[w, s], conj[w, Ginv[s]])
         carrier = sub_of[Gt[sprime, sprime]] != rc[w, s2]
         hit = _first(carrier | _differ(_times(q(s), act(w, s2)), q(sprime), L))
         return None if hit is None else (hit[0], int(odd[hit[1]]))
@@ -387,7 +384,7 @@ class UnorientedFrobeniusData:
         held = np.flatnonzero(self.section >= 0)
         g, h, s, e = held[:, None], held, self.section, self.exponent
         out = np.zeros((self.dim, self.dim, len(self.mult), self.field.L), np.int64)
-        gh = self.GG.even_subgroup.table_array[g, h]
+        gh = self.GG.even_subgroup.table[g, h]
         np.add.at(out, (s[g], s[h], gh, (e[g] + e[h] + self.mult[g, h]) % self.field.L), 1)
         return out
 
@@ -395,7 +392,7 @@ class UnorientedFrobeniusData:
     def _factors(self):
         """h[g, k] = g^-1 k, so that l_g l_h lands on l_k, and shift[g, k] = mult[g, h]."""
         sub = self.GG.even_subgroup
-        h = sub.table_array[np.asarray(sub.inverse)[:, None], np.arange(sub.order)]
+        h = sub.table[sub.inverse[:, None], np.arange(sub.order)]
         return h, np.take_along_axis(self.mult, h, axis=1)
 
     @functools.cached_property
@@ -444,7 +441,7 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
     if T.zero is not None:
         raise ValueError("the orbifold needs every structure constant to be a root of unity")
     GG, L = T.GG, T.L
-    G, hat, odd = GG.group, list(GG.even_part), list(GG.odd_part())
+    G, hat, odd = GG.group, GG.even_part, GG.odd_part()
     n = GG.even_subgroup.order
     field = CycField(L)
     section, exponent = flat_sections(GG.even_subgroup, T.action[hat], L)
@@ -460,9 +457,8 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
         involution=np.zeros((dim, dim, L), np.int64),
         crosscap_coords=np.zeros((dim, L), np.int64),
     )
-    sub_of = np.asarray(GG.even_index)
     # src[w, t]: the even g with w.g = t
-    src = np.argsort(sub_of[GG.real_conjugation], axis=-1)
+    src = np.argsort(GG.even_index[GG.real_conjugation], axis=-1)
     shift = np.take_along_axis(T.action, src, axis=-1)
 
     def act(w, v):
@@ -473,7 +469,7 @@ def orbifold(T: TuraevAlgebraData) -> UnorientedFrobeniusData:
 
     # crosscap section: g -> sum over odd s with s^2 = g of Q_s
     cc = np.zeros((n, L), np.int64)
-    np.add.at(cc, (sub_of[G.table_array[odd, odd]], T.crosscap), 1)
+    np.add.at(cc, (GG.even_index[G.table[odd, odd]], T.crosscap), 1)
     cc_coords = _coords_or_error(F, cc, "crosscap")
 
     # involution: restriction of the odd action to sections, one matrix per
@@ -507,7 +503,7 @@ def _closed_form_duals(F: UnorientedFrobeniusData):
     terms differ.
     """
     n, L, s, reps = len(F.mult), F.field.L, F.section, F.reps
-    inv = np.asarray(F.GG.even_subgroup.inverse)
+    inv = F.GG.even_subgroup.inverse
     term = (F.exponent + F.exponent[inv] + F.mult[np.arange(n), inv]) % L  # g's term
     bad = (s >= 0) & ((s[inv] < 0) | (term != term[reps][s]))
     if bad.any():
@@ -656,11 +652,11 @@ def partition_direct(
     """
     require_cocycle(lambda_hat)
     N, n = lambda_hat.N, GG.even_subgroup.order
-    even, sub_of = np.asarray(GG.even_part), np.asarray(GG.even_index)
+    even, sub_of = GG.even_part, GG.even_index
     if surface.orientable:
         piece, holonomy = TORUS, (even[:, None], even)
     else:
-        piece, holonomy = RP2, (np.asarray(GG.odd_part()),)
+        piece, holonomy = RP2, (GG.odd_part(),)
     choices = np.broadcast(*holonomy).size
     require_budget("transfer table", n * choices, budget)
     walks = vars(lambda_hat).setdefault("_walks", {})
@@ -733,9 +729,8 @@ def kr_rank(GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField | None 
     require_cocycle(lambda_hat)
     field = field or CycField(lambda_hat.N)
     # the double loop carrier: the pairs (g, w), g even, with w.g = g
-    even = np.asarray(GG.even_part)
-    w, i = np.nonzero(GG.real_conjugation == even)
-    k = tau_ref(lambda_hat, GG).table[w, even[i]]  # the root zeta_N^k per point
+    w, i = np.nonzero(GG.real_conjugation == GG.even_part)
+    k = tau_ref(lambda_hat, GG).table[w, GG.even_part[i]]  # the root zeta_N^k per point
     counts = np.bincount(k * field.L // lambda_hat.N % field.L, minlength=field.L)
     return field.from_counts(counts, GG.group.order)
 

@@ -64,10 +64,8 @@ class LoopCocycle:
 
     def check_cocycle_law(self) -> bool:
         """value(w2 w1, g) = value(w2, w1.g) + value(w1, g) for all w1, w2, g."""
-        GG = self.graded_group
-        even = list(GG.even_part)
-        t = self.table
-        lhs = t[GG.group.table_array][:, :, even]  # [w2, w1, g]
+        GG, t, even = self.graded_group, self.table, self.graded_group.even_part
+        lhs = t[GG.group.table][:, :, even]  # [w2, w1, g]
         rhs = t[:, GG.real_conjugation] + t[:, even]
         return not ((lhs - rhs) % self.N).any()
 
@@ -79,12 +77,10 @@ def tau_ref(lambda_hat: TwistedCochain, GG: GradedGroup) -> LoopCocycle:
     computed = vars(lambda_hat).setdefault("_tau_ref", {})
     if GG in computed:
         return computed[GG]
-    G = GG.group
-    lam = lambda_hat.table
-    inv = np.asarray(G.inverse)
+    G, lam, inv = GG.group, lambda_hat.table, GG.group.inverse
     w = np.arange(G.order)[:, None]
-    g = np.asarray(GG.even_part)[None, :]
-    odd = np.asarray(GG.sign)[w] == -1
+    g = GG.even_part[None, :]
+    odd = GG.sign[w] == -1
     table = np.zeros((G.order, G.order), dtype=np.int64)
     table[:, GG.even_part] = (
         lam[GG.real_conjugation, w] - lam[w, np.where(odd, inv[g], g)] - odd * lam[inv[g], g]
@@ -103,7 +99,7 @@ def relator_pairing(cochain: TwistedCochain, surface: Surface, holonomy, prefix=
     The fan starts at prefix: with prefix p the value is that of the relator
     word read after a word of product p, one piece of a longer relator.  The
     holonomy entries and prefix may be integer arrays, which broadcast."""
-    table, inv = cochain.group.table_array, np.asarray(cochain.group.inverse)
+    table, inv = cochain.group.table, cochain.group.inverse
     lam = cochain.table
     acc = 0
     for gen, exp in surface.relator():

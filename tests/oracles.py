@@ -28,6 +28,14 @@ check the twisted group algebra against.
 Cochains and groups.  Random cochains, the pullback of an order-2 cocycle
 along a split grading, and the odd square roots of an element.
 
+Group tables by loops.  `verify_group_axioms` is the scalar check, entry by
+entry, that `dwu.groups.verify_group_axioms` runs as array operations, with
+the same axioms, witnesses and order; `catalog_table` builds the cyclic,
+dihedral and product tables with the list comprehensions that the array
+expressions of `dwu.groups` replace.  The scalar loops in this file read a
+group's table and inverse as lists of Python ints, which `table_lists`
+converts once per group.
+
 Conjugation, transgression and flat sections one element at a time.
 `conj` and `real_conjugate` are the scalar conjugation and Real conjugation
 that `dwu.groups.FiniteGroup.conjugation` and
@@ -51,6 +59,8 @@ broadcast gather of the live rows' faces.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +68,7 @@ import numpy as np
 
 from dwu.cohomology import TwistedCochain, _group_signs, is_twisted_cocycle
 from dwu.groupoids import ActionGroupoid, double_real_loop, orbits
-from dwu.groups import FiniteGroup, GradedGroup
+from dwu.groups import FiniteGroup, GradedGroup, GroupAxiomError, build_group
 from dwu.moduli import Surface, holonomy_points, word_value
 from dwu.phases import CycField, Phase
 from dwu.tqft import CheckReport, UnorientedFrobeniusData, _closed_form_duals, _convolve, _first
@@ -110,9 +120,11 @@ def kr_groupoid_integrals(GG, lambda_hat, field):
         g, w = pt
         return field.root(t[w][g], N)
 
+    sign = GG.sign.tolist()
+
     def flipped(pt):
         g, w = pt
-        if GG.sign[w] == -1:
+        if sign[w] == -1:
             return flip_field.root(2 * t[w][g] + N, 2 * N)
         return flip_field.root(t[w][g], N)
 
@@ -140,10 +152,11 @@ def is_valid_holonomy(surface: Surface, GG: GradedGroup, tup) -> bool:
 
 def even_conjugation(GG: GradedGroup):
     """act(k, tup): simultaneous conjugation of a tuple by the k-th even element."""
-    G = GG.group
+    (t, inv), even = table_lists(GG.group), GG.even_part.tolist()
 
     def act(k, tup):
-        return tuple(conj(G, GG.even_part[k], g) for g in tup)
+        h = even[k]
+        return tuple(t[t[h][g]][inv[h]] for g in tup)
 
     return act
 
@@ -170,15 +183,13 @@ def crosscap_groupoid(GG: GradedGroup):
     Boundary values are element indices of the ambient group (always even);
     GG.even_index converts them to circle_groupoid coordinates.
     """
-    G = GG.group
-    sub = GG.even_subgroup
-    odd = GG.odd_part()
+    G, even, odd = GG.group, GG.even_part.tolist(), GG.odd_part().tolist()
 
     def act(k, s):
-        return conj(G, GG.even_part[k], s)
+        return conj(G, even[k], s)
 
-    gpd = ActionGroupoid.build(odd, sub, act, label="Bun^or(M)")
-    boundary = {s: G.table[s][s] for s in odd}
+    gpd = ActionGroupoid.build(odd, GG.even_subgroup, act, label="Bun^or(M)")
+    boundary = {s: table_lists(G)[0][s][s] for s in odd}
     return gpd, boundary
 
 
@@ -237,7 +248,7 @@ def rp2_closed_form(lambda_hat: TwistedCochain, holonomy) -> Phase:
 
 def klein_closed_form(lambda_hat: TwistedCochain, group: FiniteGroup, holonomy) -> Phase:
     g, s = holonomy
-    ginv = group.inverse[g]
+    ginv = table_lists(group)[1][g]
     return (
         -lambda_hat.value((g, ginv))
         + lambda_hat.value((g, s))
@@ -273,13 +284,14 @@ def duality_phases(GG: GradedGroup, lambda_hat: TwistedCochain, sigma: int) -> D
         raise ValueError(f"element {sigma} is even; the duality needs an odd element")
     require_cocycle(lambda_hat)
     t = tau_ref(lambda_hat, GG)
-    G, even = GG.group, GG.even_part
+    G, even, sub_of = GG.group, GG.even_part.tolist(), GG.even_index.tolist()
+    table, inv = table_lists(G)
     return DualityPhases(
         sigma=sigma,
-        p_permutation=tuple(GG.even_index[conj(G, sigma, G.inverse[g])] for g in even),
+        p_permutation=tuple(sub_of[conj(G, sigma, inv[g])] for g in even),
         p_phases=tuple(-t.value(sigma, g) for g in even),
         theta_phase=lambda_hat.value((sigma, sigma)),
-        theta_carrier=GG.even_index[G.table[sigma][sigma]],
+        theta_carrier=sub_of[table[sigma][sigma]],
         F_phases=tuple(lambda_hat.value((g, sigma)) for g in even),
     )
 
@@ -296,13 +308,12 @@ def real_1d_phases(GG: GradedGroup, lambda_hat_1: TwistedCochain) -> RealOneDimD
         raise ValueError("expected a twisted 1-cocycle")
     if not is_twisted_cocycle(lambda_hat_1):
         raise ValueError("input is not a twisted 1-cocycle")
-    G = GG.group
-    rep = tuple(lambda_hat_1.value((g,)) for g in GG.even_part)
-    sigma = GG.odd_part()[0]
-    iota = lambda_hat_1.value((G.inverse[sigma],))
+    even, odd = GG.even_part.tolist(), GG.odd_part().tolist()
+    rep = tuple(lambda_hat_1.value((g,)) for g in even)
+    iota = lambda_hat_1.value((table_lists(GG.group)[1][odd[0]],))
     # Real compatibility: the phase is invariant under Real conjugation
     t = lambda_hat_1.rows
-    if any(t[real_conjugate(GG, s, g)] != t[g] for s in GG.odd_part() for g in GG.even_part):
+    if any(t[real_conjugate(GG, s, g)] != t[g] for s in odd for g in even):
         raise AssertionError("Real conjugation invariance fails for a 1-cocycle")
     inv_dim = 1 if all(p.is_zero() for p in rep) else 0
     return RealOneDimData(rep_phases=rep, interval_phase=iota, invariants_dimension=inv_dim)
@@ -316,9 +327,9 @@ def pullback_split(lmbda: TwistedCochain, GG: GradedGroup) -> TwistedCochain:
     """Pull an order-2 cocycle on the even part back along a split projection."""
     if lmbda.N > 2:
         raise ValueError("pullback to a twisted cocycle needs 2*lambda = 0")
-    G = GG.group
-    odd_inv = G.inverse[GG.odd_part()[0]]
-    proj = [GG.even_index[g if GG.sign[g] == 1 else G.table[g][odd_inv]] for g in range(G.order)]
+    G, (table, inv) = GG.group, table_lists(GG.group)
+    odd_inv = inv[GG.odd_part()[0]]
+    proj = [GG.even_index[g if GG.sign[g] == 1 else table[g][odd_inv]] for g in range(G.order)]
     table = lmbda.table[np.ix_(*[proj] * lmbda.degree)]
     return TwistedCochain(G, GG.sign, lmbda.degree, lmbda.N, table)
 
@@ -331,17 +342,101 @@ def random_cochain(ref, degree: int, denominator: int, rng) -> TwistedCochain:
 
 def odd_square_roots(GG: GradedGroup, g: int) -> set:
     """All odd elements whose square is g (empty when g is odd)."""
-    G = GG.group
-    return {s for s in GG.odd_part() if G.table[s][s] == g}
+    table = table_lists(GG.group)[0]
+    return {s for s in GG.odd_part().tolist() if table[s][s] == g}
+
+
+# ---------------------------------------------------------------------------
+# group tables by loops
+
+
+def verify_group_axioms(table) -> None:
+    """Raise GroupAxiomError unless table is a group with identity at index 0:
+    shape and closure row by row, then identity, cancellation and inverses
+    per element, then associativity at the first (a, b, c) in lexicographic
+    order."""
+    if isinstance(table, np.ndarray):
+        table = table.tolist()
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise GroupAxiomError("shape", (i, len(row)))
+        for v in row:
+            if not (0 <= v < n):
+                raise GroupAxiomError("closure", (i, v))
+    for g in range(n):
+        if table[0][g] != g or table[g][0] != g:
+            raise GroupAxiomError("identity", (g,))
+    for g in range(n):
+        row = set(table[g])
+        col = {table[h][g] for h in range(n)}
+        if len(row) != n or len(col) != n:
+            raise GroupAxiomError("cancellation", (g,))
+    for g in range(n):
+        if all(table[g][h] != 0 for h in range(n)):
+            raise GroupAxiomError("inverses", (g,))
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise GroupAxiomError("associativity", (a, b, c))
+
+
+def cyclic_table(n: int) -> list:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def dihedral_table(order: int) -> list:
+    """r^i s^j at index i + n j, with (r^i1 s^j1)(r^i2 s^j2) = r^(i1 + (-1)^j1 i2) s^(j1+j2)."""
+    n = order // 2
+    table = [[0] * order for _ in range(order)]
+    for i1, j1, i2, j2 in itertools.product(range(n), (0, 1), range(n), (0, 1)):
+        i = (i1 + (i2 if j1 == 0 else -i2)) % n
+        table[i1 + n * j1][i2 + n * j2] = i + n * ((j1 + j2) % 2)
+    return table
+
+
+def direct_product_table(A: list, B: list) -> list:
+    """(a1, b1)(a2, b2) = (a1 a2, b1 b2), with the pair (a, b) at index a |B| + b."""
+    n, m = len(A), len(B)
+    return [
+        [A[a1][a2] * m + B[b1][b2] for a2 in range(n) for b2 in range(m)]
+        for a1 in range(n)
+        for b1 in range(m)
+    ]
+
+
+def catalog_table(spec: str) -> list:
+    """The table of a catalog name such as 'C10xC2' or 'C3xS3'; Q8 and S_n,
+    whose element rules dwu.groups keeps, are read from dwu.groups."""
+    factors = []
+    for part in spec.split("x"):
+        if part[0] == "C":
+            factors.append(cyclic_table(int(part[1:])))
+        elif part[0] == "D":
+            factors.append(dihedral_table(int(part[1:])))
+        else:
+            factors.append(build_group(part).table.tolist())
+    return functools.reduce(direct_product_table, factors)
 
 
 # ---------------------------------------------------------------------------
 # conjugation, transgression and flat sections one element at a time
 
 
+def table_lists(G: FiniteGroup) -> tuple[list, list]:
+    """G's table and inverse as lists of Python ints, converted once per group
+    (and kept on it) for the scalar loops here."""
+    if "_rows" not in vars(G):
+        vars(G)["_rows"] = G.table.tolist(), G.inverse.tolist()
+    return vars(G)["_rows"]
+
+
 def conj(G: FiniteGroup, h: int, g: int) -> int:
     """h g h^-1."""
-    return G.table[G.table[h][g]][G.inverse[h]]
+    t, inv = table_lists(G)
+    return t[t[h][g]][inv[h]]
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
@@ -353,16 +448,17 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
 
 
 def center(G: FiniteGroup) -> list[int]:
-    return [g for g in range(G.order) if all(G.table[g][h] == G.table[h][g] for h in range(G.order))]
+    t = table_lists(G)[0]
+    return [g for g in range(G.order) if all(t[g][h] == t[h][g] for h in range(G.order))]
 
 
 def real_conjugate(GG: GradedGroup, h: int, g: int) -> int:
     """h g^{sign(h)} h^{-1}; g must be even."""
-    G = GG.group
     if GG.sign[g] != 1:
         raise ValueError(f"element {g} is odd; Real conjugation acts on the even part")
-    gs = g if GG.sign[h] == 1 else G.inverse[g]
-    return G.table[G.table[h][gs]][G.inverse[h]]
+    t, inv = table_lists(GG.group)
+    gs = g if GG.sign[h] == 1 else inv[g]
+    return t[t[h][gs]][inv[h]]
 
 
 def tau_circle(lmbda: TwistedCochain, group: FiniteGroup) -> list:

@@ -331,7 +331,7 @@ ORACLE_BASES = [
 )
 def test_differential_matches_scalar_bar_formula(ref, degree):
     rng = random.Random(degree)
-    group, signs = (ref.group, ref.sign) if isinstance(ref, GradedGroup) else (ref, (1,) * ref.order)
+    group, signs = (ref.group, ref.sign) if isinstance(ref, GradedGroup) else (ref, np.ones(ref.order, np.int64))
     for denominator in (group.order, 2 * group.order):
         c = random_cochain(ref, degree, denominator, rng)
         expected = scalar_bar_differential(c)

@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 from oracles import flat_sections as bfs_flat_sections
-from oracles import center, conj, conjugacy_classes, odd_square_roots, real_conjugate
+from oracles import catalog_table, center, conj, conjugacy_classes, odd_square_roots, real_conjugate
+from oracles import verify_group_axioms as loop_verify_group_axioms
 
+import dwu.groups
 from dwu.cli import load_manifest
 from dwu.groups import (
     FiniteGroup,
@@ -35,7 +37,109 @@ def parity_graded_cyclic(n: int) -> GradedGroup:
 def test_catalog_groups_pass_axioms(name):
     g = build_group(name)
     verify_group_axioms(g.table)  # does not raise
-    assert g.table[0] == tuple(range(g.order))
+    assert g.table[0].tolist() == list(range(g.order))
+
+
+def axiom_fault(check, table):
+    """(axiom, witness, message) of the fault check reports, or None."""
+    try:
+        check(table)
+    except GroupAxiomError as exc:
+        return exc.axiom, exc.witness, str(exc)
+    return None
+
+
+# a Latin square with identity in which every element is its own inverse; no
+# group of order 5 is, so it is not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def faulty_tables(rng):
+    """Seeded catalog tables, as nested lists, each with one fault of every
+    kind; then tables with two faults whose order matters, and the loop
+    above relabelled by permutations fixing 0."""
+    for name in ["C4", "C6", "D8", "Q8", "S3", "C2xC2", "D10", "C3xS3"]:
+        t = build_group(name).table.tolist()
+        n = len(t)
+        for _ in range(3):
+            i, j, k = rng.sample(range(1, n), 3)
+            ragged = [row[:] for row in t]
+            row = ragged[rng.randrange(n)]
+            if rng.random() < 0.5:
+                row.append(0)
+            else:
+                row.pop()
+            outside = [row[:] for row in t]
+            outside[rng.randrange(n)][rng.randrange(n)] = rng.choice([-1, n, n + 7])
+            identity = [row[:] for row in t]
+            identity[i], identity[k] = identity[k], identity[i]
+            cancellation = [row[:] for row in t]
+            cancellation[i][j] = cancellation[i][k]
+            no_inverse = [row[:] for row in t]
+            no_inverse[i][no_inverse[i].index(0)] = max(no_inverse[i][j], no_inverse[i][k])  # not 0
+            entry = [row[:] for row in t]
+            entry[i][j] = (entry[i][j] + rng.randrange(1, n)) % n
+            yield from (ragged, outside, identity, cancellation, no_inverse, entry)
+    yield [[0, 1, 5], [1, 0], [2, 2, 2]]  # closure in row 0 comes before shape in row 1
+    yield [[0, 1, 2, 3], [1, -1, 3, 0], [2, 3, 0, 1], [3, 0, 1]]  # closure in row 1, shape in row 3
+    yield [[0, 1, 2], [1, 2], [2, 0, 9]]  # shape in row 1 comes before closure in row 2
+    for _ in range(6):
+        pi = [0, *rng.sample(range(1, 5), 4)]
+        relabelled = [[0] * 5 for _ in range(5)]
+        for a, b in itertools.product(range(5), repeat=2):
+            relabelled[pi[a]][pi[b]] = pi[LOOP5[a][b]]
+        yield relabelled
+
+
+@pytest.mark.parametrize("slab", [dwu.groups.SLAB, 8])
+def test_the_axiom_check_reports_the_fault_the_loop_check_reports(slab, monkeypatch):
+    """The array check against the scalar one: the same axiom, witness and
+    message on every faulty table, the associativity check in slabs of one
+    a when SLAB is small, and no fault on the catalog groups."""
+    monkeypatch.setattr(dwu.groups, "SLAB", slab)
+    axioms = set()
+    for table in faulty_tables(random.Random(29)):
+        fault = axiom_fault(loop_verify_group_axioms, table)
+        assert fault is not None
+        assert axiom_fault(verify_group_axioms, table) == fault, table
+        axioms.add(fault[0])
+    assert axioms == {"shape", "closure", "identity", "cancellation", "associativity"}
+    for name in CATALOG:
+        assert axiom_fault(verify_group_axioms, build_group(name).table) is None
+
+
+@pytest.mark.parametrize(
+    "name", sorted({*load_manifest()["groups"], "C3xS3", "C6xC3", "D18", "C10xC2", "S4", "C2xC2xC2xC2xC2"})
+)
+def test_array_catalog_tables_equal_the_loop_builders(name):
+    g = build_group(name)
+    assert g.table.dtype == np.int64 and not g.table.flags.writeable
+    assert g.table.tolist() == catalog_table(name)
+
+
+def test_group_data_are_read_only_arrays_compared_by_identity():
+    gg = split_grading(symmetric(3))
+    G = gg.group
+    for a in (G.table, G.inverse, G.conjugation, gg.sign, gg.even_part, gg.even_index, gg.odd_part()):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert gg.odd_part() is gg.odd_part()
+    assert gg.even_index[gg.even_part].tolist() == list(range(gg.even_subgroup.order))
+    assert gg.even_index[gg.odd_part()].tolist() == [-1] * len(gg.odd_part())
+    assert G != build_group("S3xC2") and gg != GradedGroup(group=G, sign=gg.sign) and gg == gg
+
+
+@pytest.mark.parametrize(
+    "sign, message",
+    [
+        ((1, -1), r"^sign needs 4 entries, one per element of C4; got shape \(2,\)$"),
+        ((1, -1) * 3, r"^sign needs 4 entries, one per element of C4; got shape \(6,\)$"),
+        ((1, 2, 1, -1), r"^sign entries must be \+1 or -1, got 2 at element 1$"),
+        ((1, -1, 0, -1), r"^sign entries must be \+1 or -1, got 0 at element 2$"),
+    ],
+)
+def test_a_malformed_sign_vector_names_its_fault(sign, message):
+    with pytest.raises(ValueError, match=message):
+        GradedGroup(group=cyclic(4), sign=sign)
 
 
 @pytest.mark.parametrize("name", ["C4", "D8", "Q8", "S3"])
@@ -70,7 +174,7 @@ def test_quaternion8_is_the_group_of_the_unit_matrices():
     def index(m):
         return next(x for x, a in enumerate(mats) if np.allclose(a, m))
 
-    assert quaternion8().table == tuple(tuple(index(a @ b) for b in mats) for a in mats)
+    assert quaternion8().table.tolist() == [[index(a @ b) for b in mats] for a in mats]
 
 
 def test_symmetric_and_dihedral():
@@ -109,17 +213,17 @@ def test_grading_count_matches_subgroup_enumeration(name):
     gradings = enumerate_gradings(g)
     assert len(gradings) == brute_force_index2_subgroups(g)
     # deterministic lexicographic order and valid even parts
-    vecs = [gg.sign for gg in gradings]
+    vecs = [gg.sign.tolist() for gg in gradings]
     assert vecs == sorted(vecs)
     for gg in gradings:
         assert len(gg.even_part) == g.order // 2
-        assert gg.even_part == tuple(x for x in range(g.order) if gg.sign[x] == 1)
+        assert gg.even_part.tolist() == [x for x in range(g.order) if gg.sign[x] == 1]
 
 
 def test_grading_examples():
     assert enumerate_gradings(build_group("C3")) == []
     assert len(enumerate_gradings(build_group("C4"))) == 1
-    assert enumerate_gradings(build_group("C4"))[0].even_part == (0, 2)
+    assert enumerate_gradings(build_group("C4"))[0].even_part.tolist() == [0, 2]
     assert len(enumerate_gradings(build_group("C2xC2"))) == 3
 
 
