@@ -27,7 +27,7 @@ from dwu.groups import (
     split_grading,
 )
 from dwu.moduli import Surface, parse_surface
-from dwu.phases import CycField, CycNum, Phase
+from dwu.phases import CycField, CycNum
 from dwu.reptheory import BlockData, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
     TuraevAlgebraData,
@@ -51,7 +51,6 @@ __all__ = [
     "FiniteGroup",
     "GradedGroup",
     "GroupAxiomError",
-    "Phase",
     "ResourceBudgetError",
     "Surface",
     "TuraevAlgebraData",

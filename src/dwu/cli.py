@@ -19,7 +19,7 @@ import sys
 from importlib import resources
 
 from dwu.cohomology import cochain_from_json, cohomology_classes
-from dwu.groups import ResourceBudgetError, build_group, enumerate_gradings
+from dwu.groups import DEFAULT_ORDER_CAP, ResourceBudgetError, build_group, enumerate_gradings
 from dwu.moduli import enumeration_budget, parse_surface, require_budget
 from dwu.reptheory import BlockComputationError, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import _turaev_data, check_turaev_axioms, check_unoriented_frobenius, consistency_report, orbifold
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
-        p.add_argument("--cap", type=int, default=32, help="group order cap")
+        p.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP, help="group order cap")
 
     p = sub.add_parser("gradings", help="list Z2-gradings of a group")
     common(p, with_class=False)

@@ -3,7 +3,8 @@
 A cochain is an integer table over (|G^|,)*degree: the entry k at a tuple is
 the phase k/N in Q/Z, where N is the lcm of the reduced denominators of the
 values, and the table is zero on tuples containing the identity (normalized
-cochains).  The differential carries the grading twist on its first face:
+cochains); at the API edges (from_dict, value) a phase is a Fraction mod 1.
+The differential carries the grading twist on its first face:
 
     (dc)(w0,...,wn) = sign(w0)*c(w1..wn)
                       + sum_j (-1)^j c(.., w_{j-1} w_j, ..)
@@ -24,12 +25,12 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from dwu.groups import FiniteGroup, GradedGroup, ResourceBudgetError
+from dwu.groups import DEFAULT_ORDER_CAP, FiniteGroup, GradedGroup, ResourceBudgetError
 from dwu.intlinalg import SparseRows, kernel_mod, quotient_invariants, solve_mod
-from dwu.phases import Phase
 
 
 def _group_signs(ref) -> tuple[FiniteGroup, np.ndarray]:
@@ -78,17 +79,18 @@ class TwistedCochain:
 
     @classmethod
     def from_dict(cls, ref, degree: int, mapping) -> "TwistedCochain":
-        """From {tuple: Phase}; tuples not in the mapping are zero."""
+        """From {tuple: Fraction}, read mod 1; tuples not in it are zero."""
         group, signs = _group_signs(ref)
-        N = math.lcm(*(p.denominator for p in mapping.values()))
+        mapping = {tup: q % 1 for tup, q in mapping.items()}
+        N = math.lcm(*(q.denominator for q in mapping.values()))
         _require_denominator(N)  # the reduced denominator, checked before it meets int64
         table = np.zeros((group.order,) * degree, dtype=np.int64)
-        for tup, p in mapping.items():
+        for tup, q in mapping.items():
             if len(tup) != degree or not all(0 <= t < group.order for t in tup):
                 raise ValueError(f"cochain key {tup} is not a {degree}-tuple of {group.name} elements")
-            if 0 in tup and not p.is_zero():
+            if 0 in tup and q:
                 raise ValueError(f"not normalized: nonzero value on {tup}")
-            table[tup] = p.numerator * (N // p.denominator)
+            table[tup] = q.numerator * (N // q.denominator)
         return cls(group, signs, degree, N, table)
 
     @classmethod
@@ -113,8 +115,8 @@ class TwistedCochain:
         """The table as nested lists of Python ints, for scalar lookups."""
         return self.table.tolist()
 
-    def value(self, tup) -> Phase:
-        return Phase(int(self.table[tuple(tup)]), self.N)
+    def value(self, tup) -> Fraction:
+        return Fraction(int(self.table[tuple(tup)]), self.N)
 
     def _combine(self, other: "TwistedCochain", sign: int) -> "TwistedCochain":
         same = np.array_equal(self.group.table, other.group.table) and np.array_equal(self.signs, other.signs)
@@ -222,7 +224,7 @@ def is_twisted_coboundary(c: TwistedCochain, denominator: int | None = None):
     return nu
 
 
-def cohomology_classes(ref, degree: int, cap: int = 32):
+def cohomology_classes(ref, degree: int, cap: int = DEFAULT_ORDER_CAP):
     """Representatives and invariant factors of H^degree(BG^; U(1)_pi).
 
     Every class is N-torsion for N = |G^|, so Z/N-valued cocycles suffice;
@@ -310,7 +312,7 @@ def cochain_from_json(text: str, ref) -> TwistedCochain:
         if not 0 <= degree <= 2 or N < 1:
             raise ValueError(f"need 0 <= degree <= 2 and denominator >= 1, got {degree} and {N}")
         mapping = {
-            _json_key(key): Phase(_json_int(k), N) for key, k in data.get("values", {}).items()
+            _json_key(key): Fraction(_json_int(k), N) for key, k in data.get("values", {}).items()
         }
         return TwistedCochain.from_dict(ref, degree, mapping)
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:

@@ -4,9 +4,8 @@ Inside the package a phase is an integer exponent k mod N standing for
 exp(2*pi*i*k/N): cochain tables, transgressions, pairings and the Turaev
 structure constants all hold such exponents, a product of phases is a sum of
 exponents and an inverse is a negation, and root_of_unity(k, N) is their one
-complex embedding.  A Phase stores the reduced fraction k/N in [0, 1); it is
-the value type at the API and JSON edges only, and its to_complex() is
-root_of_unity of its fraction.
+complex embedding.  At the API and JSON edges a phase is a Fraction, read
+mod 1 before it meets int64.
 
 A sum of phases that must be compared exactly (a partition function, the
 KR integral, a coefficient of an orbifold vector) is a count of roots zeta_L^k
@@ -24,60 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-
-class Phase:
-    """An element of Q/Z, i.e. a root of unity exp(2*pi*i*num/den)."""
-
-    __slots__ = ("_q",)
-
-    def __init__(self, numerator: int = 0, denominator: int = 1):
-        self._q = Fraction(numerator, denominator) % 1
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "Phase":
-        p = cls.__new__(cls)
-        p._q = q % 1
-        return p
-
-    @property
-    def numerator(self) -> int:
-        return self._q.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self._q.denominator
-
-    def __add__(self, other: "Phase") -> "Phase":
-        return Phase.from_fraction(self._q + other._q)
-
-    def __sub__(self, other: "Phase") -> "Phase":
-        return Phase.from_fraction(self._q - other._q)
-
-    def __neg__(self) -> "Phase":
-        return Phase.from_fraction(-self._q)
-
-    def scale(self, k: int) -> "Phase":
-        return Phase.from_fraction(k * self._q)
-
-    def is_zero(self) -> bool:
-        return self._q == 0
-
-    def to_complex(self) -> complex:
-        return root_of_unity(self.numerator, self.denominator)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Phase) and self._q == other._q
-
-    def __hash__(self) -> int:
-        return hash(self._q)
-
-    def __repr__(self) -> str:
-        return f"Phase({self.numerator}/{self.denominator})"
 
 
 def root_of_unity(k: int, n: int) -> complex:

@@ -136,21 +136,13 @@ def blocks(algebra: TwistedGroupAlgebra) -> list[BlockData]:
     return out
 
 
-def crosscap_phase_table(GG: GradedGroup, lambda_hat: TwistedCochain) -> dict:
-    """Exact Q data: even-subgroup index of s^2 -> list of the exponents of
-    lambda^(s,s) mod lambda_hat.N."""
-    require_cocycle(lambda_hat)
-    odd, table = GG.odd_part(), {}
-    for g, k in zip(GG.even_index[GG.group.table[odd, odd]].tolist(), lambda_hat.table[odd, odd].tolist()):
-        table.setdefault(g, []).append(k)
-    return table
-
-
 def crosscap_element(GG: GradedGroup, lambda_hat: TwistedCochain) -> np.ndarray:
     """Q = sum over odd s of lambda^(s,s) l_{s^2} as a complex vector."""
+    require_cocycle(lambda_hat)
+    odd, N = GG.odd_part(), lambda_hat.N
     Q = np.zeros(GG.even_subgroup.order, dtype=complex)
-    for g, exponents in crosscap_phase_table(GG, lambda_hat).items():
-        Q[g] = sum(root_of_unity(k, lambda_hat.N) for k in exponents)
+    roots = [root_of_unity(k, N) for k in lambda_hat.table[odd, odd].tolist()]
+    np.add.at(Q, GG.even_index[GG.group.table[odd, odd]], roots)
     return Q
 
 

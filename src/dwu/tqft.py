@@ -40,7 +40,7 @@ from dwu.cohomology import TwistedCochain
 from dwu.groups import GradedGroup, ResourceBudgetError, flat_sections
 from dwu.moduli import KLEIN, RP2, TORUS, Surface, require_budget, word_value
 from dwu.moduli import holonomy_points  # noqa: F401  (looked up here by perfbench's tracer)
-from dwu.phases import CycField, CycNum, Phase
+from dwu.phases import CycField, CycNum
 from dwu.reptheory import BlockData
 from dwu.transgression import relator_pairing, require_cocycle, tau_ref
 
@@ -81,9 +81,10 @@ class TuraevAlgebraData:
     crosscap: np.ndarray
     zero: tuple | None = None
 
-    def with_mutation(self, kind: str, key, phase: Phase | None) -> "TuraevAlgebraData":
-        """Copy with one structure constant scaled by a phase, or zeroed when
-        phase is None; the exponents are rescaled to lcm(L, denominator)."""
+    def with_mutation(self, kind: str, key, phase: Fraction | None) -> "TuraevAlgebraData":
+        """Copy with one structure constant scaled by a phase (a Fraction, read
+        mod 1), or zeroed when phase is None; the exponents are rescaled to
+        lcm(L, denominator)."""
         kinds = ("product", "action", "crosscap")
         if kind not in kinds:
             raise ValueError(f"unknown mutation kind {kind}")
@@ -97,7 +98,7 @@ class TuraevAlgebraData:
             zero[i][key] = True
             zero = tuple(zero)
         else:
-            tables[i][key] = (tables[i][key] + phase.numerator * (L // phase.denominator)) % L
+            tables[i][key] = (tables[i][key] + int(phase * L % L)) % L
         mult, action, crosscap = tables
         return replace(self, L=L, mult=mult, action=action, crosscap=crosscap, zero=zero)
 
@@ -125,7 +126,7 @@ def _turaev_data(GG: GradedGroup, lambda_hat: TwistedCochain) -> TuraevAlgebraDa
         GG=GG,
         L=N,
         mult=lam[np.ix_(even, even)],
-        action=-tau_ref(lambda_hat, GG).table[:, even] % N,
+        action=-tau_ref(lambda_hat, GG)[:, even] % N,
         crosscap=lam[odd, odd],
     )
 
@@ -730,7 +731,7 @@ def kr_rank(GG: GradedGroup, lambda_hat: TwistedCochain, field: CycField | None 
     field = field or CycField(lambda_hat.N)
     # the double loop carrier: the pairs (g, w), g even, with w.g = g
     w, i = np.nonzero(GG.real_conjugation == GG.even_part)
-    k = tau_ref(lambda_hat, GG).table[w, GG.even_part[i]]  # the root zeta_N^k per point
+    k = tau_ref(lambda_hat, GG)[w, GG.even_part[i]]  # the root zeta_N^k per point
     counts = np.bincount(k * field.L // lambda_hat.N % field.L, minlength=field.L)
     return field.from_counts(counts, GG.group.order)
 

@@ -19,23 +19,20 @@ the Klein bottle.  A relator's pairing is the sum of the fans of its pieces,
 each read after the pieces before it: the direct route walks them.
 
 Everything here is an integer exponent mod the cocycle's N: tau_ref, the one
-transgression, is an exponent table over GradedGroup.real_conjugation, and a
+transgression, is a read-only exponent table over GradedGroup.real_conjugation,
+checked once against the loop 1-cocycle law (satisfies_loop_law), and a
 pairing is a sum of integers mod N, for integer arrays of holonomies at once.
-LoopCocycle.value returns a Phase, the value type at the API edge.  The tests check relator_pairing against a
-one-holonomy pairing and the torus, RP2 and Klein closed forms
-(tests/oracles.py).
+The tests check relator_pairing against a one-holonomy pairing and the torus,
+RP2 and Klein closed forms (tests/oracles.py).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from dwu.cohomology import TwistedCochain, is_twisted_cocycle
 from dwu.groups import GradedGroup
 from dwu.moduli import Surface
-from dwu.phases import Phase
 
 
 def require_cocycle(c: TwistedCochain, degree: int = 2):
@@ -49,30 +46,18 @@ def require_cocycle(c: TwistedCochain, degree: int = 2):
         raise ValueError("input cochain is not a twisted cocycle")
 
 
-@dataclass(frozen=True, eq=False)
-class LoopCocycle:
-    """A 1-cocycle on the reflective loop groupoid as exponents mod N: the
-    phase of the morphism w at the object g (an even element of G^) is
-    table[w, g] / N.  Columns of odd elements are zero."""
-
-    graded_group: GradedGroup
-    N: int
-    table: np.ndarray
-
-    def value(self, w: int, g: int) -> Phase:
-        return Phase(int(self.table[w, g]), self.N)
-
-    def check_cocycle_law(self) -> bool:
-        """value(w2 w1, g) = value(w2, w1.g) + value(w1, g) for all w1, w2, g."""
-        GG, t, even = self.graded_group, self.table, self.graded_group.even_part
-        lhs = t[GG.group.table][:, :, even]  # [w2, w1, g]
-        rhs = t[:, GG.real_conjugation] + t[:, even]
-        return not ((lhs - rhs) % self.N).any()
+def satisfies_loop_law(GG: GradedGroup, table: np.ndarray, N: int) -> bool:
+    """The loop 1-cocycle law of an exponent table [w, g] mod N:
+    table[w2 w1, g] = table[w2, w1.g] + table[w1, g] for all w1, w2, g."""
+    even = GG.even_part
+    lhs = table[GG.group.table][:, :, even]  # [w2, w1, g]
+    rhs = table[:, GG.real_conjugation] + table[:, even]
+    return not ((lhs - rhs) % N).any()
 
 
-def tau_ref(lambda_hat: TwistedCochain, GG: GradedGroup) -> LoopCocycle:
-    """The reflective loop transgression of a twisted 2-cocycle, computed once
-    per graded group and kept on the cochain."""
+def tau_ref(lambda_hat: TwistedCochain, GG: GradedGroup) -> np.ndarray:
+    """The reflective loop transgression: a read-only table [w, g] of exponents
+    mod lambda_hat.N, zero in odd columns, kept on the cochain per graded group."""
     require_cocycle(lambda_hat)
     computed = vars(lambda_hat).setdefault("_tau_ref", {})
     if GG in computed:
@@ -85,11 +70,11 @@ def tau_ref(lambda_hat: TwistedCochain, GG: GradedGroup) -> LoopCocycle:
     table[:, GG.even_part] = (
         lam[GG.real_conjugation, w] - lam[w, np.where(odd, inv[g], g)] - odd * lam[inv[g], g]
     ) % lambda_hat.N
-    out = LoopCocycle(graded_group=GG, N=lambda_hat.N, table=table)
-    if not out.check_cocycle_law():
+    if not satisfies_loop_law(GG, table, lambda_hat.N):
         raise AssertionError("transgressed cochain fails the loop 1-cocycle law")
-    computed[GG] = out
-    return out
+    table.flags.writeable = False
+    computed[GG] = table
+    return table
 
 
 def relator_pairing(cochain: TwistedCochain, surface: Surface, holonomy, prefix=0):

@@ -18,7 +18,7 @@ and the loop, point and conjugation groupoids, each an explicit
 invariants, whose components and cardinalities the tests count.
 
 Closed forms and pairing.  `pair_surface` pairs one valid holonomy point with
-the fundamental chain as a Phase, and the torus, RP2 and Klein closed forms
+the fundamental chain as a Fraction mod 1, and the torus, RP2 and Klein closed forms
 are the literal formulas `dwu.transgression.relator_pairing` must reproduce.
 
 Duality and Real 1-d phase data.  The phases of the duality structure at an
@@ -63,6 +63,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,7 +71,7 @@ from dwu.cohomology import TwistedCochain, _group_signs, is_twisted_cocycle
 from dwu.groupoids import ActionGroupoid, double_real_loop, orbits
 from dwu.groups import FiniteGroup, GradedGroup, GroupAxiomError, build_group
 from dwu.moduli import Surface, holonomy_points, word_value
-from dwu.phases import CycField, Phase
+from dwu.phases import CycField, root_of_unity
 from dwu.tqft import CheckReport, UnorientedFrobeniusData, _closed_form_duals, _convolve, _first
 from dwu.transgression import relator_pairing, require_cocycle, tau_ref
 
@@ -111,7 +112,7 @@ def kr_groupoid_integrals(GG, lambda_hat, field):
     """tau_ref integrated over the double real loop built as an action
     groupoid (which checks the action law and the integrand's invariance):
     as it is, and flipped by 1/2 on odd w (in Q(zeta_2L) when L is odd)."""
-    t = tau_ref(lambda_hat, GG).table.tolist()
+    t = tau_ref(lambda_hat, GG).tolist()
     N = lambda_hat.N
     gpd = double_real_loop(GG)
     flip_field = CycField(2 * field.L) if field.L % 2 else field
@@ -228,32 +229,32 @@ def conjugation_groupoid(G: FiniteGroup) -> ActionGroupoid:
 # closed forms and pairing
 
 
-def pair_surface(lambda_hat: TwistedCochain, GG: GradedGroup, surface: Surface, holonomy) -> Phase:
+def pair_surface(lambda_hat: TwistedCochain, GG: GradedGroup, surface: Surface, holonomy) -> Fraction:
     """<eps(f*lambda_hat), [Sigma]> as an exact phase."""
     require_cocycle(lambda_hat)
     if not is_valid_holonomy(surface, GG, holonomy):
         raise ValueError(f"invalid holonomy {holonomy} for {surface.name}")
-    return Phase(int(relator_pairing(lambda_hat, surface, holonomy)), lambda_hat.N)
+    return Fraction(int(relator_pairing(lambda_hat, surface, holonomy)), lambda_hat.N)
 
 
-def torus_closed_form(lambda_hat: TwistedCochain, holonomy) -> Phase:
+def torus_closed_form(lambda_hat: TwistedCochain, holonomy) -> Fraction:
     g1, g2 = holonomy
-    return lambda_hat.value((g2, g1)) - lambda_hat.value((g1, g2))
+    return (lambda_hat.value((g2, g1)) - lambda_hat.value((g1, g2))) % 1
 
 
-def rp2_closed_form(lambda_hat: TwistedCochain, holonomy) -> Phase:
+def rp2_closed_form(lambda_hat: TwistedCochain, holonomy) -> Fraction:
     (s,) = holonomy
     return lambda_hat.value((s, s))
 
 
-def klein_closed_form(lambda_hat: TwistedCochain, group: FiniteGroup, holonomy) -> Phase:
+def klein_closed_form(lambda_hat: TwistedCochain, group: FiniteGroup, holonomy) -> Fraction:
     g, s = holonomy
     ginv = table_lists(group)[1][g]
     return (
         -lambda_hat.value((g, ginv))
         + lambda_hat.value((g, s))
         - lambda_hat.value((s, ginv))
-    )
+    ) % 1
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +267,17 @@ class DualityPhases:
 
     sigma: int  # ambient odd element
     p_permutation: tuple  # even-subgroup permutation g -> sigma g^-1 sigma^-1
-    p_phases: tuple  # Phase per even-subgroup element: -tau_ref(sigma, g)
-    theta_phase: Phase  # lambda^(sigma, sigma)
+    p_phases: tuple  # Fraction mod 1 per even-subgroup element: -tau_ref(sigma, g)
+    theta_phase: Fraction  # lambda^(sigma, sigma)
     theta_carrier: int  # even-subgroup index of sigma^2
-    F_phases: tuple  # Phase per even-subgroup element: lambda^(g, sigma)
+    F_phases: tuple  # Fraction mod 1 per even-subgroup element: lambda^(g, sigma)
 
     def apply_p(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros(len(v), dtype=complex)
         for g, coeff in enumerate(v):
             if coeff != 0:
-                out[self.p_permutation[g]] += coeff * self.p_phases[g].to_complex()
+                p = self.p_phases[g]
+                out[self.p_permutation[g]] += coeff * root_of_unity(p.numerator, p.denominator)
         return out
 
 
@@ -289,7 +291,7 @@ def duality_phases(GG: GradedGroup, lambda_hat: TwistedCochain, sigma: int) -> D
     return DualityPhases(
         sigma=sigma,
         p_permutation=tuple(sub_of[conj(G, sigma, inv[g])] for g in even),
-        p_phases=tuple(-t.value(sigma, g) for g in even),
+        p_phases=tuple(Fraction(-int(t[sigma, g]), lambda_hat.N) % 1 for g in even),
         theta_phase=lambda_hat.value((sigma, sigma)),
         theta_carrier=sub_of[table[sigma][sigma]],
         F_phases=tuple(lambda_hat.value((g, sigma)) for g in even),
@@ -298,8 +300,8 @@ def duality_phases(GG: GradedGroup, lambda_hat: TwistedCochain, sigma: int) -> D
 
 @dataclass
 class RealOneDimData:
-    rep_phases: tuple  # Phase per even-subgroup element
-    interval_phase: Phase  # lambda^(sigma^-1) for the chosen odd sigma
+    rep_phases: tuple  # Fraction mod 1 per even-subgroup element
+    interval_phase: Fraction  # lambda^(sigma^-1) for the chosen odd sigma
     invariants_dimension: int  # 1 iff the restriction to G is trivial
 
 
@@ -315,7 +317,7 @@ def real_1d_phases(GG: GradedGroup, lambda_hat_1: TwistedCochain) -> RealOneDimD
     t = lambda_hat_1.rows
     if any(t[real_conjugate(GG, s, g)] != t[g] for s in odd for g in even):
         raise AssertionError("Real conjugation invariance fails for a 1-cocycle")
-    inv_dim = 1 if all(p.is_zero() for p in rep) else 0
+    inv_dim = 1 if not any(rep) else 0
     return RealOneDimData(rep_phases=rep, interval_phase=iota, invariants_dimension=inv_dim)
 
 

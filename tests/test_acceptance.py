@@ -17,7 +17,7 @@ from oracles import random_cochain
 from dwu.cohomology import TwistedCochain, cohomology_classes, twisted_differential
 from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
 from dwu.moduli import RP2, SPHERE, TORUS, parse_surface
-from dwu.phases import CycField, Phase
+from dwu.phases import CycField
 from dwu.reptheory import algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
     ConventionError,
@@ -185,13 +185,13 @@ def random_mutations(gg, rng):
                 key = (rng.randrange(sub.order), rng.randrange(sub.order))
                 if key[0] != key[1] or key[0] == 0:
                     break
-            phase = Phase(1, rng.choice([2, 3, 4]))
+            phase = Fraction(1, rng.choice([2, 3, 4]))
         elif kind == "action":
             key = (rng.randrange(gg.group.order), rng.randrange(sub.order))
-            phase = Phase(1, rng.choice([2, 3, 4]))
+            phase = Fraction(1, rng.choice([2, 3, 4]))
         elif kind == "crosscap":
             key = rng.choice(odd)
-            phase = Phase(1, rng.choice([3, 4]))
+            phase = Fraction(1, rng.choice([3, 4]))
         else:
             kind = rng.choice(["product", "action", "crosscap"])
             if kind == "product":

@@ -259,12 +259,12 @@ def test_partition_shares_each_class_work_across_its_surfaces(capsys):
     surfaces."""
     from dwu.cohomology import is_twisted_cocycle
     from dwu.tqft import handle_element
-    from dwu.transgression import LoopCocycle, relator_pairing
+    from dwu.transgression import relator_pairing, satisfies_loop_law
 
     per_class = {
         relator_pairing.__code__: 2,
         handle_element.__code__: 1,
-        LoopCocycle.check_cocycle_law.__code__: 1,
+        satisfies_loop_law.__code__: 1,
         is_twisted_cocycle.__code__: 1,
     }
     entered = dict.fromkeys(per_class, 0)
@@ -517,21 +517,6 @@ def test_partition_past_the_old_enumeration_budget(capsys, monkeypatch):
     assert all(r["max_delta"] < 1e-6 for r in records)
 
 
-def test_partition_builds_no_phase(capsys, monkeypatch):
-    from dwu.phases import Phase
-
-    argv = ["partition", "--group", "D8", "--grading", "0", "--class", "all"]
-    code, expected = run(capsys, *argv)
-    assert code == 0
-
-    def no_phase(*args, **kwargs):
-        raise AssertionError("a Phase was built")
-
-    monkeypatch.setattr(Phase, "__init__", no_phase)
-    monkeypatch.setattr(Phase, "from_fraction", classmethod(no_phase))
-    assert run(capsys, *argv) == (0, expected)
-
-
 def test_cohomology_honours_cap(capsys):
     code, out = run(capsys, "cohomology", "--group", "C34", "--cap", "64", "--degree", "1")
     assert code == 0
@@ -770,10 +755,9 @@ def test_float_range_is_refused_before_the_exact_routes(capsys, budget):
 def test_cocycle_file_field_is_checked_against_the_budget(tmp_path, capsys):
     from dwu.cohomology import TwistedCochain, cochain_to_json, twisted_differential
     from dwu.groups import build_group, enumerate_gradings
-    from dwu.phases import Phase
 
     gg = enumerate_gradings(build_group("C6"))[0]
-    nu = TwistedCochain.from_dict(gg, 1, {(1,): Phase(1, 211)})
+    nu = TwistedCochain.from_dict(gg, 1, {(1,): Fraction(1, 211)})
     path = tmp_path / "cocycle.json"
     path.write_text(cochain_to_json(twisted_differential(nu), "C6"))
     for command in ["partition", "indicators", "verify-axioms"]:

@@ -8,6 +8,7 @@ same echelon form and pivots, entry for entry.
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from dwu.intlinalg import (
     row_reduce_mod,
     solve_mod,
 )
-from dwu.phases import Phase
 
 MODULI = [2, 4, 6, 8, 9, 12, 16, 24, 30, 32, 255, 256, 257, 65535, 65536, 65537]  # 255..65537: each pool dtype's edge
 
@@ -170,7 +170,7 @@ def test_moduli_past_2_31_are_refused():
         solve_mod([[3, 5], [7, 11]], [N - 2, N - 3], N)
     with pytest.raises(OverflowError):
         kernel_mod([[3, 5, 7]], N)
-    nu = cohomology.TwistedCochain.from_dict(enumerate_gradings(build_group("C4"))[0], 1, {(1,): Phase(1, 2**30 + 3)})
+    nu = cohomology.TwistedCochain.from_dict(enumerate_gradings(build_group("C4"))[0], 1, {(1,): Fraction(1, 2**30 + 3)})
     with pytest.raises(OverflowError):
         cohomology.is_twisted_coboundary(cohomology.twisted_differential(nu))
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -7,8 +8,8 @@ from oracles import duality_phases, real_1d_phases
 
 from dwu import reptheory
 from dwu.cohomology import TwistedCochain, cohomology_classes, restrict_to_even
-from dwu.groups import GradedGroup, build_group, cyclic, split_grading
-from dwu.phases import Phase
+from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
+from dwu.phases import root_of_unity
 from dwu.reptheory import (
     BlockComputationError,
     TwistedGroupAlgebra,
@@ -16,7 +17,6 @@ from dwu.reptheory import (
     assert_central,
     blocks,
     crosscap_element,
-    crosscap_phase_table,
     fs_indicators,
 )
 
@@ -148,8 +148,20 @@ def test_crosscap_c4_parity():
     Q = crosscap_element(gg, zero2(gg))
     # both odd elements square to 2, which is even-subgroup index 1
     assert abs(Q[1] - 2.0) < 1e-12 and abs(Q[0]) < 1e-12
-    table = crosscap_phase_table(gg, zero2(gg))
-    assert set(table) == {1} and len(table[1]) == 2
+    assert Q.tolist() == [0j, 2 + 0j]  # two roots 1, both at index 1
+
+
+def test_crosscap_element_sums_each_odd_square_in_order():
+    """Q[g] is the float sum of root_of_unity(lambda^(s, s)) over the odd s
+    with s^2 at g, added in ascending order of s: the same bits."""
+    for name in ["D8", "Q8xC2", "C4xC2"]:
+        for gg in enumerate_gradings(build_group(name)):
+            for lam_hat in cohomology_classes(gg, 2)[0]:
+                want = [0j] * gg.even_subgroup.order
+                for s in gg.odd_part().tolist():
+                    g = int(gg.even_index[gg.group.table[s, s]])
+                    want[g] += root_of_unity(int(lam_hat.table[s, s]), lam_hat.N)
+                assert crosscap_element(gg, lam_hat).tolist() == want
 
 
 def test_crosscap_is_central():
@@ -218,7 +230,7 @@ def test_duality_phases_untwisted_abelian():
     G = gg.even_subgroup
     for g in range(G.order):
         assert dp.p_permutation[g] == G.inverse[g]
-        assert dp.p_phases[g].is_zero()
+        assert dp.p_phases[g] == 0
 
 
 def test_duality_rejects_even_sigma():
@@ -277,9 +289,9 @@ def test_F_composition_is_cocycle_identity():
             G = gg.group
             for sigma in gg.odd_part():
                 for g1h, g2h in itertools.product(gg.even_part, repeat=2):
-                    lhs = lam_hat.value((g2h, G.table[g1h][sigma])) + lam_hat.value((g1h, sigma))
+                    lhs = (lam_hat.value((g2h, G.table[g1h][sigma])) + lam_hat.value((g1h, sigma))) % 1
                     small = (gg.even_index[g2h], gg.even_index[g1h])
-                    rhs = lam.value(small) + lam_hat.value((G.table[g2h][g1h], sigma))
+                    rhs = (lam.value(small) + lam_hat.value((G.table[g2h][g1h], sigma))) % 1
                     assert lhs == rhs
 
 
@@ -287,8 +299,8 @@ def test_real_1d_trivial():
     gg = parity_c4()
     data = real_1d_phases(gg, TwistedCochain.zero(gg, 1))
     assert data.invariants_dimension == 1
-    assert all(p.is_zero() for p in data.rep_phases)
-    assert data.interval_phase.is_zero()
+    assert not any(data.rep_phases)
+    assert data.interval_phase == 0
 
 
 def all_twisted_1cocycles(gg, N):
@@ -299,7 +311,7 @@ def all_twisted_1cocycles(gg, N):
     out = []
     for combo in itertools.product(range(N), repeat=len(tuples)):
         c = TwistedCochain.from_dict(
-            gg, 1, {(t,): Phase(k, N) for t, k in zip(tuples, combo)}
+            gg, 1, {(t,): Fraction(k, N) for t, k in zip(tuples, combo)}
         )
         if is_twisted_cocycle(c):
             out.append(c)
@@ -321,7 +333,7 @@ def test_real_1d_split_nontrivial_on_G():
     found = 0
     for c in all_twisted_1cocycles(gg, 4):
         data = real_1d_phases(gg, c)
-        if not data.rep_phases[1].is_zero():
+        if data.rep_phases[1]:
             found += 1
             assert data.invariants_dimension == 0
     assert found > 0
@@ -329,7 +341,7 @@ def test_real_1d_split_nontrivial_on_G():
 
 def test_real_1d_rejects_non_cocycle():
     gg = parity_c4()
-    bad = TwistedCochain.from_dict(gg, 1, {(2,): Phase(1, 4)})
+    bad = TwistedCochain.from_dict(gg, 1, {(2,): Fraction(1, 4)})
     from dwu.cohomology import is_twisted_cocycle
 
     if not is_twisted_cocycle(bad):

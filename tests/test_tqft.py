@@ -28,7 +28,7 @@ from dwu.groups import (
     split_grading,
 )
 from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface, word_value
-from dwu.phases import CycField, Phase, cyclotomic_polynomial
+from dwu.phases import CycField, cyclotomic_polynomial
 from dwu.reptheory import BlockData, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
     ConventionError,
@@ -97,7 +97,7 @@ def test_turaev_identity_c2_nontrivial_crosscap():
     gg = identity_c2()
     T = turaev_from_cocycle(gg, nontrivial_class(gg))
     assert gg.odd_part() == (1,) and T.zero is None
-    assert Phase(int(T.crosscap[0]), T.L) == Phase(1, 2)  # Q = -l_e
+    assert Fraction(int(T.crosscap[0]), T.L) == Fraction(1, 2)  # Q = -l_e
 
 
 def test_mutated_product_fails():
@@ -109,14 +109,14 @@ def test_mutated_product_fails():
         g, h = rng.randrange(sub.order), rng.randrange(sub.order)
         if g == 0 and h == 0:
             continue
-        mutated = T.with_mutation("product", (g, h), Phase(1, 2))
+        mutated = T.with_mutation("product", (g, h), Fraction(1, 2))
         assert not check_turaev_axioms(mutated).ok
 
 
 def test_mutated_action_fails():
     gg = parity_c4()
     T = turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2))
-    mutated = T.with_mutation("action", (1, 1), Phase(1, 2))
+    mutated = T.with_mutation("action", (1, 1), Fraction(1, 2))
     assert not check_turaev_axioms(mutated).ok
 
 
@@ -124,7 +124,7 @@ def test_mutation_rescales_exponents_to_the_lcm():
     gg = parity_c4()
     T = turaev_from_cocycle(gg, nontrivial_class(gg))
     assert T.L == 4
-    mutated = T.with_mutation("action", (1, 1), Phase(1, 3))
+    mutated = T.with_mutation("action", (1, 1), Fraction(1, 3))
     assert mutated.L == 12
     expected = T.action * 3
     expected[1, 1] = (expected[1, 1] + 4) % 12
@@ -134,19 +134,29 @@ def test_mutation_rescales_exponents_to_the_lcm():
     assert not check_turaev_axioms(mutated).ok
 
 
+@pytest.mark.parametrize("kind, key", [("product", (1, 2)), ("action", (3, 1)), ("crosscap", 5)])
+def test_a_mutation_reads_its_phase_mod_one(kind, key):
+    gg = split_grading(build_group("S3"))
+    T = turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2))
+    a, b = (T.with_mutation(kind, key, Fraction(k, 3)) for k in (4, 1))
+    assert a.L == b.L == 3 and a.zero is b.zero is None
+    for name in ("mult", "action", "crosscap"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_a_phase_mutation_orbifolds():
     """A mutation by a phase leaves every constant a root of unity, so its
     algebra orbifolds; the orbifold fails the Frobenius check."""
     gg = split_grading(build_group("S3"))
     T = turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2))
-    F = orbifold(T.with_mutation("product", (1, 2), Phase(1, 3)))
+    F = orbifold(T.with_mutation("product", (1, 2), Fraction(1, 3)))
     assert F.dim == 3
     assert not check_unoriented_frobenius(F).ok
 
 
 @pytest.mark.parametrize(
     "name, cls, key, phase, what",
-    [("C8", 1, (0, 3), Phase(1, 3), "involution"), ("C4", 0, (2, 1), Phase(1, 2), "crosscap")],
+    [("C8", 1, (0, 3), Fraction(1, 3), "involution"), ("C4", 0, (2, 1), Fraction(1, 2), "crosscap")],
 )
 def test_a_mutation_with_a_section_that_is_not_flat_does_not_orbifold(name, cls, key, phase, what):
     """Two of criterion 6's action mutations on grading 0, one leaving an
@@ -463,7 +473,7 @@ def test_torus_nontrivial_cocycle_on_c2c2_split():
 
     G = build_group("C2xC2")
     lam = TwistedCochain.from_dict(
-        G, 2, {(g, h): Phase((g // 2) * (h % 2), 2) for g in range(1, 4) for h in range(1, 4)}
+        G, 2, {(g, h): Fraction((g // 2) * (h % 2), 2) for g in range(1, 4) for h in range(1, 4)}
     )
     gg = split_grading(G)
     lam_hat = pullback_split(lam, gg)
