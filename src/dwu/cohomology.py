@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,8 +80,12 @@ class TwistedCochain:
 
     @classmethod
     def from_dict(cls, ref, degree: int, mapping) -> "TwistedCochain":
-        """From {tuple: Fraction}, read mod 1; tuples not in it are zero."""
+        """From {tuple: Fraction}, read mod 1; tuples not in it are zero.  A
+        value that is not rational (a float, say) raises ValueError."""
         group, signs = _group_signs(ref)
+        bad = next((tup for tup, q in mapping.items() if not isinstance(q, numbers.Rational)), None)
+        if bad is not None:
+            raise ValueError(f"cochain value {mapping[bad]!r} on {bad} is not an int or a Fraction")
         mapping = {tup: q % 1 for tup, q in mapping.items()}
         N = math.lcm(*(q.denominator for q in mapping.values()))
         _require_denominator(N)  # the reduced denominator, checked before it meets int64
@@ -136,8 +141,7 @@ class TwistedCochain:
         return not self.table.any()
 
     def __repr__(self):
-        nz = np.count_nonzero(self.table)
-        return f"TwistedCochain(deg={self.degree}, {self.group.name}, nonzero={nz})"
+        return f"TwistedCochain(deg={self.degree}, {self.group.name}, nonzero={np.count_nonzero(self.table)})"
 
 
 def _bar_faces(group: FiniteGroup, signs, degree: int, first=None) -> SparseRows:
@@ -286,15 +290,9 @@ def restrict_to_even(c: TwistedCochain, GG: GradedGroup) -> TwistedCochain:
 
 def cochain_to_json(c: TwistedCochain, group_name: str | None = None) -> str:
     nonzero = zip(np.argwhere(c.table).tolist(), c.table[c.table != 0].tolist())
-    return json.dumps(
-        {
-            "degree": c.degree,
-            "group": group_name or c.group.name,
-            "denominator": c.N,
-            "values": {",".join(map(str, tup)): k for tup, k in nonzero},
-        },
-        sort_keys=True,
-    )
+    values = {",".join(map(str, tup)): k for tup, k in nonzero}
+    data = {"degree": c.degree, "group": group_name or c.group.name, "denominator": c.N, "values": values}
+    return json.dumps(data, sort_keys=True)
 
 
 def cochain_from_json(text: str, ref) -> TwistedCochain:
@@ -304,6 +302,8 @@ def cochain_from_json(text: str, ref) -> TwistedCochain:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:  # arrays or objects nested past the parser's depth
         raise ValueError("malformed cochain file: nested too deeply") from None
+    except ValueError as exc:  # not JSON, a repeated key, or an int past the parser's digit limit
+        raise ValueError(f"malformed cochain file: {exc!r}") from None
     group, _ = _group_signs(ref)
     if isinstance(data, dict) and data.get("group", group.name) != group.name:
         raise ValueError(f"the cochain file is for group {data['group']!r}, not {group.name}")

@@ -14,18 +14,20 @@ an integer.  A root is a unit vector, multiplying by a root is a rotation and
 a product is a cyclic convolution, all in Python ints.  A CycNum is such a
 value in Q(zeta_L) = Q[x]/Phi_L(x): it is reduced mod Phi_L, by the integer
 table of x^k mod Phi_L, only to compare, hash or convert it to a complex
-number.  No caller divides in the field.  CycField.embeddings evaluates count
-arrays at the primitive roots, where dwu.tqft compares the orbifold algebra's
-vectors; those floats decide equalities and never become a value.
+number.  No caller divides in the field.  residues(L) evaluates count arrays
+at the primitive L-th roots of unity mod a prime p = 1 mod L, where
+dwu.tqft's Frobenius check decides its equations as congruences, in int64.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
+
+from dwu.groups import ResourceBudgetError
 
 
 def root_of_unity(k: int, n: int) -> complex:
@@ -36,16 +38,13 @@ def root_of_unity(k: int, n: int) -> complex:
 
 def _poly_divmod(num: list[int], den: list[int]) -> list[int]:
     """Exact quotient of integer polynomials (den monic, division known exact)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    assert all(c == 0 for c in num[: len(den) - 1])
-    return out
+    num, out = list(num), []
+    for i in range(len(num) - len(den), -1, -1):
+        out.append(c := num[i + len(den) - 1])
+        for j, d in enumerate(den):
+            num[i + j] -= c * d
+    assert not any(num)
+    return out[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -56,6 +55,32 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
         if L % d == 0:
             poly = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def residues(L: int) -> tuple[int, int, np.ndarray]:
+    """(p, w, table): the largest prime p = 1 mod L below 2^21, the first
+    w = x^((p-1)/L) mod p (x = 2, 3, ...) of order exactly L, and the
+    read-only (L, phi(L)) int64 table whose entry [k, t] is w^(k j_t) mod p
+    for the units j_t mod L, ascending.
+
+    counts @ table mod p evaluates count vectors (entry k counts zeta_L^k) at
+    the phi(L) primitive L-th roots of unity mod p.  Phi_L splits into
+    distinct linear factors mod p, so those values all vanish exactly when
+    the power-basis coefficients (counts @ CycField.reduction) are all 0 mod
+    p, and so exactly when they are 0 if they lie below p/2 in absolute
+    value (Pollard, "The fast Fourier transform in a finite field", 1971).
+    p < 2^21 keeps a sum of fewer than p products of two residues below
+    p^3 < 2^63.  Raises ResourceBudgetError when no such p exists."""
+    primes = (p for p in range((2**21 - 2) // L * L + 1, 1, -L) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    p = next(primes, None)  # primes runs over the p = 1 mod L below 2^21, largest first
+    if p is None:
+        raise ResourceBudgetError(f"no prime p = 1 mod {L} lies below 2^21")
+    roots = ([pow(x, (p - 1) // L * k, p) for k in range(L)] for x in range(2, p))
+    powers = next(r for r in roots if len(set(r)) == L)  # the powers of a root of order exactly L
+    table = np.array(powers, np.int64)[np.arange(L)[:, None] * np.flatnonzero(np.gcd(np.arange(L), L) == 1) % L]
+    table.flags.writeable = False
+    return p, powers[1 % L], table
 
 
 class CycField:
@@ -71,22 +96,10 @@ class CycField:
         self.degree = d = len(phi) - 1
         rows = [[int(i == k) for i in range(d)] for k in range(d)]
         for _ in range(d, L):  # x^k = x * x^(k-1), with x^d = -sum phi_i x^i
-            prev = rows[-1]
-            rows.append([(prev[i - 1] if i else 0) - prev[-1] * phi[i] for i in range(d)])
+            rows.append([(rows[-1][i - 1] if i else 0) - rows[-1][-1] * phi[i] for i in range(d)])
         self.reduction = np.array(rows, dtype=np.int64)
         self.zero = CycNum(self, (0,) * L)
         self.one = self.root(0, 1)
-
-    @cached_property
-    def embeddings(self) -> np.ndarray:
-        """(L, m) complex: entry [k, t] is exp(2 pi i k j_t / L), for the units
-        j_t mod L up to L/2.  Column t evaluates count vectors at the primitive
-        root zeta_L^j_t; it covers one of each complex-conjugate pair of
-        embeddings of Q(zeta_L), since sigma_(L-j) of an element of Z[zeta_L]
-        is the conjugate of sigma_j of it (m = phi(L)/2, or 1 when L <= 2)."""
-        L = self.L
-        units = np.array([j for j in range(L // 2 + 1) if math.gcd(j, L) == 1])
-        return np.exp(2j * np.pi * (np.arange(L)[:, None] * units % L / L))
 
     def from_counts(self, counts, den: int = 1) -> "CycNum":
         """(sum of counts[k] zeta_n^k) / den, n = len(counts) dividing L."""
@@ -188,13 +201,10 @@ class CycNum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycNum) or self.field.L != other.field.L:
             return False
-        if self.den == other.den and self.counts == other.counts:
-            return True
-        return self.reduced() == other.reduced()
+        return self.den == other.den and self.counts == other.counts or self.reduced() == other.reduced()
 
     def __hash__(self) -> int:
         return hash((self.field.L, self.reduced()))
 
     def __repr__(self) -> str:
-        coeffs, den = self.reduced()
-        return f"CycNum(L={self.field.L}, {coeffs}/{den})"
+        return "CycNum(L={}, {}/{})".format(self.field.L, *self.reduced())

@@ -21,10 +21,12 @@ int64 while a bound proves them exact and Python ints past it; the tests
 hold the routes to the brute-force holonomy and groupoid sums of
 tests/oracles.py.
 
-check_unoriented_frobenius (on coordinates in the flat basis) and the
-orbifold's span tests decide equalities of such counts at the primitive
-L-th roots of unity under an a-priori rounding bound; these floats decide
-equalities and never become a value or a record.
+The orbifold's span tests compare count arrays by their power-basis
+coefficients (CycField.reduction).  check_unoriented_frobenius evaluates
+coordinates in the flat basis at the primitive L-th roots of unity mod a
+prime (phases.residues) and decides each equation there as a congruence,
+exact under an a-priori bound on the coefficients.  No float decides an
+equality here.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dwu.cohomology import TwistedCochain
 from dwu.groups import GradedGroup, ResourceBudgetError, flat_sections
 from dwu.moduli import KLEIN, RP2, TORUS, Surface, require_budget, word_value
 from dwu.moduli import holonomy_points  # noqa: F401  (looked up here by perfbench's tracer)
-from dwu.phases import CycField, CycNum
+from dwu.phases import CycField, CycNum, residues
 from dwu.reptheory import BlockData
 from dwu.transgression import relator_pairing, require_cocycle, tau_ref
 
@@ -295,44 +297,24 @@ def _convolve(x, y):
     return np.tensordot(x, y[..., rot], axes=([-2, -1], [0, -2]))
 
 
-def _require_exact(mass, depth: int) -> None:
-    """Refuse a comparison at the roots of unity that rounding could decide wrongly.
-
-    A value computed in float64 from integer counts and the roots of
-    field.embeddings is a sum of terms, each a product of counts and roots
-    formed through at most depth roundings (a root counting 8: its own error
-    is at most 32 units in the last place).  Complex products, sums and
-    fused multiply-adds each err by at most 4u (u = 2^-53) relative to the
-    absolute terms they combine, in any summation order, so the value is
-    within mass * ((1 + 4u)^depth - 1) <= mass * depth * 2^-50 of the exact
-    one when mass bounds the sum of the terms' absolute values.  Below 1/2
-    that decides equality exactly (_apart); at 1/2 or more this raises
-    ResourceBudgetError before any verdict.
-    """
-    bound = float(mass) * depth * 2.0**-50
-    if not bound < 0.5:
-        raise ResourceBudgetError(
-            f"rounding error bound {bound:.3g} of a comparison at the roots of unity is not below 1/2"
-        )
-
-
-def _apart(a, b) -> np.ndarray:
-    """Where the evaluated values a and b (first axis: the embeddings) differ
-    by 1/2 or more at some embedding (exact: see check_unoriented_frobenius)."""
-    return (abs(a - b) >= 0.5).any(0)
-
-
 def _unequal(field: CycField, a, b) -> np.ndarray:
-    """Where the count vectors (last axis) of a and b differ in Q(zeta_L);
-    only the vectors whose counts differ are evaluated."""
-    d = a - b
-    out = np.array(d.any(-1))
-    if out.any():
-        d = d[out]
-        # a sum of L count-root products: L roundings and one root per term
-        _require_exact(np.abs(d).sum(-1).max(), field.L + 8)
-        out[out] = _apart((d @ field.embeddings).T, 0)
-    return out
+    """Where the count vectors (last axis) of a and b differ in Q(zeta_L):
+    their power-basis coefficients, exact in int64 for counts of the size the
+    orbifold holds."""
+    return ((a - b) @ field.reduction).any(-1)
+
+
+def _at_roots(counts, L: int) -> np.ndarray:
+    """The values of count arrays (last axis) at the primitive L-th roots mod
+    the prime of phases.residues(L), with the roots on the first axis."""
+    P, _, table = residues(L)
+    return np.moveaxis(counts % P @ table % P, -1, 0)
+
+
+def _unequal_residues(a, b) -> np.ndarray:
+    """Where the residues a and b (first axis: the primitive roots, as
+    _at_roots gives them) differ at some root."""
+    return (a != b).any(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,9 +334,9 @@ class UnorientedFrobeniusData:
 
     The arrays are int64: the orbifold of a group of order n has entries of
     size at most n^4 (a product of two crosscap vectors), far from 2^63;
-    check_unoriented_frobenius evaluates coordinates at the roots of unity,
-    not in these arrays.  partition_tqft's powers move to Python ints once
-    their sums reach 2^63.
+    check_unoriented_frobenius evaluates coordinates at the roots of unity
+    mod a prime, not in these arrays.  partition_tqft's powers move to
+    Python ints once their sums reach 2^63.
     """
 
     GG: GradedGroup
@@ -534,39 +516,39 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
     conditions compare coordinates in the flat basis, which decide equality
     in the span (sections have disjoint supports and are 1 at their least
     elements).  C (the products' coordinates), the involution's rows p, Q's
-    coordinates q and the duals' rows d are evaluated once at the primitive
-    roots of field.embeddings; the counit is coordinate 0.
+    coordinates q and the duals' rows d are evaluated once at the phi(L)
+    primitive L-th roots mod the prime P of phases.residues(L), and every
+    product and sum is taken there, in int64 mod P; the counit is coordinate 0.
 
-    Exactness.  Each side of an equation a = b is an element of Z[zeta_L].
-    A nonzero d in Z[zeta_L] has a norm, the product of |sigma_j(d)|^2 over
-    the conjugate pairs of embeddings, that is a nonzero integer, so some
-    |sigma_j(d)| is at least 1.  With a rounding error below 1/2, a = b
-    exactly when every computed |sigma_j(a - b)| is below 1/2 (_apart).
+    Exactness.  Each side of an equation a = b is an element of Z[zeta_L],
+    so a = b exactly when the power-basis coefficients of a - b vanish.  They
+    vanish mod P exactly when a - b vanishes at every primitive root mod P
+    (_unequal_residues), and they are 0 when they are 0 mod P and below P/2.
 
-    Rounding bound.  Let n = |G^| (the even part), iota the largest row or
-    column sum of the involution's count norms |p_ij|_1 and kappa the
-    largest |q_a|_1, each at least 1.  |C[i, j, x]|_1 counts the (g, h) in
-    C_i x C_j with gh = x: at most |C_j|, and at most n summed over i, j or
-    both.  So the absolute terms of a compared difference sum to at most
-    2n max(n, iota, kappa)^2: 2n^2 for associativity, n iota + n iota^2 for
-    the morphism, n kappa iota + n kappa for p(Q S_j) = Q S_j, and
-    n dim iota + n kappa^2 for sum_i p(S_i) S^i = Q Q (|d_i|_1 = n/|C_i^-1|).
-    A term takes at most 3L + 2 dim + 27 roundings (roots counted as in
-    _require_exact): L + 8 per evaluated input, one per product, dim per sum
-    over the basis (a dual row has one nonzero entry; zero terms add
-    exactly), one for the difference, and a chain has at most three inputs,
-    two products and two sums.  A check whose bound reaches 1/2 raises
-    ResourceBudgetError before any verdict.
+    Bound.  Let n = |G^| (the even part), iota the largest row or column sum
+    of the involution's count norms |p_ij|_1 and kappa the largest |q_a|_1,
+    each at least 1.  |C[i, j, x]|_1 counts the (g, h) in C_i x C_j with
+    gh = x: at most |C_j|, and at most n summed over i, j or both.  So the
+    count norm of a compared difference is at most 2n max(n, iota, kappa)^2:
+    2n^2 for associativity, n iota + n iota^2 for the morphism, n kappa iota
+    + n kappa for p(Q S_j) = Q S_j, and n dim iota + n kappa^2 for
+    sum_i p(S_i) S^i = Q Q (|d_i|_1 = n/|C_i^-1|).  Its power-basis
+    coefficients are at most that times the largest |entry| of
+    field.reduction.  A check where that bound is not below P/2 raises
+    ResourceBudgetError before any verdict.  Below it, 4 dim^3 < P, so every
+    sum of products formed here has fewer than P terms and stays in int64.
     """
-    E, dim, n, L = F.field.embeddings, F.dim, len(F.mult), F.field.L
-    m = E.shape[1]
+    dim, n, L = F.dim, len(F.mult), F.field.L
+    P = residues(L)[0]
     norms = np.abs(F.involution).sum(-1)
     iota = max(1, int(norms.sum(0).max()), int(norms.sum(1).max()))
     kappa = max(1, int(np.abs(F.crosscap_coords).sum(-1).max()))
-    _require_exact(2 * n * max(n, iota, kappa) ** 2, 3 * L + 2 * dim + 27)
+    bound = 2 * n * max(n, iota, kappa) ** 2 * int(np.abs(F.field.reduction).max())
+    if not 2 * bound < P:
+        raise ResourceBudgetError(f"coefficient bound {bound} of the Frobenius check is not below {P}/2")
 
-    def at_roots(counts):  # (..., L) counts -> (m, ...) values
-        return np.moveaxis(counts @ E, -1, 0)
+    def mul(a, b):
+        return a @ b % P
 
     entries = []
 
@@ -575,21 +557,22 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
     entries.append(("closure", witness is None, witness))
     if witness is not None:
         return CheckReport(entries=tuple(entries))
-    C = at_roots(F.coords(F.products))  # S_i S_j = sum_x C[i, j, x] S_x
+    C = _at_roots(F.coords(F.products), L)  # S_i S_j = sum_x C[i, j, x] S_x
+    m = len(C)
 
-    witness = _first(_apart(C, C.transpose(0, 2, 1, 3)).any(-1))
+    witness = _first(_unequal_residues(C, C.transpose(0, 2, 1, 3)).any(-1))
     entries.append(("commutativity", witness is None, witness))
 
     # (S_i S_j) S_k = sum_x C[i, j, x] C[x, k, l] S_l and
     # S_i (S_j S_k) = sum_x C[j, k, x] C[i, x, l] S_l
     pairs = C.reshape(m, dim * dim, dim)
-    lhs = (pairs @ C.reshape(m, dim, -1)).reshape((m,) + (dim,) * 4)
-    rhs = (pairs @ C.transpose(0, 2, 1, 3).reshape(m, dim, -1)).reshape((m,) + (dim,) * 4)
-    witness = _first(_apart(lhs, rhs.transpose(0, 3, 1, 2, 4)).any(-1))
+    lhs = mul(pairs, C.reshape(m, dim, -1)).reshape((m,) + (dim,) * 4)
+    rhs = mul(pairs, C.transpose(0, 2, 1, 3).reshape(m, dim, -1)).reshape((m,) + (dim,) * 4)
+    witness = _first(_unequal_residues(lhs, rhs.transpose(0, 3, 1, 2, 4)).any(-1))
     entries.append(("associativity", witness is None, witness))
 
-    one = np.eye(dim)  # row j: the coordinates of S_j; S_0 is the identity's section
-    witness = _first((_apart(C[:, 0], one) | _apart(C[:, :, 0], one)).any(-1))
+    one = np.eye(dim, dtype=np.int64)  # row j: the coordinates of S_j; S_0 is the identity's section
+    witness = _first((_unequal_residues(C[:, 0], one) | _unequal_residues(C[:, :, 0], one)).any(-1))
     entries.append(("unit", witness is None, witness))
 
     duals, witness = F.duals
@@ -598,30 +581,30 @@ def check_unoriented_frobenius(F: UnorientedFrobeniusData) -> CheckReport:
         return CheckReport(entries=tuple(entries))
 
     # involution laws: p^2 = id, algebra morphism, counit preserved
-    p = at_roots(F.involution).transpose(0, 2, 1)  # p(S_j) = sum_i p[j, i] S_i
-    witness = _first(_apart(p @ p, one).any(-1))
+    p = _at_roots(F.involution, L).transpose(0, 2, 1)  # p(S_j) = sum_i p[j, i] S_i
+    witness = _first(_unequal_residues(mul(p, p), one).any(-1))
     entries.append(("involution-squares-to-id", witness is None, witness))
 
     # p(S_i S_j) = sum_x C[i, j, x] p(S_x) against p(S_i) p(S_j) = sum_b p[j, b] pS[i, b]
-    pS = (p @ C.reshape(m, dim, -1)).reshape(C.shape)  # pS[i, b]: the coordinates of p(S_i) S_b
-    witness = _first(_apart(C @ p[:, None], p[:, None] @ pS).any(-1))
+    pS = mul(p, C.reshape(m, dim, -1)).reshape(C.shape)  # pS[i, b]: the coordinates of p(S_i) S_b
+    witness = _first(_unequal_residues(mul(C, p[:, None]), mul(p[:, None], pS)).any(-1))
     entries.append(("involution-algebra-morphism", witness is None, witness))
 
-    witness = _first(_apart(p[..., 0], one[:, 0]))
-    if witness is None and _apart(p[:, 0], one[0]).any():  # p(unit) = unit
+    witness = _first(_unequal_residues(p[..., 0], one[:, 0]))
+    if witness is None and _unequal_residues(p[:, 0], one[0]).any():  # p(unit) = unit
         witness = ("unit",)
     entries.append(("involution-counit-preserving", witness is None, witness))
 
     # crosscap constraint: Q x = p(Q x)
-    q = at_roots(F.crosscap_coords)
-    qS = (q[:, None] @ C.reshape(m, dim, -1)).reshape(m, dim, dim)  # qS[j]: the coordinates of Q S_j
-    witness = _first(_apart(qS @ p, qS).any(-1))
+    q = _at_roots(F.crosscap_coords, L)
+    qS = mul(q[:, None], C.reshape(m, dim, -1)).reshape(m, dim, dim)  # qS[j]: the coordinates of Q S_j
+    witness = _first(_unequal_residues(mul(qS, p), qS).any(-1))
     entries.append(("crosscap-linear-constraint", witness is None, witness))
 
     # second crosscap diagram: sum_i p(S_i) S^i = Q Q
-    d = at_roots(F.coords(duals))  # S^i = sum_b d[i, b] S_b
-    lhs = d.reshape(m, 1, -1) @ pS.reshape(m, -1, dim)
-    ok = not _apart(lhs, q[:, None] @ qS).any()
+    d = _at_roots(F.coords(duals), L)  # S^i = sum_b d[i, b] S_b
+    lhs = mul(d.reshape(m, 1, -1), pS.reshape(m, -1, dim))
+    ok = not _unequal_residues(lhs, mul(q[:, None], qS)).any()
     entries.append(("crosscap-comultiplication", ok, None))
 
     return CheckReport(entries=tuple(entries))
@@ -645,8 +628,9 @@ def partition_direct(
     holonomies of the pieces so far with product p and pairing k mod N, and
     a step convolves it with table[p, p', k], the count of piece holonomies
     ((a, b) in G^2, or odd x) taking p to p' with fan pairing k read from p.
-    Z is state[e] over |G|.  The budget bounds the table on every call,
-    before it is built.  The walk (table, state, and state[e] per step) is
+    Z is state[e] over |G|.  The budget bounds steps x states x choices (the
+    table's size, once more per step; the sphere counts as one step) on every
+    call, before the table is built or a step taken.  The walk (table, state, and state[e] per step) is
     kept on the cochain per (GG, surface kind), so a call takes only the
     steps no earlier call took.  The state sums to exactly (piece
     holonomies)^steps: int64 below 2^63, Python ints from there on.
@@ -659,7 +643,7 @@ def partition_direct(
     else:
         piece, holonomy = RP2, (GG.odd_part(),)
     choices = np.broadcast(*holonomy).size
-    require_budget("transfer table", n * choices, budget)
+    require_budget("direct walk", max(surface.param, 1) * n * choices, budget)
     walks = vars(lambda_hat).setdefault("_walks", {})
     walk = walks.get((GG, surface.kind))
     if walk is None:

@@ -23,6 +23,7 @@ from oracles import flipped_kr_rank
 from dwu.cli import Emitter, _fingerprint, load_manifest, main
 from dwu.cohomology import TwistedCochain
 from dwu.groups import build_group
+from dwu.moduli import DEFAULT_BUDGET
 
 
 def run(capsys, *argv):
@@ -217,7 +218,8 @@ def test_csv_keeps_rows_emitted_before_budget_error(tmp_path, capsys):
     path = tmp_path / "report.csv"
     code, out = run(capsys, *argv, "--format", "csv", "--out", str(path))
     assert code == 3 and out == ""
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 16
     assert [(r["group"], r["surface"]) for r in rows] == [
         (r["group"], r["surface"]) for r in records
@@ -692,6 +694,19 @@ def test_partition_sphere_record_carries_the_convention_note(capsys):
     assert sphere[0]["direct"] == [0.5, 0.0]  # groupoid-cardinality value 1/|G|
 
 
+def test_a_walk_of_10_to_the_20_steps_is_refused_before_its_first_step():
+    """C2's even part is trivial, so no Verlinde range check stops N_k=10^20;
+    the direct walk's budget (steps times states times choices) does, at once."""
+    argv = ["partition", "--group", "C2", "--grading", "0", "--surfaces", "N_k=" + "1" + "0" * 20]
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("DW_BUDGET", None)
+    cmd = [sys.executable, "-m", "dwu.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"resource error: direct walk size {10**20} exceeds budget {DEFAULT_BUDGET}\n"
+
+
 @pytest.mark.parametrize("surface", ["N_k=1100", "Sigma_g=600"])
 def test_value_beyond_the_float_range_is_resource_error(capsys, surface):
     code = main(["partition", "--group", "C4", "--grading", "0", "--class", "0", "--surfaces", surface])
@@ -718,6 +733,27 @@ def test_cocycle_file_past_a_parser_or_int64_limit_is_one_usage_error(tmp_path, 
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"degree": 2, "denominator": 2, "values": {"1,1": 1',
+        '{"degree": 2, "denominator": 1' + "0" * 4999 + ', "values": {"1,1": 1}}',
+    ],
+    ids=["truncated", "5000-digit-denominator"],
+)
+def test_a_cocycle_file_the_parser_refuses_is_a_malformed_cochain_file(tmp_path, capsys, text):
+    """A file json.loads refuses gets the same prefix as any other malformed
+    file.  (A 5000-digit integer passes the parser where Python has no digit
+    limit; the int64 check on the denominator then refuses it.)"""
+    path = tmp_path / "cocycle.json"
+    path.write_text(text)
+    code = main(["partition", "--group", "C4", "--grading", "0", "--cocycle-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: malformed cochain file: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cocycle_file_of_a_degree_above_2_is_refused_before_its_table(tmp_path, capsys):

@@ -299,6 +299,15 @@ def test_denominators_past_int64_sums_rejected():
             TwistedCochain.from_dict(cyclic(4), 1, {(1,): Fraction(1, N)})
 
 
+def test_a_float_value_is_a_value_error_naming_its_key():
+    """A float has no denominator to read mod 1; it is refused by its key,
+    as is any other value that is no int or Fraction."""
+    for value in (0.5, 1.0, "1/2"):
+        with pytest.raises(ValueError, match=r"on \(1,\) is not an int or a Fraction"):
+            TwistedCochain.from_dict(cyclic(4), 1, {(2,): Fraction(1, 2), (1,): value})
+    assert TwistedCochain.from_dict(cyclic(4), 1, {(1,): np.int64(3)}).N == 1
+
+
 def test_mismatched_bases_rejected():
     a = TwistedCochain.zero(parity_c4(), 2)
     b = TwistedCochain.zero(identity_c2(), 2)

@@ -28,13 +28,14 @@ from dwu.groups import (
     split_grading,
 )
 from dwu.moduli import KLEIN, RP2, SPHERE, TORUS, parse_surface, word_value
-from dwu.phases import CycField, cyclotomic_polynomial
+from dwu.phases import CycField, cyclotomic_polynomial, residues
 from dwu.reptheory import BlockData, algebra_from_graded, blocks, crosscap_element, fs_indicators
 from dwu.tqft import (
     ConventionError,
     _closed_form_duals,
+    _at_roots,
     _turaev_data,
-    _unequal,
+    _unequal_residues,
     check_turaev_axioms,
     check_unoriented_frobenius,
     consistency_report,
@@ -304,23 +305,25 @@ def test_frobenius_mutations_fail():
         assert check_unoriented_frobenius(G) == integer_check(G)
 
 
-def test_frobenius_check_rounding_bound_on_each_side():
-    """The bound 2 n max(n, iota, kappa)^2 (3L + 2 dim + 27) 2^-50 of the
-    check's docstring: split untwisted S3 has n = 6, L = 1, dim = 3, iota = 1
-    and kappa = 4, so an involution scaled by s >= 6 has iota = s, and the
-    bound is below 1/2 for 432 s^2 < 2^49.  Just below, the check decides as
-    the integer check does; just above, it refuses before any verdict."""
+def test_frobenius_check_coefficient_bound_on_each_side():
+    """The bound 2 n max(n, iota, kappa)^2 max|reduction| < P/2 of the check's
+    docstring: split untwisted S3 has n = 6, L = 1, dim = 3, iota = 1,
+    kappa = 4 and reduction [[1]], so an involution scaled by s >= 6 has
+    iota = s, and the bound holds for 24 s^2 < P.  Just below, the check
+    decides as the integer check does; just above, it refuses before any
+    verdict."""
     from dataclasses import replace
 
     gg = split_grading(build_group("S3"))
     F = orbifold(turaev_from_cocycle(gg, TwistedCochain.zero(gg, 2)))
     assert (F.field.L, len(F.mult), F.dim, int(abs(F.crosscap_coords).sum(-1).max())) == (1, 6, 3, 4)
-    s = math.isqrt((2**49 - 1) // 432)
-    assert 432 * s**2 < 2**49 <= 432 * (s + 1) ** 2
+    P = residues(1)[0]
+    s = math.isqrt((P - 1) // 24)
+    assert s >= 6 and 24 * s**2 < P <= 24 * (s + 1) ** 2
     below = replace(F, involution=s * F.involution)
     report = check_unoriented_frobenius(below)
     assert report == integer_check(below) and not report.ok
-    with pytest.raises(ResourceBudgetError, match="rounding error bound"):
+    with pytest.raises(ResourceBudgetError, match="coefficient bound"):
         check_unoriented_frobenius(replace(F, involution=(s + 1) * F.involution))
 
 
@@ -328,16 +331,44 @@ def _reduction_unequal(field, a, b):
     return ((a - b) @ field.reduction).any(-1)
 
 
+def _residues_unequal(L, a, b):
+    return _unequal_residues(_at_roots(a - b, L), 0)
+
+
+@pytest.mark.parametrize("L", [*range(1, 65), 211])
+def test_residue_table(L):
+    """P is a prime = 1 mod L below 2^21, w has order exactly L mod P, and the
+    table has phi(L) distinct columns, w^j for the units j mod L."""
+    P, w, table = residues(L)
+    assert 1 < P < 2**21 and (P - 1) % L == 0 and all(P % d for d in range(2, math.isqrt(P) + 1))
+    assert pow(w, L, P) == 1 and all(pow(w, k, P) != 1 for k in range(1, L))
+    units = [j for j in range(L) if math.gcd(j, L) == 1]
+    assert table.shape == (L, len(units)) == CycField(L).reduction.shape
+    assert table[1 % L].tolist() == [pow(w, j, P) for j in units] and len(set(table[1 % L].tolist())) == len(units)
+    assert (table == [[pow(w, k * j, P) for j in units] for k in range(L)]).all()
+    assert not table.flags.writeable and residues(L) is residues(L)
+
+
+def test_no_residue_prime_below_the_limit_is_a_budget_error():
+    """No prime P = 1 mod 2^21 lies below 2^21, nor one = 1 mod 2^20 (the
+    only candidate, 2^20 + 1, is 17 * 61681); both refuse before any table."""
+    assert 2**20 + 1 == 17 * 61681
+    for L in (2**21, 2**20):
+        with pytest.raises(ResourceBudgetError, match=f"no prime p = 1 mod {L}"):
+            residues(L)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.data())
 def test_equality_at_the_roots_is_equality_mod_phi(data):
-    """_unequal (the primitive embeddings) against CycField.reduction (the
-    residue mod Phi_L) for L = 1..32: on random count vectors, on one root
-    added to a random one, and on vectors that vanish in Q(zeta_L) but not in
-    Z[Z/L], added to a random one."""
+    """Equality at the primitive roots mod P (residues) against
+    CycField.reduction (the residue mod Phi_L) for L = 1..32, on count
+    vectors whose differences keep every power-basis coefficient below P/2:
+    random ones, one root added to a random one, and vectors that vanish in
+    Q(zeta_L) but not in Z[Z/L], added to a random one."""
     L = data.draw(st.integers(1, 32), label="L")
     field, phi = CycField(L), np.array(cyclotomic_polynomial(L))
-    vectors = st.lists(st.integers(-(2**20), 2**20), min_size=L, max_size=L).map(np.array)
+    vectors = st.lists(st.integers(-(2**12), 2**12), min_size=L, max_size=L).map(np.array)
     a, b = data.draw(vectors), data.draw(vectors)
     k = data.draw(st.integers(0, L - 1))
     zeros = []
@@ -350,38 +381,32 @@ def test_equality_at_the_roots_is_equality_mod_phi(data):
         cofactor = data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size).filter(any))
         zeros.append(np.roll(np.convolve(phi, cofactor), k))  # a multiple of Phi_L, rotated
     assert all(not _reduction_unequal(field, z, 0) and z.any() for z in zeros)
-    root = np.roll(np.eye(L, dtype=np.int64)[0], k)  # a unit: |sigma(zeta^k)| = 1 everywhere
+    root = np.roll(np.eye(L, dtype=np.int64)[0], k)
     left = np.array([a, a + root, a, *(a + z for z in zeros)])
     right = np.array([b, a, a + 0 * b, *([a] * len(zeros))])
-    got = _unequal(field, left, right)
+    bound = np.abs(left - right).sum(-1).max() * np.abs(field.reduction).max()
+    assert 2 * bound < residues(L)[0]
+    got = _residues_unequal(L, left, right)
     assert (got == _reduction_unequal(field, left, right)).all()
     assert got[1] and not got[2:].any()
 
 
-def test_equality_at_the_roots_sees_a_unit_with_one_small_embedding():
-    """1 + zeta_7^3 is a unit, and at zeta_7 it has absolute value
-    2 cos(3 pi / 7) = 0.445 < 1/2, so one embedding alone would call it 0."""
-    field = CycField(7)
-    d = np.zeros(7, np.int64)
-    d[[0, 3]] = 1
-    values = np.abs(d @ field.embeddings)
-    assert abs(values[0] - 2 * math.cos(3 * math.pi / 7)) < 1e-12 and values[0] < 0.5
-    assert _unequal(field, d, 0) and _reduction_unequal(field, d, 0)
-
-
-def test_equality_at_the_roots_rounding_bound_on_each_side():
-    """A comparison of count vectors at L = 7 is refused once |a - b|_1 (L + 8)
-    2^-50 reaches 1/2, i.e. from |a - b|_1 = 2^49 / 15 on; just below, a
-    nonzero and a vanishing difference of that size are still decided."""
-    field = CycField(7)
-    s = (2**49 - 1) // 30  # 2s (L + 8) < 2^49 <= 2(s + 1)(L + 8)
-    nonzero = np.zeros(7, np.int64)
-    nonzero[[0, 3]] = s  # s (1 + zeta^3)
-    vanishing = np.full(7, (2**49 - 1) // 105)  # a multiple of 1 + zeta + ... + zeta^6
-    assert _unequal(field, nonzero, 0) and not _unequal(field, vanishing, 0)
-    nonzero[0] += 2
-    with pytest.raises(ResourceBudgetError, match="rounding error bound"):
-        _unequal(field, nonzero, 0)
+def test_an_element_of_norm_p_vanishes_at_one_residue():
+    """a + b zeta_4 with a^2 + b^2 = P has norm P, so it vanishes at exactly
+    one of the two primitive 4th roots mod P: with either sign of b, and so
+    at each root in turn.  Deciding at one root alone would call one of them
+    0; at all the roots, and mod Phi_4, neither is."""
+    P = residues(4)[0]
+    a = next(a for a in range(1, math.isqrt(P)) if math.isqrt(P - a * a) ** 2 == P - a * a)
+    b = math.isqrt(P - a * a)
+    field, vanishing = CycField(4), []
+    for d in (np.array([a, b, 0, 0]), np.array([a, -b, 0, 0])):
+        values = _at_roots(d, 4)
+        assert (values == d % P @ residues(4)[2] % P).all()
+        assert (values == 0).sum() == 1
+        vanishing.append(int(np.argmin(values)))
+        assert _unequal_residues(values, 0) and _residues_unequal(4, d, 0) and _reduction_unequal(field, d, 0)
+    assert sorted(vanishing) == [0, 1]
 
 
 def test_mednykh_split_untwisted_counts():
@@ -449,20 +474,24 @@ def test_counts_on_each_side_of_int64():
 
 
 def test_direct_budget_bounds_the_transfer_table():
-    """The budget bounds the walk's transfer table, states times choices per
-    step, whatever the number of steps (the sphere takes none)."""
+    """The budget bounds the walk: steps times states times choices per step
+    (the sphere takes no step but builds the table, so it counts as one),
+    checked before the table is built or a step taken; each case is refused
+    one below its size and computed at it."""
     gg = enumerate_gradings(build_group("D8"))[0]
     assert gg.even_subgroup.order == len(gg.odd_part()) == 4
     lam = TwistedCochain.zero(gg, 2)
     handle, crosscap = 4 * 4**2, 4 * 4  # even prefixes times choices of (a, b), of odd x
     cases = [
         (SPHERE, handle),
-        (parse_surface("Sigma_g=9"), handle),
+        (TORUS, handle),
+        (parse_surface("Sigma_g=9"), 9 * handle),
         (RP2, crosscap),
-        (parse_surface("N_k=40"), crosscap),
+        (KLEIN, 2 * crosscap),
+        (parse_surface("N_k=40"), 40 * crosscap),
     ]
     for surface, size in cases:
-        with pytest.raises(ResourceBudgetError):
+        with pytest.raises(ResourceBudgetError, match=f"direct walk size {size} exceeds budget {size - 1}"):
             partition_direct(gg, lam, surface, budget=size - 1)
         assert partition_direct(gg, lam, surface, budget=size) == partition_direct(gg, lam, surface)
 
