@@ -461,19 +461,37 @@ MANIFEST_SHA1 = {
     "verify-axioms --group Q8xC2": "346df91793dbbb6b6220dff5d161053df47ab151",
     "verify-axioms --group D16": "292c3644a01c7bfa4281006227792ea481241a67",
     "verify-axioms --group C4xC4": "d3379ec56586b376cd1a6829bf758eedd29100bc",
+    "indicators --group C2": "8f2b97c1956022087cd208a98fbd1c99a6660a9a",
+    "indicators --group C4": "1d4c598d4cec0017817343e19a67e0dd82859497",
+    "indicators --group C2xC2": "324a218330717dd85460669d4931692a2a09f741",
+    "indicators --group C6": "e7f70f9ca2af17f830ce8ae5c033bba426e7b6f1",
+    "indicators --group C8": "9f5f13a9a24ad4396ba0b5f97560c0fb601198da",
+    "indicators --group C4xC2": "d37936d4a78f70909266d4ffdac164cbb2f6cdee",
+    "indicators --group C2xC2xC2": "d64d905a4b9d430261ef0279e5f0827d49db7261",
+    "indicators --group D8": "d7d8787fc0617c7b777466212947c90f85e5062b",
+    "indicators --group Q8": "df6bd1b90557406eb868a0dd94ee1f746d66df74",
+    "indicators --group D10": "9a54e13c654570a809118efd43a66518e3f231d5",
+    "indicators --group D12": "0dce2cb58fa531d10474d337cce29d6ee03e3541",
+    "indicators --group C12": "6d3f3ea5148459ac70f28f1fe4a119d573dec082",
+    "indicators --group S3xC2": "88dcaf0f6b19e2eb7e293b630c2cf80eed2ebe49",
+    "indicators --group Q8xC2": "f13480637df7d1f0f30b8f7b69c6be3d8f0b14e1",
+    "indicators --group D16": "4439bfdcbf9c655b6815d2fe9a40c308f515997f",
+    "indicators --group C4xC4": "112c5f4662bf187bc3e59af51b2565b59a2ae9af",
 }
 
 
 @pytest.mark.parametrize("argv", list(MANIFEST_SHA1))
 def test_the_manifest_output_is_pinned(capsys, argv):
-    """stdout and the exit code of the sweep (plain and CSV) and of verify-axioms
-    on each manifest group are byte-identical to an earlier capture."""
+    """stdout and the exit code of the sweep (plain and CSV), and of verify-axioms
+    and indicators on each manifest group, are byte-identical to an earlier capture."""
     code, out = run(capsys, *argv.split())
     assert hashlib.sha1(out.encode() + b"exit %d" % code).hexdigest() == MANIFEST_SHA1[argv]
 
 
 def test_the_pins_cover_the_manifest():
-    assert [argv.split()[-1] for argv in MANIFEST_SHA1 if "verify" in argv] == load_manifest()["groups"]
+    for command in ["verify-axioms", "indicators"]:
+        pinned = [argv.split()[-1] for argv in MANIFEST_SHA1 if argv.startswith(command + " ")]
+        assert pinned == load_manifest()["groups"], command
 
 
 @pytest.mark.parametrize("extra, expected_code, golden", GOLDEN)
