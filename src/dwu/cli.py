@@ -188,6 +188,7 @@ def cmd_indicators(args, emitter: Emitter) -> int:
         for ci, lam in _resolve_classes(gg, args):
             alg = algebra_from_graded(gg, lam)
             bl = fs_indicators(blocks(alg), crosscap_element(gg, lam), alg)
+            keyed = sorted((b.dimension, b.fingerprint(), b.indicator) for b in bl)
             from dwu.moduli import RP2
             from dwu.tqft import partition_direct
 
@@ -200,12 +201,8 @@ def cmd_indicators(args, emitter: Emitter) -> int:
                     "grading": gi,
                     "class": ci,
                     "blocks": [
-                        {
-                            "dim": b.dimension,
-                            "indicator": b.indicator,
-                            "idempotent_fingerprint": _sha1_12(repr(b.fingerprint()).encode()),
-                        }
-                        for b in bl
+                        {"dim": dim, "indicator": nu, "idempotent_fingerprint": _sha1_12(repr(fp).encode())}
+                        for dim, fp, nu in keyed
                     ],
                     "z_rp2": _pair(z_rp2),
                     "signed_odd_square_roots_of_e": _pair(n * z_rp2),

@@ -12,7 +12,7 @@ Conjugation is one read-only table per group, built once from the
 multiplication table: FiniteGroup.conjugation, and for a graded group the Real
 conjugation w.g = w g^{sign w} w^-1 of the even part, GradedGroup.real_conjugation.
 Every module reads these two.  flat_sections finds the sections over a group's
-conjugation (the exact orbifold and the floating-point centre) in closed form.
+conjugation (the exact orbifold and the centre mod p) in closed form.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 Inside the package a phase is an integer exponent k mod N standing for
 exp(2*pi*i*k/N): cochain tables, transgressions, pairings and the Turaev
 structure constants all hold such exponents, a product of phases is a sum of
-exponents and an inverse is a negation, and root_of_unity(k, N) is their one
-complex embedding.  At the API and JSON edges a phase is a Fraction, read
-mod 1 before it meets int64.
+exponents and an inverse is a negation.  At the API and JSON edges a phase
+is a Fraction, read mod 1 before it meets int64.
 
 A sum of phases that must be compared exactly (a partition function, the
 KR integral, a coefficient of an orbifold vector) is a count of roots zeta_L^k
@@ -16,24 +15,21 @@ value in Q(zeta_L) = Q[x]/Phi_L(x): it is reduced mod Phi_L, by the integer
 table of x^k mod Phi_L, only to compare, hash or convert it to a complex
 number.  No caller divides in the field.  residues(L) evaluates count arrays
 at the primitive L-th roots of unity mod a prime p = 1 mod L, where
-dwu.tqft's Frobenius check decides its equations as congruences, in int64.
+dwu.tqft's Frobenius check decides its equations as congruences, in int64;
+prime_root(L) gives such a prime and a root of order L without that table,
+for dwu.reptheory's blocks mod p.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
 from dwu.groups import ResourceBudgetError
-
-
-def root_of_unity(k: int, n: int) -> complex:
-    """exp(2*pi*i*k/n); k/n is divided as Python ints, so the float is the
-    correctly rounded fraction whatever the common factors of k and n."""
-    return cmath.exp(2j * cmath.pi * (k / n))
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> list[int]:
@@ -58,11 +54,32 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def prime_root(L: int, floor: int | None = None) -> tuple[int, int]:
+    """(p, w): the largest prime p = 1 mod L below 2^21, or with a floor the
+    least one above it, and the first w = x^((p-1)/L) mod p (x = 2, 3, ...)
+    of order exactly L, that is with w^(L/d) != 1 for each divisor d > 1 of L.
+    p < 2^21 keeps a sum of fewer than 2^21 products of two residues below
+    2^63.  Raises ResourceBudgetError, before anything of size L is built,
+    when no such p exists."""
+    span = range((2**21 - 2) // L * L + 1, 1, -L) if floor is None else range(floor + 1 + -floor % L, 2**21, L)
+    p = next((p for p in span if all(p % d for d in range(2, math.isqrt(p) + 1))), None)
+    if p is None:
+        raise ResourceBudgetError(f"no prime p = 1 mod {L} lies {'below' if floor is None else f'between {floor} and'} 2^21")
+    divisors = [d for d in range(2, L + 1) if L % d == 0]
+    roots = (pow(x, (p - 1) // L, p) for x in range(2, p))
+    return p, next(w for w in roots if all(pow(w, L // d, p) != 1 for d in divisors))
+
+
+def geometric(x: int, k: int, p: int) -> np.ndarray:
+    """The int64 array x^0, x^1, ..., x^(k-1) mod p."""
+    return np.array(list(itertools.accumulate(itertools.repeat(x, k - 1), lambda a, b: a * b % p, initial=1)), np.int64)
+
+
+@lru_cache(maxsize=None)
 def residues(L: int) -> tuple[int, int, np.ndarray]:
-    """(p, w, table): the largest prime p = 1 mod L below 2^21, the first
-    w = x^((p-1)/L) mod p (x = 2, 3, ...) of order exactly L, and the
-    read-only (L, phi(L)) int64 table whose entry [k, t] is w^(k j_t) mod p
-    for the units j_t mod L, ascending.
+    """(p, w, table): prime_root(L) and the read-only (L, phi(L)) int64
+    table whose entry [k, t] is w^(k j_t) mod p for the units j_t mod L,
+    ascending.
 
     counts @ table mod p evaluates count vectors (entry k counts zeta_L^k) at
     the phi(L) primitive L-th roots of unity mod p.  Phi_L splits into
@@ -70,17 +87,11 @@ def residues(L: int) -> tuple[int, int, np.ndarray]:
     the power-basis coefficients (counts @ CycField.reduction) are all 0 mod
     p, and so exactly when they are 0 if they lie below p/2 in absolute
     value (Pollard, "The fast Fourier transform in a finite field", 1971).
-    p < 2^21 keeps a sum of fewer than p products of two residues below
-    p^3 < 2^63.  Raises ResourceBudgetError when no such p exists."""
-    primes = (p for p in range((2**21 - 2) // L * L + 1, 1, -L) if all(p % d for d in range(2, math.isqrt(p) + 1)))
-    p = next(primes, None)  # primes runs over the p = 1 mod L below 2^21, largest first
-    if p is None:
-        raise ResourceBudgetError(f"no prime p = 1 mod {L} lies below 2^21")
-    roots = ([pow(x, (p - 1) // L * k, p) for k in range(L)] for x in range(2, p))
-    powers = next(r for r in roots if len(set(r)) == L)  # the powers of a root of order exactly L
-    table = np.array(powers, np.int64)[np.arange(L)[:, None] * np.flatnonzero(np.gcd(np.arange(L), L) == 1) % L]
+    A sum of fewer than p products of two residues stays below p^3 < 2^63."""
+    p, w = prime_root(L)
+    table = geometric(w, L, p)[np.arange(L)[:, None] * np.flatnonzero(np.gcd(np.arange(L), L) == 1) % L]
     table.flags.writeable = False
-    return p, powers[1 % L], table
+    return p, w, table
 
 
 class CycField:

@@ -1,177 +1,203 @@
-"""The twisted group algebra over the even part and its block data.
+"""The twisted group algebra over the even part and its blocks, exactly mod p.
 
-The algebra is two (n, n) tables over the even subgroup: the product table
-and the phases exp(2 pi i lambda(g, h)).  A product of coefficient vectors is
-one scatter-add of u_g v_h phase(g, h) onto table[g, h], batched over any
-leading axes, so the centre's structure constants, the idempotent checks and
-centrality are each one call.
+The algebra C^lambda[G], G the even part, is the product table and the
+exponents lambda(g, h) mod N.  It is computed over F_p for the least prime
+p = 1 mod M above 2|G| (phases.prime_root), M = exp(G) N, where zeta_M is
+the residue w and zeta_N is w^exp(G).  F_p splits C^lambda[G] as Q(zeta_M)
+does (Brauer), p does not divide |G|, and every integer read below lies in
+(-p/2, p/2).  The least such p keeps the power (p-1)/2 short; every int64 sum
+adds at most |G| < p/2 products of two residues, so stays below p^3 < 2^63.
+A product of coefficient vectors is one matrix product, u v = u @ R(v) with
+R(v)[g, k] = v(g^-1 k) zeta_N^lambda(g, g^-1 k), batched over leading axes.
 
-Blocks (primitive central idempotents) are found without character tables:
-the center is spanned by regular-class sums, the flat sections of
+Blocks (primitive central idempotents) follow Dixon's method over F_p
+(Dixon 1967; Schneider 1990, "Dixon's character table algorithm revisited").
+The centre is spanned by regular-class sums, the flat sections of
 groups.flat_sections under the conjugation phases lambda(h, g) -
-lambda(h g h^-1, h) read off the cochain table, a random real combination of the
-multiplication operators on the center separates the simultaneous eigenvectors,
-and each eigenvector normalizes to an idempotent.  The draw is fixed: the
-standard library's Random(12345), one gauss(0, 1) weight per centre dimension,
-so numpy.random (and the OpenSSL it loads) is never imported.  The blocks do
-not depend on it.  Block dimensions come from the identity coefficient, and
-twisted Frobenius-Schur indicators come from expanding the crosscap element
-Q = sum_s lambda^(s,s) l_{s^2} over the blocks as Q = sum_V nu(V) (|G|/dim V) p_V.
+lambda(h g h^-1, h).  For a = z + t, z a class sum other than the unit and
+t = 1, 2, ..., the element b = a^((p-1)/2) is +1, -1 or 0 in each block, so
+e (b^2 + b)/2, e (b^2 - b)/2 and e (1 - b^2) split every idempotent e found
+so far, until there are as many as the centre has dimensions.  Two blocks
+apart at z are split by t = -(their value at z), so some t < p splits them.
+Block dimensions come from d^2 = |G| e_V(1), and twisted Frobenius-Schur
+indicators from the crosscap element Q = sum_s lambda^(s,s) l_{s^2} =
+sum_V nu(V) (|G|/dim V) e_V as nu(V) d = (Q e_V)(1).
+
+Only the fingerprint that `dwu indicators` prints needs e_V over C, where
+e_V(g) = (d/|G|) chi_V(l_g^-1).  With E = exp(G), l_g^E = zeta_N^c, so the
+eigenvalues of l_g on V are E-th roots eps of zeta_N^c, and the multiplicity
+of eps is (1/E) sum_{j<E} chi_V(l_g^j) eps^-j, an integer in [0, d] read from
+its residue.  Then e_V(g) = (d/|G|) sum m_eps eps^-1 exactly; it is converted
+to complex numbers only to be rounded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from random import Random
+import functools
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from dwu.cohomology import TwistedCochain, restrict_to_even
-from dwu.groups import GradedGroup, flat_sections
-from dwu.phases import root_of_unity
+from dwu.groups import FiniteGroup, GradedGroup, flat_sections
+from dwu.phases import geometric, prime_root
 from dwu.transgression import require_cocycle
-
-INTERNAL_TOL = 1e-9  # block extraction
-REPORT_TOL = 1e-6  # indicator integrality
 
 
 class BlockComputationError(RuntimeError):
-    """Numerical block extraction failed; carries the residual report."""
+    """The blocks or indicators broke an identity they must satisfy."""
 
 
 @dataclass
 class BlockData:
-    idempotent: np.ndarray  # complex coefficients over the even subgroup
+    idempotent: np.ndarray  # residues mod algebra.p over the even subgroup
     dimension: int
     indicator: int | None = None
+    algebra: TwistedGroupAlgebra | None = field(default=None, repr=False, compare=False)
 
     def fingerprint(self) -> tuple:
-        return tuple(
-            (round(float(z.real), 8) + 0.0, round(float(z.imag), 8) + 0.0)
-            for z in self.idempotent
-        )
+        """The idempotent over C, each part rounded to 8 decimals."""
+        return tuple((round(float(z.real), 8) + 0.0, round(float(z.imag), 8) + 0.0) for z in self.algebra.lift(self))
+
+
+def _roots(G: FiniteGroup, N: int) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """(powers, p, w, zeta): powers[g, j] = g^j for j = 0..E, E = exp(G);
+    (p, w) = prime_root(E N) with p > 2|G|; zeta[k] = zeta_N^k = w^(E k) mod p."""
+    cols = [np.zeros(G.order, np.int64), np.arange(G.order)]
+    while cols[-1].any():
+        cols.append(G.table[cols[-1], cols[1]])
+    p, w = prime_root((len(cols) - 1) * N, 2 * G.order)
+    return np.stack(cols, 1), p, w, geometric(pow(w, len(cols) - 1, p), N, p)
 
 
 class TwistedGroupAlgebra:
-    """C^lambda[G] for G the even part; l_g l_h = phase[g, h] l_{table[g, h]}."""
+    """C^lambda[G] mod p for G the even part: l_g l_h = phase[g, h] l_{table[g, h]},
+    phase the residues of zeta_N^exponents[g, h].  N is the lcm of lambda's
+    denominator and the given one, so that zeta_N (and the crosscap element of
+    a lambda^ of that denominator) has residues mod p."""
 
-    def __init__(self, GG: GradedGroup, lam: TwistedCochain):
-        self.group = GG.even_subgroup
-        if not np.array_equal(lam.group.table, self.group.table) or (lam.signs != 1).any():
+    def __init__(self, GG: GradedGroup, lam: TwistedCochain, N: int = 1):
+        self.group = G = GG.even_subgroup
+        if not np.array_equal(lam.group.table, G.table) or (lam.signs != 1).any():
             raise ValueError("lambda must be an untwisted cochain on the even subgroup")
         require_cocycle(lam)
-        self.lam = lam
-        self.dim = self.group.order
-        self.table = self.group.table
-        self.phase = np.array([[root_of_unity(k, lam.N) for k in row] for row in lam.rows])
+        self.lam, self.dim, self.table, self.N = lam, G.order, G.table, math.lcm(lam.N, N)
+        self.powers, self.p, self.w, self.zeta = _roots(G, self.N)
+        self.exponents = lam.table * (self.N // lam.N)
+        self.phase = self.zeta[self.exponents]
+        self._ldiv = G.table[G.inverse]  # [g, k] = g^-1 k
+        self._lphase = self.phase[np.arange(self.dim)[:, None], self._ldiv]
+        # transport along g -> h g h^-1 by lambda(h, g) - lambda(h g h^-1, h)
+        self.transport = (self.exponents - self.exponents[G.conjugation, np.arange(self.dim)[:, None]]) % self.N
+
+    def right(self, v: np.ndarray) -> np.ndarray:
+        """R(v), the matrix of u -> u v, batched over v's leading axes."""
+        return v[..., self._ldiv] * self._lphase % self.p
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """u v over the last axis; leading axes broadcast."""
-        terms = u[..., :, None] * v[..., None, :] * self.phase
-        out = np.zeros(terms.shape[:-1], dtype=complex)
-        np.add.at(out, (..., self.table), terms)
-        return out
+        """u v mod p over the last axis; leading axes broadcast."""
+        return (u[..., None, :] @ self.right(v))[..., 0, :] % self.p
 
     def center_basis(self) -> np.ndarray:
-        """One row per lambda-regular class: its flat class sum."""
-        lam, N = self.lam.table, self.lam.N
-        # transport along g -> h g h^-1 by lambda(h, g) - lambda(h g h^-1, h)
-        phase = lam - lam[self.group.conjugation, np.arange(self.dim)[:, None]]
-        section, exponent = flat_sections(self.group, phase, N)
+        """One row per lambda-regular class: its flat class sum mod p."""
+        section, exponent = flat_sections(self.group, self.transport, self.N)
         held = np.flatnonzero(section >= 0)
-        Z = np.zeros((section.max() + 1, self.dim), dtype=complex)
-        Z[section[held], held] = [root_of_unity(k, N) for k in exponent[held].tolist()]
+        Z = np.zeros((section.max() + 1, self.dim), np.int64)
+        Z[section[held], held] = self.zeta[exponent[held]]
         return Z
 
+    @functools.cached_property
+    def _lift_tables(self):
+        """(at, fourier, roots): with E = exp(G), the multiplicities of l_g's
+        eigenvalues on V are (|G|/(d E)) e_V[at[g]] @ fourier[g] mod p, and
+        roots[g] are the inverses of those eigenvalues, as complex numbers.
+        l_g^j = zeta_N^s[g, j] l_{g^j}, and chi_V(l_h) = (|G|/d) zeta_N^lambda(h, h^-1) e_V[h^-1]."""
+        P, p, N, lam = self.powers, self.p, self.N, self.exponents
+        E = P.shape[1] - 1
+        s = np.hstack([np.zeros((self.dim, 1), np.int64), np.cumsum(lam[P[:, :-1], P[:, [1]]], axis=1)])
+        at = self.group.inverse[P[:, :-1]]
+        eps = s[:, [E]] % N + N * np.arange(E)  # l_g's eigenvalues are the w^eps
+        fourier = geometric(self.w, E * N, p)[-np.arange(E)[:, None] * eps[:, None, :] % (E * N)]
+        phase = self.zeta[(s[:, :-1] + lam[P[:, :-1], at]) % N]
+        return at, phase[..., None] * fourier % p, np.exp(-2j * np.pi * (eps / (E * N)))
 
-def blocks(algebra: TwistedGroupAlgebra) -> list[BlockData]:
-    """Primitive central idempotents with dimensions, deterministically ordered."""
-    centre = algebra.center_basis()
-    r = len(centre)
-    n = algebra.dim
-    if r == 0:
-        raise BlockComputationError("empty center")
-    reps = np.argmax(np.abs(centre), axis=1)
-    # structure constants of the center: z_i z_j = sum_k c_ijk z_k (disjoint
-    # supports), mats[i][k, j] = c_ijk
-    prods = algebra.product(centre[:, None], centre[None, :])
-    mats = (prods[:, :, reps] / centre[np.arange(r), reps]).transpose(0, 2, 1)
-    draw = Random(12345)
-    for _ in range(8):
-        w = [draw.gauss(0, 1) for _ in range(r)]
-        T = sum(wi * M for wi, M in zip(w, mats))
-        evals, evecs = np.linalg.eig(T)
-        if np.min(np.abs(evals[:, None] - evals[None, :]) + np.eye(r)) > 1e-6:
-            break
-    else:
-        raise BlockComputationError("could not separate center eigenvalues")
-    A = evecs.T @ centre  # one candidate idempotent per row
-    rows = np.arange(r)
-    j = np.argmax(np.abs(A), axis=1)
-    kappa = algebra.product(A, A)[rows, j] / A[rows, j]
-    if np.any(np.abs(kappa) < INTERNAL_TOL):
-        raise BlockComputationError("nilpotent direction in a semisimple center")
-    P = A / kappa[:, None]
-    residual = np.max(np.abs(algebra.product(P, P) - P), axis=1)
-    if np.any(residual > INTERNAL_TOL):
-        raise BlockComputationError(f"idempotent residual {residual.max():.2e}")
-    d_sq = n * P[:, 0]
-    bad = (np.abs(d_sq.imag) > 1e-6) | (d_sq.real < 0)
-    if bad.any():
-        raise BlockComputationError(f"invalid dimension^2 = {d_sq[bad][0]}")
-    dims = np.rint(np.sqrt(d_sq.real)).astype(int)
-    bad = np.abs(dims * dims - d_sq.real) > 1e-6
-    if bad.any():
-        raise BlockComputationError(f"dimension^2 = {d_sq.real[bad][0]} not a square")
-    # validate the partition of unity and orthogonality
-    if np.max(np.abs(P.sum(axis=0) - np.eye(n)[0])) > 1e-7:
-        raise BlockComputationError("idempotents do not sum to the unit")
-    a, b = np.triu_indices(r, 1)
-    if np.max(np.abs(algebra.product(P[a], P[b])), initial=0.0) > 1e-7:
-        raise BlockComputationError("idempotents not orthogonal")
-    if np.sum(dims * dims) != n:
-        raise BlockComputationError("sum of squared dimensions != |G|")
-    out = [BlockData(idempotent=p, dimension=int(d)) for p, d in zip(P, dims)]
-    out.sort(key=lambda b: (b.dimension, b.fingerprint()))
+    def lift(self, block: BlockData) -> np.ndarray:
+        """The block's idempotent over C: e_V(g) = (d/|G|) sum of the inverse
+        eigenvalues of l_g on V, each counted with its multiplicity."""
+        at, fourier, roots = self._lift_tables
+        p, n, d = self.p, self.dim, block.dimension
+        counts = (block.idempotent[at][:, None, :] @ fourier)[:, 0, :] % p * (n * pow(d * roots.shape[1], -1, p)) % p
+        if counts.max() > d:
+            raise BlockComputationError(f"an eigenvalue multiplicity {counts.max()} exceeds dim {d}")
+        return (counts * roots).sum(axis=1) * (d / n)
+
+
+def _power(R: np.ndarray, k: int, p: int) -> np.ndarray:
+    """R^k mod p (k >= 1) for a stack of square matrices."""
+    out = R
+    for bit in bin(k)[3:]:
+        out = out @ out % p
+        if bit == "1":
+            out = out @ R % p
     return out
 
 
+def blocks(algebra: TwistedGroupAlgebra) -> list[BlockData]:
+    """Primitive central idempotents with dimensions, in order of dimension."""
+    centre, p, n = algebra.center_basis(), algebra.p, algebra.dim
+    unit = found = np.eye(1, n, dtype=np.int64)  # l_e, whose class sum is centre[0]
+    signs = (b for t in range(1, p) for b in _power(algebra.right(centre[1:] + t * unit), (p - 1) // 2, p))
+    while len(found) < len(centre):
+        right = next(signs, None)  # R(b) = R(a)^((p-1)/2); some t < p splits any two blocks
+        if right is None:
+            raise BlockComputationError(f"the centre does not split into {len(centre)} blocks mod {p}")
+        x = found @ right % p
+        y = x @ right % p
+        parts = np.concatenate([y + x, y - x, 2 * (found - y)]) * ((p + 1) // 2) % p
+        found = parts[parts.any(axis=1)]
+    d_sq = (n * found[:, 0] % p).tolist()
+    dims = [math.isqrt(x) for x in d_sq]
+    if any(d * d != x for d, x in zip(dims, d_sq)) or sum(d_sq) != n:
+        raise BlockComputationError(f"block dimensions^2 {d_sq} are not squares summing to |G| = {n}")
+    return [BlockData(found[i], dims[i], algebra=algebra) for i in sorted(range(len(dims)), key=dims.__getitem__)]
+
+
 def crosscap_element(GG: GradedGroup, lambda_hat: TwistedCochain) -> np.ndarray:
-    """Q = sum over odd s of lambda^(s,s) l_{s^2} as a complex vector."""
+    """Q = sum over odd s of lambda^(s,s) l_{s^2}, as residues mod the p of
+    algebra_from_graded(GG, lambda_hat)."""
     require_cocycle(lambda_hat)
-    odd, N = GG.odd_part(), lambda_hat.N
-    Q = np.zeros(GG.even_subgroup.order, dtype=complex)
-    roots = [root_of_unity(k, N) for k in lambda_hat.table[odd, odd].tolist()]
-    np.add.at(Q, GG.even_index[GG.group.table[odd, odd]], roots)
-    return Q
+    odd = GG.odd_part()
+    _, p, _, zeta = _roots(GG.even_subgroup, lambda_hat.N)
+    Q = np.zeros(GG.even_subgroup.order, np.int64)
+    np.add.at(Q, GG.even_index[GG.group.table[odd, odd]], zeta[lambda_hat.table[odd, odd]])
+    return Q % p
 
 
 def assert_central(algebra: TwistedGroupAlgebra, v: np.ndarray):
-    basis = np.eye(algebra.dim, dtype=complex)
-    gap = np.max(np.abs(algebra.product(basis, v) - algebra.product(v, basis)), axis=1)
-    if np.any(gap > 1e-8):
-        raise ValueError(f"element is not central (witness g={int(np.argmax(gap > 1e-8))})")
+    """Raise unless l_h v l_h^-1 = v mod p for every h."""
+    gap = (v[algebra.group.conjugation] != v * algebra.zeta[algebra.transport] % algebra.p).any(axis=0)
+    if gap.any():
+        raise ValueError(f"element is not central (witness g={int(np.argmax(gap))})")
 
 
 def fs_indicators(
     block_list: list[BlockData], Q: np.ndarray, algebra: TwistedGroupAlgebra
 ) -> list[BlockData]:
-    """Fill indicators from Q = sum_V nu(V) (|G|/dim V) p_V."""
+    """Fill indicators from Q = sum_V nu(V) (|G|/dim V) e_V: nu(V) dim V is the
+    identity coefficient of Q e_V."""
     assert_central(algebra, Q)
-    P = np.array([b.idempotent for b in block_list])
-    dims = np.array([b.dimension for b in block_list])
-    nu_complex = algebra.product(Q, P)[:, 0] / P[:, 0] * dims / algebra.dim
-    nu = np.rint(nu_complex.real).astype(int)
-    residual = np.abs(nu_complex - nu)
-    bad = (np.abs(nu) > 1) | (residual > REPORT_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise BlockComputationError(
-            f"indicator {nu_complex[i]} does not round to -1/0/+1 (residual {residual[i]:.2e})"
-        )
-    return [replace(b, indicator=int(x)) for b, x in zip(block_list, nu)]
+    nu_dims = algebra.product(Q, np.array([b.idempotent for b in block_list]))[:, 0]
+    out = []
+    for i, (b, x) in enumerate(zip(block_list, nu_dims.tolist())):
+        d = b.dimension
+        nu, rest = divmod((x + d) % algebra.p - d, d)
+        if rest or abs(nu) > 1:
+            raise BlockComputationError(f"block {i} (dim {d}): nu * dim = {x} mod {algebra.p} is not -{d}, 0 or {d}")
+        out.append(replace(b, indicator=nu))
+    return out
 
 
 def algebra_from_graded(GG: GradedGroup, lambda_hat: TwistedCochain) -> TwistedGroupAlgebra:
     """Convenience: the twisted algebra of the even restriction of lambda^."""
-    return TwistedGroupAlgebra(GG, restrict_to_even(lambda_hat, GG))
+    return TwistedGroupAlgebra(GG, restrict_to_even(lambda_hat, GG), lambda_hat.N)

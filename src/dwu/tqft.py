@@ -7,7 +7,7 @@ Routes:
   tqft      cut-and-paste on the orbifold Frobenius algebra: counit of
             Handle^g(unit) or of Q^k (exact, same cyclotomic field)
   verlinde  |G|^(-chi) sum over blocks of (nu dim)^chi (exact, from the
-            blocks' integer (dim, nu); the eigenproblem only finds the blocks)
+            blocks' integer (dim, nu), found mod p by dwu.reptheory)
 
 The equivariant algebra has one-dimensional graded pieces A_g = C l_g, so all
 of its structure constants are single roots of unity, held as exponent tables.

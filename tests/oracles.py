@@ -21,6 +21,14 @@ Closed forms and pairing.  `pair_surface` pairs one valid holonomy point with
 the fundamental chain as a Fraction mod 1, and the torus, RP2 and Klein closed forms
 are the literal formulas `dwu.transgression.relator_pairing` must reproduce.
 
+The twisted group algebra in floating point.  `dwu.reptheory` computes
+blocks exactly mod p; the reference here is the complex route it replaced:
+the complex phase table and product, the eigenvectors of a random real
+combination of the centre's multiplication operators (numpy.linalg.eig on the
+standard library's Random(12345)), and indicators rounded from complex
+values.  `float_indicators` gives the (dimension, fingerprint, nu) triples
+that `dwu indicators` prints.
+
 Duality and Real 1-d phase data.  The phases of the duality structure at an
 odd element and of a Real one-dimensional representation, which the tests
 check the twisted group algebra against.
@@ -59,19 +67,22 @@ broadcast gather of the live rows' faces.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 
-from dwu.cohomology import TwistedCochain, _group_signs, is_twisted_cocycle
+from dwu.cohomology import TwistedCochain, _group_signs, is_twisted_cocycle, restrict_to_even
 from dwu.groupoids import ActionGroupoid, double_real_loop, orbits
 from dwu.groups import FiniteGroup, GradedGroup, GroupAxiomError, build_group
+from dwu.groups import flat_sections as dwu_flat_sections
 from dwu.moduli import Surface, holonomy_points, word_value
-from dwu.phases import CycField, root_of_unity
+from dwu.phases import CycField
 from dwu.tqft import CheckReport, UnorientedFrobeniusData, _closed_form_duals, _convolve, _first
 from dwu.transgression import relator_pairing, require_cocycle, tau_ref
 
@@ -255,6 +266,96 @@ def klein_closed_form(lambda_hat: TwistedCochain, group: FiniteGroup, holonomy) 
         + lambda_hat.value((g, s))
         - lambda_hat.value((s, ginv))
     ) % 1
+
+
+# ---------------------------------------------------------------------------
+# the twisted group algebra in floating point
+
+
+def root_of_unity(k: int, n: int) -> complex:
+    """exp(2*pi*i*k/n); k/n is divided as Python ints, so the float is the
+    correctly rounded fraction whatever the common factors of k and n."""
+    return cmath.exp(2j * cmath.pi * (k / n))
+
+
+class FloatAlgebra:
+    """C^lambda[G] over C for a 2-cocycle lambda on G: the complex phase table
+    exp(2 pi i lambda(g, h)) and a product by one scatter-add of
+    u_g v_h phase(g, h) onto table[g, h], batched over leading axes."""
+
+    def __init__(self, lam: TwistedCochain):
+        require_cocycle(lam)
+        self.group, self.lam, self.dim = lam.group, lam, lam.group.order
+        self.table = self.group.table
+        self.phase = np.array([[root_of_unity(k, lam.N) for k in row] for row in lam.rows])
+
+    def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        terms = u[..., :, None] * v[..., None, :] * self.phase
+        out = np.zeros(terms.shape[:-1], dtype=complex)
+        np.add.at(out, (..., self.table), terms)
+        return out
+
+    def center_basis(self) -> np.ndarray:
+        """One row per lambda-regular class: its flat class sum."""
+        lam, N = self.lam.table, self.lam.N
+        phase = lam - lam[self.group.conjugation, np.arange(self.dim)[:, None]]
+        section, exponent = dwu_flat_sections(self.group, phase, N)
+        held = np.flatnonzero(section >= 0)
+        Z = np.zeros((section.max() + 1, self.dim), dtype=complex)
+        Z[section[held], held] = [root_of_unity(k, N) for k in exponent[held].tolist()]
+        return Z
+
+
+def float_fingerprint(idempotent) -> tuple:
+    """The rounding `dwu indicators` hashes: each part to 8 decimals."""
+    return tuple((round(float(z.real), 8) + 0.0, round(float(z.imag), 8) + 0.0) for z in idempotent)
+
+
+def float_blocks(alg: FloatAlgebra) -> list[tuple[np.ndarray, int]]:
+    """(idempotent, dimension) per block, sorted by (dimension, fingerprint):
+    the eigenvectors of a random real combination of the centre's
+    multiplication operators (the standard library's Random(12345)), each
+    normalised to an idempotent."""
+    centre = alg.center_basis()
+    r, n = len(centre), alg.dim
+    reps = np.argmax(np.abs(centre), axis=1)
+    prods = alg.product(centre[:, None], centre[None, :])
+    mats = (prods[:, :, reps] / centre[np.arange(r), reps]).transpose(0, 2, 1)
+    draw = Random(12345)
+    for _ in range(8):
+        T = sum(draw.gauss(0, 1) * M for M in mats)
+        evals, evecs = np.linalg.eig(T)
+        if np.min(np.abs(evals[:, None] - evals[None, :]) + np.eye(r)) > 1e-6:
+            break
+    else:
+        raise AssertionError("could not separate centre eigenvalues")
+    A = evecs.T @ centre
+    j = np.argmax(np.abs(A), axis=1)
+    P = A / (alg.product(A, A)[np.arange(r), j] / A[np.arange(r), j])[:, None]
+    assert np.max(np.abs(alg.product(P, P) - P)) < 1e-9
+    dims = np.rint(np.sqrt((n * P[:, 0]).real)).astype(int)
+    assert np.max(np.abs(dims * dims - n * P[:, 0])) < 1e-6
+    return sorted(zip(P, dims.tolist()), key=lambda b: (b[1], float_fingerprint(b[0])))
+
+
+def float_crosscap(GG: GradedGroup, lambda_hat: TwistedCochain) -> np.ndarray:
+    """Q = sum over odd s of lambda^(s,s) l_{s^2} as a complex vector."""
+    odd, N = GG.odd_part(), lambda_hat.N
+    Q = np.zeros(GG.even_subgroup.order, dtype=complex)
+    roots = [root_of_unity(k, N) for k in lambda_hat.table[odd, odd].tolist()]
+    np.add.at(Q, GG.even_index[GG.group.table[odd, odd]], roots)
+    return Q
+
+
+def float_indicators(GG: GradedGroup, lambda_hat: TwistedCochain) -> list[tuple[int, tuple, int]]:
+    """(dimension, fingerprint, nu) per block, from Q = sum_V nu(V) (|G|/dim V) p_V."""
+    alg = FloatAlgebra(restrict_to_even(lambda_hat, GG))
+    out = []
+    for P, d in float_blocks(alg):
+        nu = (alg.product(float_crosscap(GG, lambda_hat), P)[0] / P[0] * d / alg.dim)
+        assert abs(nu - round(nu.real)) < 1e-6
+        out.append((d, float_fingerprint(P), round(nu.real)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from oracles import random_cochain
+from oracles import FloatAlgebra, float_blocks, random_cochain
 
-from dwu.cohomology import TwistedCochain, cohomology_classes, twisted_differential
+from dwu.cohomology import TwistedCochain, cohomology_classes, restrict_to_even, twisted_differential
 from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
 from dwu.moduli import RP2, SPHERE, TORUS, parse_surface
 from dwu.phases import CycField
@@ -158,15 +158,16 @@ def test_criterion_5_indicators(sweep):
         alg = algebra_from_graded(gg, lam)
         bl = fs_indicators(blocks(alg), crosscap_element(gg, lam), alg)
         assert sorted((b.dimension, b.indicator) for b in bl) == sorted(pairs), name
-        # independent oracle: (1/|G|) sum chi(g^2) from idempotent characters
-        G = alg.group
-        for b in bl:
-            chi = {
-                g: G.order * b.idempotent[G.inverse[g]] / b.dimension
-                for g in range(G.order)
-            }
+        # independent oracle: (1/|G|) sum chi(g^2) from the float route's idempotent characters
+        oracle = FloatAlgebra(restrict_to_even(lam, gg))
+        G = oracle.group
+        nus = []
+        for P, d in float_blocks(oracle):
+            chi = {g: G.order * P[G.inverse[g]] / d for g in range(G.order)}
             nu = sum(chi[G.table[g][g]] for g in range(G.order)) / G.order
-            assert abs(nu - b.indicator) < 1e-6
+            assert abs(nu - round(nu.real)) < 1e-6
+            nus.append((d, round(nu.real)))
+        assert sorted(nus) == sorted(pairs), name
     print("\nACCEPT-5 indicators in {-1,0,+1}; classical values match oracle: PASS")
 
 

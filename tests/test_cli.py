@@ -494,6 +494,33 @@ def test_the_pins_cover_the_manifest():
         assert pinned == load_manifest()["groups"], command
 
 
+def test_no_subcommand_calls_numpy_linalg(capsys, monkeypatch):
+    """Every subcommand on D8 and Q8xC2 exits 0 and prints the same with
+    numpy.linalg's eig, eigvals, svd, solve and inv patched to raise: no
+    result comes from a floating-point eigenproblem or solve."""
+    runs = [
+        [command, "--group", group, *extra]
+        for group in ("D8", "Q8xC2")
+        for command, extra in [
+            ("gradings", []),
+            ("cohomology", ["--degree", "2"]),
+            ("partition", ["--surfaces", "T2,RP2,K,N_k=3"]),
+            ("indicators", []),
+            ("verify-axioms", []),
+        ]
+    ]
+    plain = [run(capsys, *argv) for argv in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+
+    for name in ["eig", "eigvals", "svd", "solve", "inv"]:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert [run(capsys, *argv) for argv in runs] == plain
+    assert [code for code, _ in plain] == [0] * len(runs)
+    assert all(out for _, out in plain)
+
+
 @pytest.mark.parametrize("extra, expected_code, golden", GOLDEN)
 def test_partition_enumerates_no_points_and_builds_no_groupoid(
     capsys, monkeypatch, extra, expected_code, golden

@@ -1,10 +1,14 @@
 import cmath
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from sympy import isprime, primefactors
 
-from dwu.phases import CycField, cyclotomic_polynomial
+from dwu.groups import ResourceBudgetError
+from dwu.phases import CycField, cyclotomic_polynomial, prime_root, residues
 
 
 def test_cyclotomic_polynomials():
@@ -87,3 +91,38 @@ def test_reduction_matches_sympy_rem(L):
             assert (a == b) == (hash(a) == hash(b) and a.reduced() == b.reduced())
         assert others[0] == a and others[1] != a
         assert all(b == a for b in others[2:])
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 6, 8, 12, 16, 30, 64, 211, 16 * 2236])
+def test_prime_root_is_the_first_root_of_order_L_mod_the_chosen_prime(L):
+    """Without a floor p is the largest prime = 1 mod L below 2^21 (the one
+    residues uses); with one it is the least above the floor.  w is the first
+    x^((p-1)/L), x = 2, 3, ..., of order exactly L."""
+    for floor in (None, 2, 33, 1000):
+        p, w = prime_root(L, floor)
+        span = range(p + L, 2**21, L) if floor is None else range(floor + 1, p)
+        assert isprime(p) and (p - 1) % L == 0 and p < 2**21 and (floor is None or p > floor)
+        assert not any(isprime(q) and (q - 1) % L == 0 for q in span)
+        orders = (pow(x, (p - 1) // L, p) for x in itertools.count(2))
+        assert w == next(y for y in orders if all(pow(y, L // q, p) != 1 for q in primefactors(L)))
+        assert pow(w, L, p) == 1
+    if L <= 211:
+        assert residues(L)[:2] == prime_root(L)
+
+
+@pytest.mark.parametrize("L, floor", [(2**21, None), (2**20, None), (2**20, 40), (3 * 2**18, 2**20)])
+def test_no_prime_root_is_refused_before_anything_is_allocated(L, floor):
+    """No prime p = 1 mod L lies below 2^21, nor between the floor and 2^21:
+    the only candidates are 2^20 + 1 = 17 * 61681 and, above 2^20 for
+    L = 3 * 2^18, 2 L + 1 = 5 * 314573.  prime_root raises
+    ResourceBudgetError having allocated under 64 KiB, where the L powers of a
+    root alone would take 8 L bytes."""
+    assert 2**20 + 1 == 17 * 61681 and 2 * 3 * 2**18 + 1 == 5 * 314573
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match=f"no prime p = 1 mod {L} lies "):
+            prime_root(L, floor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16

@@ -1,15 +1,14 @@
 import itertools
 from fractions import Fraction
-from random import Random
 
 import numpy as np
 import pytest
-from oracles import duality_phases, real_1d_phases
+from oracles import FloatAlgebra, duality_phases, float_blocks, float_indicators, real_1d_phases
 
-from dwu import reptheory
+from dwu.cli import load_manifest
 from dwu.cohomology import TwistedCochain, cohomology_classes, restrict_to_even
 from dwu.groups import GradedGroup, build_group, cyclic, enumerate_gradings, split_grading
-from dwu.phases import root_of_unity
+from dwu.phases import prime_root
 from dwu.reptheory import (
     BlockComputationError,
     TwistedGroupAlgebra,
@@ -57,17 +56,24 @@ def test_center_dimensions():
 
 
 def test_product_associative_on_basis():
-    gg = split_grading(build_group("S3"))
-    lam = zero2(gg.even_subgroup)
-    alg = TwistedGroupAlgebra(gg, lam)
-    n = alg.dim
-    for a, b, c in itertools.product(range(n), repeat=3):
-        ab, p1 = alg.table[a, b], alg.phase[a, b]
-        bc, p2 = alg.table[b, c], alg.phase[b, c]
-        k1, q1 = alg.table[ab, c], alg.phase[ab, c]
-        k2, q2 = alg.table[a, bc], alg.phase[a, bc]
-        assert k1 == k2
-        assert abs(p1 * q1 - p2 * q2) < 1e-12
+    """(l_a l_b) l_c = l_a (l_b l_c) mod p, phase residues and product alike."""
+    for gg, lam in [
+        (split_grading(build_group("S3")), zero2(split_grading(build_group("S3")).even_subgroup)),
+        (split_grading(build_group("C2xC2")), nontrivial_even_cocycle_c2c2(split_grading(build_group("C2xC2")))),
+    ]:
+        alg = TwistedGroupAlgebra(gg, lam)
+        n, p = alg.dim, alg.p
+        for a, b, c in itertools.product(range(n), repeat=3):
+            ab, p1 = alg.table[a, b], alg.phase[a, b]
+            bc, p2 = alg.table[b, c], alg.phase[b, c]
+            k1, q1 = alg.table[ab, c], alg.phase[ab, c]
+            k2, q2 = alg.table[a, bc], alg.phase[a, bc]
+            assert k1 == k2
+            assert p1 * q1 % p == p2 * q2 % p
+        basis = np.eye(n, dtype=np.int64)
+        left = alg.product(alg.product(basis[:, None, None], basis[None, :, None]), basis[None, None, :])
+        right = alg.product(basis[:, None, None], alg.product(basis[None, :, None], basis[None, None, :]))
+        assert (left == right).all()
 
 
 def test_blocks_c3():
@@ -92,25 +98,21 @@ def test_blocks_q8():
     assert [b.dimension for b in bl] == [1, 1, 1, 1, 2]
 
 
-def test_blocks_deterministic(monkeypatch):
-    gg = split_grading(build_group("S3"))
-    alg = TwistedGroupAlgebra(gg, zero2(gg.even_subgroup))
-    b1 = blocks(alg)
-    b2 = blocks(alg)
-    for x, y in zip(b1, b2):
-        assert np.max(np.abs(x.idempotent - y.idempotent)) < 1e-12
-    # a different random draw, same idempotents up to ordering by fingerprint
-    seeds = []
-
-    def other_draw(seed):
-        seeds.append(seed)
-        return Random(999)
-
-    monkeypatch.setattr(reptheory, "Random", other_draw)
-    b3 = blocks(alg)
-    assert seeds == [12345]
-    for x, y in zip(b1, b3):
-        assert np.max(np.abs(x.idempotent - y.idempotent)) < 1e-8
+@pytest.mark.parametrize("name", ["S3", "Q8", "C4xC2", "D8"])
+def test_blocks_are_orthogonal_central_idempotents_summing_to_one(name):
+    """Exactly mod p, on every grading and class: e_V e_W = delta_VW e_V, the
+    e_V sum to l_e, each is central, and there are as many as the centre has
+    dimensions."""
+    for gg in enumerate_gradings(build_group(name)):
+        for lam_hat in cohomology_classes(gg, 2)[0]:
+            alg = algebra_from_graded(gg, lam_hat)
+            P = np.array([b.idempotent for b in blocks(alg)])
+            assert len(P) == len(alg.center_basis())
+            assert (alg.product(P[:, None], P[None, :]) == P[:, None] * np.eye(len(P), dtype=np.int64)[..., None]).all()
+            assert (P.sum(axis=0) % alg.p == np.eye(1, alg.dim, dtype=np.int64)[0]).all()
+            for e in P:
+                assert_central(alg, e)
+            assert all((x.idempotent == y.idempotent).all() for x, y in zip(blocks(alg), blocks(alg)))
 
 
 def test_block_count_equals_center_dimension():
@@ -128,10 +130,10 @@ def test_crosscap_split_untwisted_is_square_count():
     gg = split_grading(build_group("S3"))
     Q = crosscap_element(gg, zero2(gg))
     G = gg.even_subgroup
-    expected = np.zeros(G.order, dtype=complex)
+    expected = [0] * G.order
     for g in range(G.order):
-        expected[G.table[g][g]] += 1.0
-    assert np.max(np.abs(Q - expected)) < 1e-12
+        expected[G.table[g][g]] += 1
+    assert Q.tolist() == expected
 
 
 def test_crosscap_identity_c2_nontrivial_class():
@@ -139,29 +141,30 @@ def test_crosscap_identity_c2_nontrivial_class():
     reps, _ = cohomology_classes(gg, 2)
     nontrivial = [r for r in reps if not r.is_zero()][0]
     Q = crosscap_element(gg, nontrivial)
-    assert Q.shape == (1,)
-    assert abs(Q[0] + 1.0) < 1e-12  # Q = -l_e
+    assert Q.tolist() == [algebra_from_graded(gg, nontrivial).p - 1]  # Q = -l_e
 
 
 def test_crosscap_c4_parity():
     gg = parity_c4()
     Q = crosscap_element(gg, zero2(gg))
     # both odd elements square to 2, which is even-subgroup index 1
-    assert abs(Q[1] - 2.0) < 1e-12 and abs(Q[0]) < 1e-12
-    assert Q.tolist() == [0j, 2 + 0j]  # two roots 1, both at index 1
+    assert Q.tolist() == [0, 2]  # two roots 1, both at index 1
 
 
 def test_crosscap_element_sums_each_odd_square_in_order():
-    """Q[g] is the float sum of root_of_unity(lambda^(s, s)) over the odd s
-    with s^2 at g, added in ascending order of s: the same bits."""
+    """Q[g] is the sum mod p of zeta_N^lambda^(s, s) over the odd s with s^2
+    at g, zeta_N the residue w^(M/N) of the algebra's root w of order M."""
     for name in ["D8", "Q8xC2", "C4xC2"]:
         for gg in enumerate_gradings(build_group(name)):
             for lam_hat in cohomology_classes(gg, 2)[0]:
-                want = [0j] * gg.even_subgroup.order
+                alg = algebra_from_graded(gg, lam_hat)
+                M = next(m for m in range(1, alg.p) if pow(alg.w, m, alg.p) == 1)
+                assert M % lam_hat.N == 0 and (alg.p - 1) % M == 0
+                want = [0] * gg.even_subgroup.order
                 for s in gg.odd_part().tolist():
                     g = int(gg.even_index[gg.group.table[s, s]])
-                    want[g] += root_of_unity(int(lam_hat.table[s, s]), lam_hat.N)
-                assert crosscap_element(gg, lam_hat).tolist() == want
+                    want[g] += pow(alg.w, M // lam_hat.N * int(lam_hat.table[s, s]), alg.p)
+                assert crosscap_element(gg, lam_hat).tolist() == [x % alg.p for x in want]
 
 
 def test_crosscap_is_central():
@@ -172,16 +175,18 @@ def test_crosscap_is_central():
         assert_central(alg, Q)
 
 
-def classical_fs_oracle(alg, block_list):
-    """Independent route: characters from idempotents, then (1/|G|) sum chi(g^2)."""
-    G = alg.group
-    n = G.order
+def classical_fs_oracle(gg, lam_hat):
+    """Independent route, split untwisted only: characters from the float
+    oracle's idempotents, then (1/|G|) sum chi(g^2); sorted (dim, nu) pairs."""
+    alg = FloatAlgebra(restrict_to_even(lam_hat, gg))
+    G, n = alg.group, alg.dim
     out = []
-    for b in block_list:
-        chi = {g: n * b.idempotent[G.inverse[g]] / b.dimension for g in range(n)}
+    for P, d in float_blocks(alg):
+        chi = {g: n * P[G.inverse[g]] / d for g in range(n)}
         nu = sum(chi[G.table[g][g]] for g in range(n)) / n
-        out.append(int(round(float(nu.real))))
-    return out
+        assert abs(nu - round(nu.real)) < 1e-9
+        out.append((d, int(round(nu.real))))
+    return sorted(out)
 
 
 @pytest.mark.parametrize(
@@ -200,7 +205,7 @@ def test_fs_split_untwisted_matches_classical(name, expected_pairs):
     bl = fs_indicators(blocks(alg), crosscap_element(gg, lam_hat), alg)
     got = sorted((b.dimension, b.indicator) for b in bl)
     assert got == sorted(expected_pairs)
-    assert classical_fs_oracle(alg, bl) == [b.indicator for b in bl]
+    assert classical_fs_oracle(gg, lam_hat) == got
 
 
 def test_fs_identity_c2_nontrivial_is_minus_one():
@@ -243,7 +248,7 @@ def test_p_map_is_antihomomorphism():
     for gg in [parity_c4(), split_grading(build_group("S3")), identity_c2()]:
         reps, _ = cohomology_classes(gg, 2)
         for lam_hat in reps:
-            alg = algebra_from_graded(gg, lam_hat)
+            alg = FloatAlgebra(restrict_to_even(lam_hat, gg))
             for sigma in gg.odd_part():
                 dp = duality_phases(gg, lam_hat, sigma)
                 n = alg.dim
@@ -261,7 +266,7 @@ def test_p_squared_is_conjugation_by_sigma_squared():
     for gg in [parity_c4(), split_grading(build_group("S3"))]:
         reps, _ = cohomology_classes(gg, 2)
         for lam_hat in reps:
-            alg = algebra_from_graded(gg, lam_hat)
+            alg = FloatAlgebra(restrict_to_even(lam_hat, gg))
             for sigma in gg.odd_part():
                 dp = duality_phases(gg, lam_hat, sigma)
                 n = alg.dim
@@ -349,19 +354,20 @@ def test_real_1d_rejects_non_cocycle():
             real_1d_phases(gg, bad)
 
 
-def test_fs_residual_guard():
-    gg = split_grading(cyclic(2))
+def test_a_crosscap_scaled_by_3_is_refused_naming_the_block():
+    """3 Q is central, but 3 nu dim is not -dim, 0 or dim mod p (p > 6 dim
+    here), so the first block with nu != 0 is named."""
+    gg = split_grading(build_group("S3"))
     lam_hat = zero2(gg)
     alg = algebra_from_graded(gg, lam_hat)
-    bad_Q = crosscap_element(gg, lam_hat) * 1.5  # central but wrong scale
-    with pytest.raises(BlockComputationError):
-        fs_indicators(blocks(alg), bad_Q, alg)
+    assert alg.p > 6 * 2
+    with pytest.raises(BlockComputationError, match=r"^block 0 \(dim 1\): nu \* dim = 3 mod \d+ is not -1, 0 or 1$"):
+        fs_indicators(blocks(alg), crosscap_element(gg, lam_hat) * 3 % alg.p, alg)
 
 
 def svd_center_dimension(alg):
-    """Independent center count: null space of all commutator maps."""
-    import numpy as np
-
+    """Independent center count: null space of all commutator maps, over
+    the float oracle's complex phases."""
     n = alg.dim
     rows = []
     for g in range(n):
@@ -387,7 +393,7 @@ def test_center_dimension_matches_svd_oracle():
         else:
             lam = zero2(gg.even_subgroup)
         alg = TwistedGroupAlgebra(gg, lam)
-        assert len(alg.center_basis()) == svd_center_dimension(alg)
+        assert len(alg.center_basis()) == svd_center_dimension(FloatAlgebra(lam))
 
 
 def test_fs_split_s4_scales_past_toy_sizes():
@@ -402,3 +408,65 @@ def test_fs_split_s4_scales_past_toy_sizes():
     assert sorted((b.dimension, b.indicator) for b in bl) == [
         (1, 1), (1, 1), (2, 1), (3, 1), (3, 1),
     ]
+
+
+def manifest_cases():
+    for name in load_manifest()["groups"]:
+        for gi, gg in enumerate(enumerate_gradings(build_group(name))):
+            for ci, lam_hat in enumerate(cohomology_classes(gg, 2)[0]):
+                yield f"{name}/{gi}/{ci}", gg, lam_hat
+
+
+def test_exact_blocks_equal_the_float_oracle_on_the_manifest():
+    """On all 268 manifest cases the exact (dim, fingerprint, nu), sorted, is
+    the float route's: eigenvectors of a random combination, rounded."""
+    count = 0
+    for key, gg, lam_hat in manifest_cases():
+        alg = algebra_from_graded(gg, lam_hat)
+        bl = fs_indicators(blocks(alg), crosscap_element(gg, lam_hat), alg)
+        got = sorted((b.dimension, b.fingerprint(), b.indicator) for b in bl)
+        assert got == float_indicators(gg, lam_hat), key
+        count += 1
+    assert count == 268
+
+
+@pytest.mark.parametrize("name", ["D8", "Q8xC2", "C4xC4", "D16"])
+def test_the_lift_counts_each_eigenvalue_of_l_g(name):
+    """Over C, l_g^E = zeta_N^c on every block, so l_g's eigenvalues are the
+    E-th roots of zeta_N^c; the lift's multiplicities are integers in [0, d]
+    summing to d, and they give back chi_V(l_g) mod p."""
+    for gg in enumerate_gradings(build_group(name)):
+        for lam_hat in cohomology_classes(gg, 2)[0]:
+            alg = algebra_from_graded(gg, lam_hat)
+            at, fourier, roots = alg._lift_tables
+            E, p, n, N = roots.shape[1], alg.p, alg.dim, alg.N
+            G, lam = alg.group, alg.exponents
+            for b in blocks(alg):
+                d = b.dimension
+                counts = (b.idempotent[at][:, None, :] @ fourier)[:, 0, :] % p * n * pow(d * E, -1, p) % p
+                assert counts.max() <= d and (counts.sum(axis=1) == d).all()
+                for g in range(n):
+                    powers, h, s = [], 0, 0  # l_g^j = zeta_N^s l_h
+                    for _ in range(E):
+                        powers.append((h, s))
+                        h, s = int(G.table[h, g]), s + int(lam[h, g])
+                    assert h == 0
+                    eps = [s % N + N * k for k in range(E)]  # the w^eps are the E-th roots of zeta_N^s
+                    assert np.allclose(roots[g], np.exp(-2j * np.pi * np.array(eps) / (E * N)))
+                    for j, (h, s) in enumerate(powers):  # sum_k m_k eps_k^j = chi_V(l_g^j)
+                        chi = n * pow(d, -1, p) * alg.zeta[(s + lam[h, G.inverse[h]]) % N] * b.idempotent[G.inverse[h]] % p
+                        assert sum(int(m) * pow(alg.w, j * e, p) for m, e in zip(counts[g], eps)) % p == chi
+
+def test_the_blocks_int64_sums_stay_below_2_to_the_63():
+    """Every int64 sum in dwu.reptheory adds at most |G| products of two
+    residues mod p: a row of a matrix product over the even part, or the
+    E <= |G| terms of the lift.  p is the least prime = 1 mod exp(G) N above
+    2|G|, and prime_root keeps it below 2^21, so each sum is below
+    |G| p^2 < p^3 / 2 < 2^62.  Checked on the manifest's algebras and on the
+    largest root order a cocycle file admits under the default caps:
+    exp(G) = 16, N = 2236, |G| = 16."""
+    for key, gg, lam_hat in manifest_cases():
+        alg = algebra_from_graded(gg, lam_hat)
+        assert 2 * alg.dim < alg.p < 2**21 and alg.dim * (alg.p - 1) ** 2 < 2**63, key
+    p, _ = prime_root(16 * 2236, 2 * 16)
+    assert 2 * 16 < p < 2**21 and 16 * (p - 1) ** 2 < 2**62

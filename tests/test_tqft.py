@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import check_unoriented_frobenius as integer_check
-from oracles import flipped_kr_rank, random_cochain
+from oracles import FloatAlgebra, flipped_kr_rank, float_blocks, random_cochain
 
 from dwu.cohomology import (
     TwistedCochain,
     cohomology_classes,
+    restrict_to_even,
     twisted_differential,
 )
 from dwu.groups import (
@@ -220,11 +221,9 @@ def test_orbifold_q8_crosscap_block_expansion():
     bl = fs_indicators(blocks(alg), crosscap_element(gg, lam_hat), alg)
     coeffs = sorted(b.indicator * 8 // b.dimension for b in bl)
     assert coeffs == [-4, 8, 8, 8, 8]
-    # the crosscap section equals sum nu |G|/dim p_V numerically
-    import numpy as np
-
+    # the crosscap section equals sum nu |G|/dim e_V, e_V the blocks' exact lifts
     Qv = np.array([F.field.from_counts(c).to_complex() for c in F.crosscap_vector()])
-    recon = sum((b.indicator * 8 / b.dimension) * b.idempotent for b in bl)
+    recon = sum((b.indicator * 8 / b.dimension) * alg.lift(b) for b in bl)
     assert np.max(np.abs(Qv - recon)) < 1e-8
 
 
@@ -554,11 +553,11 @@ def test_handle_element_is_central_and_diagonal_on_blocks():
     lam = TwistedCochain.zero(gg, 2)
     F = orbifold(turaev_from_cocycle(gg, lam))
     H = np.array([F.field.from_counts(c).to_complex() for c in handle_element(F)])
-    alg = algebra_from_graded(gg, lam)
-    for b in blocks(alg):
-        prod = alg.product(H, b.idempotent)
-        ratio = prod[np.argmax(np.abs(b.idempotent))] / b.idempotent[np.argmax(np.abs(b.idempotent))]
-        expected = (6 / b.dimension) ** 2
+    alg = FloatAlgebra(restrict_to_even(lam, gg))
+    for P, d in float_blocks(alg):
+        prod = alg.product(H, P)
+        ratio = prod[np.argmax(np.abs(P))] / P[np.argmax(np.abs(P))]
+        expected = (6 / d) ** 2
         assert abs(ratio - expected) < 1e-8
 
 
